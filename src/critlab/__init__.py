@@ -29,15 +29,12 @@ from .asymptotics import (
     tauberian_ratio,
 )
 from .branching_model import (
-    F_LIMIT_AT_ONE,
     OffspringCoeffs,
     OffspringDistribution,
     build_offspring_distribution,
     build_size_biased_distribution,
     expand_coeffs,
-    f_of,
     mechanism_series,
-    sample_offspring,
 )
 from .errors import (
     ConfigError,
@@ -49,13 +46,11 @@ from .errors import (
 )
 from .kolmogorov_engine import (
     DEFAULT_CFG,
-    Rts,
     SeriesState,
     SolveConfig,
     G_of,
     evolve_series,
     exact_R,
-    exact_R_coupled,
     identity_residual,
     index_drift_integral,
     nu_ts,
@@ -85,7 +80,6 @@ from .simulator import (
 from .sv_kernel import (
     Family,
     ModelParams,
-    Normalizer,
     ScaleFunction,
     invariant_measure_M,
     make_scale_function,

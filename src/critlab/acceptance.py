@@ -46,6 +46,7 @@ from .kolmogorov_engine import (
     evolve_series,
     exact_R,
     identity_residual,
+    size_biased,
     solve_F,
     transition_matrix,
 )
@@ -92,7 +93,7 @@ def c1_closed_form_q() -> CriterionResult:
     sf = _sf(Family.CONSTANT)
     worst = 0.0
     for t in (0.1, 1.0, 10.0, 100.0, 1000.0):
-        q_ode = solve_F(sf, 0.0, t, _TIGHT).value
+        q_ode = solve_F(sf, 0.0, t, _TIGHT)
         q_exact = (1.0 + t / 2.0) ** (-2.0)
         rel = abs(q_ode - q_exact) / q_exact
         worst = max(worst, rel)
@@ -126,10 +127,10 @@ def c3_semigroup() -> CriterionResult:
     worst = 0.0
     for s in (0.0, 0.5, 0.9):
         for t in grid:
-            f_t = solve_F(sf, s, t, _TIGHT).F
+            f_t = 1.0 - solve_F(sf, s, t, _TIGHT)
             for tau in grid:
-                lhs = solve_F(sf, s, t + tau, _TIGHT).F
-                rhs = solve_F(sf, f_t, tau, _TIGHT).F
+                lhs = 1.0 - solve_F(sf, s, t + tau, _TIGHT)
+                rhs = 1.0 - solve_F(sf, f_t, tau, _TIGHT)
                 d = abs(lhs - rhs)
                 worst = max(worst, d)
                 res.rows.append(("semigroup", "F", t + tau, lhs, rhs, d, "ode", ""))
@@ -232,10 +233,7 @@ def _invariance_residuals(fam: Family, J: int = 1024, jmax: int = 50):
     mu[1:] = inv_f[:-1] / np.arange(1, J + 1)
     mu_res = float(np.max(np.abs((mu @ P)[1 : jmax + 1] - mu[1 : jmax + 1])))
     pi = mu * np.arange(J + 1)
-    jj = np.arange(J + 1, dtype=float)
-    Q = P * jj[None, :]
-    Q[0] = 0.0
-    Q[1:] /= jj[1:, None]
+    Q = size_biased(P)
     pi_res = float(np.max(np.abs((pi @ Q)[1 : jmax + 1] - pi[1 : jmax + 1])))
     pi_series = pi_coeffs(sf, jmax).coeffs
     pi_match = float(np.max(np.abs(pi_series[1 : jmax + 1] - pi[1 : jmax + 1])))

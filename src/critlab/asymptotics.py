@@ -4,7 +4,8 @@ Each predictor mirrors one limit statement of the theory:
 
 * ``predict_q``: q(t) ~ N(t)/(nu*t)**(1/nu) * (1 + correction), where the
   correction is -drift_integral/(nu**2 t) in general and collapses to
-  -log(a0*nu*t + 1)/(nu**3 t) for the coupled-drift family.
+  -log(a0*nu*t + 1)/(nu**3 t) for the coupled-drift family (the family's
+  ``ScaleFunction.second_order`` supplies it).
 * ``predict_p11``: same shape for (nu*t)**(1+1/nu) * P_11(t) with leading
   factor N(t)/a0 and the correction scaled by (1+nu).
 * ``pi_of`` / ``pi_coeffs``: invariant measure of the conditioned chain,
@@ -34,14 +35,12 @@ from .kolmogorov_engine import (
     DEFAULT_CFG,
     SolveConfig,
     G_of,
-    exact_R,
-    index_drift_integral,
     nu_ts,
     solve_F,
     survival_q,
 )
 from .laplace import invert_checked, talbot
-from .sv_kernel import Family, ScaleFunction, solve_normalizer
+from .sv_kernel import ScaleFunction, solve_normalizer
 
 __all__ = [
     "AsymptoticPrediction",
@@ -122,12 +121,10 @@ def predict_q(sf: ScaleFunction, t: float) -> AsymptoticPrediction:
     if t < 1.0:
         raise DomainError(f"predict_q requires t >= 1, got {t}")
     nu = sf.nu
-    N = solve_normalizer(sf, t).value
+    N = solve_normalizer(sf, t)
     leading = N / (nu * t) ** (1.0 / nu)
-    if sf.family is Family.COUPLED_DRIFT:
-        corr = -math.log(sf.a0 * nu * t + 1.0) / (nu**3 * t)
-    else:
-        corr = -index_drift_integral(sf, 0.0, t) / (nu**2 * t)
+    num, den = sf.second_order(t)
+    corr = -num / den
     return AsymptoticPrediction(t, leading, corr, "survival-second-order")
 
 
@@ -142,12 +139,10 @@ def predict_p11(sf: ScaleFunction, t: float) -> AsymptoticPrediction:
     if t < 1.0:
         raise DomainError(f"predict_p11 requires t >= 1, got {t}")
     nu = sf.nu
-    N = solve_normalizer(sf, t).value
+    N = solve_normalizer(sf, t)
     leading = N / sf.a0
-    if sf.family is Family.COUPLED_DRIFT:
-        corr = -(1.0 + nu) * math.log(sf.a0 * nu * t + 1.0) / (nu**3 * t)
-    else:
-        corr = -(1.0 + nu) * index_drift_integral(sf, 0.0, t) / (nu**2 * t)
+    num, den = sf.second_order(t)
+    corr = -(1.0 + nu) * num / den
     return AsymptoticPrediction(t, leading, corr, "p11-second-order")
 
 
@@ -200,24 +195,12 @@ def pi_of(sf: ScaleFunction, s: float) -> float:
     return float(s * y ** (-(1.0 + sf.nu)) / sf.sv(1.0 / y))
 
 
-def _sv_reciprocal_series(sf: ScaleFunction, order: int) -> np.ndarray:
-    """Series of 1/sv(1/(1-s)) in powers of s."""
-    nu, a0 = sf.nu, sf.a0
-    if sf.family in (Family.CONSTANT, Family.BINARY_SPLIT):
-        out = np.zeros(order + 1)
-        out[0] = 1.0 / a0
-        return out
-    out = -a0 * _series.binom_series(nu, order)
-    out[0] += nu + a0
-    return out / (nu * a0)
-
-
 def pi_coeffs(sf: ScaleFunction, J: int) -> PiMeasure:
     """Coefficients of pi(s) to order J by series expansion."""
     if J < 1:
         raise DomainError(f"pi_coeffs requires J >= 1, got {J}")
     B = _series.binom_series(-(1.0 + sf.nu), J - 1)
-    body = _series.mul(B, _sv_reciprocal_series(sf, J - 1), J - 1)
+    body = _series.mul(B, sf.sv_reciprocal_series(J - 1), J - 1)
     out = np.zeros(J + 1)
     out[1:] = body
     if np.any(out < -1e-12):
@@ -250,9 +233,7 @@ def psi_limit(nu: float, theta) -> float:
     return float(val) if val.ndim == 0 else val
 
 
-def psi_finite(
-    sf: ScaleFunction, t: float, theta: float, cfg: SolveConfig | None = None
-) -> float:
+def psi_finite(sf: ScaleFunction, t: float, theta: float) -> float:
     """Finite-horizon transform E exp(-theta * q(t) * W(t)) = G(t; e^{-theta q(t)}).
 
     Uses the exact survival oracle; 1 - s is carried as expm1 so precision
@@ -264,7 +245,7 @@ def psi_finite(
         raise DomainError(f"psi_finite requires t >= 1, got {t}")
     q = survival_q(sf, t)
     y = -math.expm1(-theta * q)
-    return G_of(sf, 1.0 - y, t, cfg, one_minus_s=y)
+    return G_of(sf, 1.0 - y, t, one_minus_s=y)
 
 
 def default_theta_grid(n: int = 200) -> np.ndarray:
@@ -316,7 +297,7 @@ def qproc_gf_ratio(sf: ScaleFunction, s: float, t: float) -> float:
     """(nu*t)**(1+1/nu) * G(t;s) / (pi(s) * N(t)): tends to 1."""
     nu = sf.nu
     G = G_of(sf, s, t)
-    N = solve_normalizer(sf, t).value
+    N = solve_normalizer(sf, t)
     return float((nu * t) ** (1.0 + 1.0 / nu) * G / (pi_of(sf, s) * N))
 
 
@@ -394,8 +375,8 @@ def baseline_checks(
     """
     rep = VerifyReport("baselines")
     for t in np.atleast_1d(np.asarray(t_grid, dtype=float)):
-        if sf.family is Family.BINARY_SPLIT:
-            r_ode = solve_F(sf, s, t, cfg).value
+        if sf.finite_variance:
+            r_ode = solve_F(sf, s, t, cfg)
             exact = 1.0 / (1.0 - s) + sf.a0 * t
             rep.add(t, 1.0 / r_ode, exact, 1.0 / r_ode - exact)
         else:

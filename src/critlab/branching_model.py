@@ -10,38 +10,26 @@ are exact up to the documented tail approximation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, zeta
+from scipy.special import zeta
 
-from . import _series
 from .errors import DomainError, ParameterError
 from .sv_kernel import Family, ScaleFunction
 
 __all__ = [
-    "F_LIMIT_AT_ONE",
     "OffspringCoeffs",
     "OffspringDistribution",
     "AliasTable",
-    "f_of",
     "mechanism_series",
     "expand_coeffs",
     "build_offspring_distribution",
     "build_size_biased_distribution",
-    "sample_offspring",
 ]
 
-# f(1-) for every admissible mechanism; f itself rejects s >= 1.
-F_LIMIT_AT_ONE = 0.0
-
 _NEG_COEFF_SLACK = 1e-12  # absolute roundoff slack for series-division output
-
-
-def f_of(sf: ScaleFunction, s) -> float:
-    """Mechanism value f(s) = (1-s) * decay_rate(1-s) on [0, 1)."""
-    return sf.f(s)
 
 
 @dataclass(frozen=True)
@@ -85,29 +73,15 @@ def _validate_coeffs(a: np.ndarray, family: Family) -> None:
 def mechanism_series(sf: ScaleFunction, J: int) -> np.ndarray:
     """Formal Taylor coefficients a_0..a_J of f(s), without sign validation.
 
-    constant family: a_j = a0 * (-1)**j * C(1+nu, j) by the binomial
-    recurrence. coupled_drift: series division of nu*a0*(1-s)**(1+nu) by
-    nu + a0*(1 - (1-s)**nu). binary_split: (a0, -2*a0, a0, 0, ...).
-
-    The coupled_drift coefficients are a valid intensity sequence only for
+    Each family supplies its own (``ScaleFunction.mechanism_series``). The
+    coupled_drift coefficients are a valid intensity sequence only for
     small enough a0; callers needing an offspring law must go through
     ``expand_coeffs``, which validates. The analytic machinery (invariant
     measures, series evolution) is well defined for the formal series.
     """
     if J < 2:
         raise DomainError(f"mechanism_series requires J >= 2, got {J}")
-    nu, a0 = sf.nu, sf.a0
-    fam = sf.family
-    if fam is Family.BINARY_SPLIT:
-        a = np.zeros(J + 1)
-        a[0], a[1], a[2] = a0, -2.0 * a0, a0
-        return a
-    if fam is Family.CONSTANT:
-        return a0 * _series.binom_series(1.0 + nu, J)
-    num = nu * a0 * _series.binom_series(1.0 + nu, J)
-    den = -a0 * _series.binom_series(nu, J)
-    den[0] = nu
-    return _series.div(num, den)
+    return sf.mechanism_series(J)
 
 
 def expand_coeffs(sf: ScaleFunction, J: int) -> OffspringCoeffs:
@@ -160,7 +134,8 @@ class OffspringDistribution:
 
     The table covers k <= tail_cutoff; beyond that a Pareto envelope with
     the analytic tail exponent is inverted and corrected by one rejection
-    step against the power-law target mass.
+    step against the power-law target mass, or against the family's exact
+    tail pmf where it has one.
     """
 
     probs: np.ndarray
@@ -171,8 +146,8 @@ class OffspringDistribution:
     _alias: AliasTable = field(repr=False, default=None)
     _tail_norm: float = field(repr=False, default=0.0)
     _tail_accept_scale: float = field(repr=False, default=1.0)
-    # exact tail pmf for the constant family: (a0/|a1|) * |C(1+nu, k)|
-    _exact_tail: tuple | None = field(repr=False, default=None)
+    # exact tail pmf k -> a_k/|a1| where the family has one (ScaleFunction.exact_tail)
+    _exact_tail: Callable | None = field(repr=False, default=None)
 
     def __post_init__(self):
         if np.any(self.probs < 0.0):
@@ -198,11 +173,7 @@ class OffspringDistribution:
     def _tail_pmf(self, k: np.ndarray) -> np.ndarray:
         """Normalized tail pmf p(k | k > cutoff) used as rejection target."""
         if self._exact_tail is not None:
-            # |C(1+nu, k)| = Gamma(k-1-nu) / (Gamma(k+1) * |Gamma(-1-nu)|)
-            a0_over_rate, nu, tail_mass = self._exact_tail
-            log_abs_gamma = math.log(abs(math.gamma(-1.0 - nu)))
-            pk = a0_over_rate * np.exp(gammaln(k - 1.0 - nu) - gammaln(k + 1.0) - log_abs_gamma)
-            return pk / tail_mass
+            return self._exact_tail(k) / self.tail_mass
         beta = self.tail_exponent
         return k ** (-beta) / self._tail_norm
 
@@ -246,8 +217,8 @@ def build_offspring_distribution(
     # the dropped tail carries exactly the mass missing from the table
     tail_mass = max(0.0, 1.0 - float(p.sum()))
     exact_tail = None
-    if sf is not None and sf.family is Family.CONSTANT and tail_mass > 0.0:
-        exact_tail = (sf.a0 / rate, sf.nu, tail_mass)
+    if sf is not None and tail_mass > 0.0:
+        exact_tail = sf.exact_tail(rate)
     return OffspringDistribution(
         probs=p,
         tail_cutoff=coeffs.order,
@@ -278,10 +249,3 @@ def build_size_biased_distribution(coeffs: OffspringCoeffs) -> OffspringDistribu
         tail_mass=tail_mass,
         total_rate=rate,
     )
-
-
-def sample_offspring(dist: OffspringDistribution, rng: np.random.Generator, size=None):
-    """Draw offspring counts k >= 0, k != 1 (scalar when size is None)."""
-    if size is None:
-        return int(dist.sample(rng, 1)[0])
-    return dist.sample(rng, size)

@@ -24,7 +24,7 @@ from .acceptance import run_all
 from .asymptotics import fit_rate, pi_of, predict_p11, predict_q, p11_exact
 from .errors import ConfigError, CritlabError, DomainError, ParameterError, SolverError
 from .kolmogorov_engine import G_of, exact_R, solve_F, survival_q
-from .simulator import build_sim_model, estimate_survival, simulate_mbp, simulate_qprocess
+from .simulator import build_sim_model, estimate_survival, simulate_mbp
 from .sv_kernel import Family, ModelParams, make_scale_function, solve_normalizer
 
 CSV_COLUMNS = ("experiment", "tag", "t", "exact", "predicted", "normalized_error", "method", "stderr")
@@ -50,16 +50,11 @@ class ExperimentConfig:
     t_max: float = 1000.0
     t_points: int = 7
     s_list: list = field(default_factory=lambda: [0.0, 0.5])
-    theta_min: float = 1e-3
-    theta_max: float = 1e3
-    theta_points: int = 200
     mc_n: int = 10000
     i0: int = 1
     seed: int | None = None
     pop_cap: int = 10**9
-    event_budget: int | None = None
     trajectories: int = 0
-    series_order: int = 1024
     threads: int = 1
     out: str = "reports"
 
@@ -81,9 +76,8 @@ class ExperimentConfig:
         return make_scale_function(ModelParams(self.nu, self.a0, fam))
 
 
-_INT_KEYS = {"t_points", "theta_points", "mc_n", "i0", "seed", "pop_cap",
-             "event_budget", "trajectories", "series_order", "threads"}
-_FLOAT_KEYS = {"nu", "a0", "t_min", "t_max", "theta_min", "theta_max"}
+_INT_KEYS = {"t_points", "mc_n", "i0", "seed", "pop_cap", "trajectories", "threads"}
+_FLOAT_KEYS = {"nu", "a0", "t_min", "t_max"}
 _STR_KEYS = {"family", "out"}
 _LIST_KEYS = {"s_list"}
 
@@ -165,12 +159,12 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
                      (scaled / p_pred - 1.0) if p_pred else 0.0, "oracle", ""))
         for s in cfg.s_list:
             r_oracle = exact_R(sf, s, t)
-            r_ode = solve_F(sf, s, t).value
+            r_ode = solve_F(sf, s, t)
             rows.append((f"s={s:g}", "R", t, r_oracle, r_ode,
                          r_ode / r_oracle - 1.0, "ode", ""))
             if 0.0 < s < 1.0:
                 g = G_of(sf, s, t)
-                gp = pi_of(sf, s) * solve_normalizer(sf, t).value / (sf.nu * t) ** (1.0 + 1.0 / sf.nu) if t >= 1 else None
+                gp = pi_of(sf, s) * solve_normalizer(sf, t) / (sf.nu * t) ** (1.0 + 1.0 / sf.nu) if t >= 1 else None
                 rows.append((f"s={s:g}", "G", t, g, gp,
                              (g / gp - 1.0) if gp else 0.0, "oracle", ""))
     out = Path(cfg.out) / "solve.csv"
@@ -224,13 +218,17 @@ def cmd_verify(cfg: ExperimentConfig, only: str | None) -> int:
     return 1 if n_fail else 0
 
 
-def cmd_rates(cfg: ExperimentConfig, report_path: str) -> int:
-    rows = read_rows(Path(report_path))
+def _rows_by_tag(report_path: str) -> list[tuple[str, list]]:
+    """Rows of a report grouped by tag, in tag order."""
     by_tag: dict[str, list] = {}
-    for row in rows:
+    for row in read_rows(Path(report_path)):
         by_tag.setdefault(row[1], []).append(row)
+    return sorted(by_tag.items())
+
+
+def cmd_rates(cfg: ExperimentConfig, report_path: str) -> int:
     print("tag,slope,intercept,r_squared")
-    for tag, grp in sorted(by_tag.items()):
+    for tag, grp in _rows_by_tag(report_path):
         ts = np.array([g[2] for g in grp])
         errs = np.array([g[5] for g in grp])
         try:
@@ -242,12 +240,8 @@ def cmd_rates(cfg: ExperimentConfig, report_path: str) -> int:
 
 
 def cmd_report(cfg: ExperimentConfig, report_path: str) -> int:
-    rows = read_rows(Path(report_path))
-    by_tag: dict[str, list] = {}
-    for row in rows:
-        by_tag.setdefault(row[1], []).append(row)
     print(f"{'tag':<24}{'rows':>6}{'max|err|':>14}  methods")
-    for tag, grp in sorted(by_tag.items()):
+    for tag, grp in _rows_by_tag(report_path):
         errs = [abs(g[5]) for g in grp if math.isfinite(g[5])]
         methods = ",".join(sorted({g[6] for g in grp}))
         print(f"{tag:<24}{len(grp):>6}{max(errs) if errs else float('nan'):>14.3e}  {methods}")

@@ -15,8 +15,12 @@ satisfies dw/dt = nu + 1/w, so
 
     w/nu - log(nu*w + 1)/nu**2 = t + (same at w0),       w0 = 1/decay_rate(1-s),
 
-a monotone scalar equation solved to machine precision for any t (this is
-the long-horizon oracle; no ODE stepping is ever used past t = 1e4).
+a monotone scalar equation solved to machine precision for any t. The exact
+oracles themselves live on the family classes (``ScaleFunction.exact_R``,
+``ScaleFunction.drift_integral``); ``exact_R`` here validates and dispatches.
+The oracles serve any horizon; ``survival_q(method='ode')`` refuses horizons
+past 1e4, while ``solve_F`` integrates to whatever horizon it is given, so
+callers can compare the two routes there.
 
 Transition probabilities P_1j(t) are the coefficients of F(t;s); their
 coupled coefficient ODE is triangular (coefficient j only involves
@@ -27,24 +31,21 @@ Rows for i initial individuals are series powers of F.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
 
 from . import _series
 from .errors import DomainError, SolverError, TruncationError
-from .sv_kernel import Family, ScaleFunction
+from .sv_kernel import ScaleFunction
 
 __all__ = [
     "SolveConfig",
     "DEFAULT_CFG",
-    "Rts",
     "SeriesState",
     "solve_F",
     "exact_R",
-    "exact_R_coupled",
     "survival_q",
     "identity_residual",
     "index_drift_integral",
@@ -52,11 +53,12 @@ __all__ = [
     "evolve_series",
     "transition_matrix",
     "series_power_row",
+    "size_biased",
     "q_matrix",
     "G_of",
 ]
 
-_ODE_HORIZON = 1e4  # beyond this the exact oracles take over
+_ODE_HORIZON = 1e4  # survival_q(method='ode') refuses longer horizons
 
 
 @dataclass(frozen=True)
@@ -75,19 +77,6 @@ class SolveConfig:
 
 
 DEFAULT_CFG = SolveConfig()
-
-
-@dataclass(frozen=True)
-class Rts:
-    """One value of R(t;s) = 1 - F(t;s)."""
-
-    t: float
-    s: float
-    value: float
-
-    @property
-    def F(self) -> float:
-        return 1.0 - self.value
 
 
 def _check_ts(s: float, t: float) -> None:
@@ -118,65 +107,26 @@ def _solve_log_path(sf: ScaleFunction, s: float, t: float, cfg: SolveConfig):
     return sol
 
 
-def solve_F(sf: ScaleFunction, s: float, t: float, cfg: SolveConfig = DEFAULT_CFG) -> Rts:
-    """Adaptive integration of the backward equation; returns R(t;s)."""
+def solve_F(sf: ScaleFunction, s: float, t: float, cfg: SolveConfig = DEFAULT_CFG) -> float:
+    """Adaptive integration of the backward equation; returns R(t;s) = 1 - F(t;s)."""
     _check_ts(s, t)
     if t == 0.0:
-        return Rts(t, s, 1.0 - s)
+        return 1.0 - s
     sol = _solve_log_path(sf, s, t, cfg)
-    return Rts(t, s, math.exp(float(sol.y[0, -1])))
-
-
-def _coupled_w_integral(nu: float, w: float) -> float:
-    """Antiderivative g(w) = w/nu - log(nu*w + 1)/nu**2 of w/(nu*w + 1) dw."""
-    return w / nu - math.log1p(nu * w) / (nu * nu)
-
-
-def _solve_w(sf: ScaleFunction, w0: float, t: float) -> float:
-    """Solve g(w) = t + g(w0) for the coupled-drift family; w >= w0."""
-    nu = sf.nu
-    if t == 0.0:
-        return w0
-    target = t + _coupled_w_integral(nu, w0)
-    lo = w0 + nu * t
-    hi = w0 + (nu + 1.0 / w0) * t
-    g = lambda w: _coupled_w_integral(nu, w) - target
-    glo, ghi = g(lo), g(hi)
-    if glo > 0.0 or ghi < 0.0:
-        raise SolverError(f"w bracket failed at t={t}, w0={w0}")
-    if glo == 0.0:
-        return lo
-    return float(brentq(g, lo, hi, rtol=8.9e-16, maxiter=200))
-
-
-def exact_R_coupled(
-    sf: ScaleFunction, s: float, t: float, *, one_minus_s: float | None = None
-) -> float:
-    """Implicit-equation oracle for the coupled-drift family; any horizon."""
-    if sf.family is not Family.COUPLED_DRIFT:
-        raise DomainError("exact_R_coupled only applies to the coupled_drift family")
-    y0 = 1.0 - s if one_minus_s is None else one_minus_s
-    if not (0.0 < y0 <= 1.0) or t < 0.0:
-        raise DomainError(f"invalid (s, t) = ({s}, {t})")
-    w0 = 1.0 / sf.decay_rate(y0)
-    w = _solve_w(sf, w0, t)
-    return float(sf.decay_inverse(1.0 / w))
+    return math.exp(float(sol.y[0, -1]))
 
 
 def exact_R(
     sf: ScaleFunction, s: float, t: float, *, one_minus_s: float | None = None
 ) -> float:
-    """Closed-form / implicit exact R(t;s) for the built-in families."""
+    """Exact R(t;s) from the family's closed form or implicit equation; any horizon.
+
+    ``one_minus_s`` may carry 1 - s when s is within roundoff of 1.
+    """
     y0 = 1.0 - s if one_minus_s is None else one_minus_s
     if not (0.0 < y0 <= 1.0) or t < 0.0:
         raise DomainError(f"invalid (s, t) = ({s}, {t})")
-    nu, a0 = sf.nu, sf.a0
-    fam = sf.family
-    if fam is Family.CONSTANT:
-        return (y0 ** (-nu) + nu * a0 * t) ** (-1.0 / nu)
-    if fam is Family.BINARY_SPLIT:
-        return 1.0 / (1.0 / y0 + a0 * t)
-    return exact_R_coupled(sf, s, t, one_minus_s=y0)
+    return sf.exact_R(y0, t)
 
 
 def survival_q(
@@ -192,12 +142,25 @@ def survival_q(
         return exact_R(sf, 0.0, t)
     if t > _ODE_HORIZON:
         raise SolverError(f"ODE route refused for t={t} > {_ODE_HORIZON}; use the oracle")
-    return solve_F(sf, 0.0, t, cfg or DEFAULT_CFG).value
+    return solve_F(sf, 0.0, t, cfg or DEFAULT_CFG)
 
 
 def nu_ts(sf: ScaleFunction, s: float, t: float) -> float:
     """Time-scale factor decay_rate(1-s)*nu*t + 1 from the exact identity."""
     return sf.decay_rate(1.0 - s) * sf.nu * t + 1.0
+
+
+def _drift_quad(sf: ScaleFunction, sol, t: float) -> float:
+    """int_0^t index_drift(R(u;s)) du by adaptive quadrature over the dense ODE output."""
+    val, _ = quad(
+        lambda u: sf.index_drift(math.exp(float(sol.sol(u)[0]))),
+        0.0,
+        t,
+        epsabs=1e-12,
+        epsrel=1e-11,
+        limit=400,
+    )
+    return val
 
 
 def identity_residual(
@@ -216,17 +179,7 @@ def identity_residual(
     sol = _solve_log_path(sf, s, t, cfg)
     r_end = math.exp(float(sol.y[0, -1]))
     lhs = 1.0 / sf.decay_rate(r_end) - 1.0 / sf.decay_rate(1.0 - s)
-    if sf.family in (Family.CONSTANT, Family.BINARY_SPLIT):
-        integral = 0.0
-    else:
-        integral, _ = quad(
-            lambda u: sf.index_drift(math.exp(float(sol.sol(u)[0]))),
-            0.0,
-            t,
-            epsabs=1e-12,
-            epsrel=1e-11,
-            limit=400,
-        )
+    integral = _drift_quad(sf, sol, t) if sf.has_drift else 0.0
     return float(lhs - (sf.nu * t + integral))
 
 
@@ -235,36 +188,23 @@ def index_drift_integral(
     s: float,
     t: float,
     cfg: SolveConfig = DEFAULT_CFG,
-    method: str = "auto",
+    method: str = "oracle",
 ) -> float:
     """Accumulated index drift int_0^t index_drift(R(u;s)) du.
 
     method='oracle' evaluates it through the exact identity as
-    1/decay_rate(R) - 1/decay_rate(1-s) - nu*t (any horizon, families with
-    zero drift return 0 exactly); method='quad' integrates along the dense
-    ODE solution. 'auto' picks the oracle.
+    1/decay_rate(R) - 1/decay_rate(1-s) - nu*t (any horizon, by the family's
+    ``drift_integral``); method='quad' integrates along the dense ODE
+    solution. Families without drift return 0 exactly on both routes.
     """
     _check_ts(s, t)
-    if method not in ("auto", "oracle", "quad"):
+    if method not in ("oracle", "quad"):
         raise DomainError(f"unknown method {method!r}")
-    if t == 0.0:
+    if t == 0.0 or not sf.has_drift:
         return 0.0
-    if method in ("auto", "oracle"):
-        if sf.family in (Family.CONSTANT, Family.BINARY_SPLIT):
-            return 0.0
-        w0 = 1.0 / sf.decay_rate(1.0 - s)
-        w = _solve_w(sf, w0, t)
-        return float(w - w0 - sf.nu * t)
-    sol = _solve_log_path(sf, s, t, cfg)
-    val, _ = quad(
-        lambda u: sf.index_drift(math.exp(float(sol.sol(u)[0]))),
-        0.0,
-        t,
-        epsabs=1e-12,
-        epsrel=1e-11,
-        limit=400,
-    )
-    return float(val)
+    if method == "oracle":
+        return sf.drift_integral(1.0 - s, t)
+    return float(_drift_quad(sf, _solve_log_path(sf, s, t, cfg), t))
 
 
 # ---------------------------------------------------------------------------
@@ -293,23 +233,6 @@ class SeriesState:
         return 1.0 - float(np.sum(self.coeffs))
 
 
-def _mechanism_series(sf: ScaleFunction, fc: np.ndarray) -> np.ndarray:
-    """Coefficients of f(F(t;s)) given coefficients of F(t;s)."""
-    J = len(fc) - 1
-    y = -fc
-    y[0] += 1.0  # y = 1 - F, y[0] = 1 - F_0 > 0
-    nu, a0 = sf.nu, sf.a0
-    fam = sf.family
-    if fam is Family.BINARY_SPLIT:
-        return a0 * _series.mul(y, y, J)
-    if fam is Family.CONSTANT:
-        return a0 * _series.powf(y, 1.0 + nu, J)
-    u = _series.powf(y, nu, J)
-    den = -a0 * u
-    den[0] += nu + a0
-    return _series.div(nu * a0 * _series.mul(y, u, J), den, J)
-
-
 def evolve_series(
     sf: ScaleFunction, J: int, t: float, cfg: SolveConfig = DEFAULT_CFG
 ) -> SeriesState:
@@ -329,7 +252,10 @@ def evolve_series(
         return SeriesState(0.0, y0)
 
     def rhs(u, c):
-        return _mechanism_series(sf, np.asarray(c))
+        # coefficients of f(F) from those of F, through y = 1 - F, y[0] > 0
+        y = -np.asarray(c)
+        y[0] += 1.0
+        return sf.f_series(y, J)
 
     sol = solve_ivp(
         rhs,
@@ -382,48 +308,40 @@ def transition_matrix(state: SeriesState, imax: int | None = None) -> np.ndarray
     return P
 
 
-def q_matrix(
-    sf: ScaleFunction, J: int, t: float, cfg: SolveConfig = DEFAULT_CFG
-) -> np.ndarray:
-    """Size-biased transition matrix Q_ij(t) = (j/i) * P_ij(t), i >= 1.
+def size_biased(P: np.ndarray) -> np.ndarray:
+    """Size-biased matrix Q_ij = (j/i) * P_ij, i >= 1, of a transition matrix.
 
     Row 0 is identically zero: the conditioned chain never occupies state 0.
     """
-    state = evolve_series(sf, J, t, cfg)
-    P = transition_matrix(state)
-    j = np.arange(J + 1, dtype=float)
+    j = np.arange(P.shape[1], dtype=float)
     Q = P * j[None, :]
     Q[0] = 0.0
-    Q[1:] /= np.arange(1, J + 1, dtype=float)[:, None]
+    Q[1:] /= np.arange(1, P.shape[0], dtype=float)[:, None]
     return Q
 
 
+def q_matrix(
+    sf: ScaleFunction, J: int, t: float, cfg: SolveConfig = DEFAULT_CFG
+) -> np.ndarray:
+    """Size-biased transition matrix Q_ij(t) = (j/i) * P_ij(t), i >= 1."""
+    return size_biased(transition_matrix(evolve_series(sf, J, t, cfg)))
+
+
 def G_of(
-    sf: ScaleFunction,
-    s: float,
-    t: float,
-    cfg: SolveConfig | None = None,
-    method: str = "oracle",
-    *,
-    one_minus_s: float | None = None,
+    sf: ScaleFunction, s: float, t: float, *, one_minus_s: float | None = None
 ) -> float:
     """Generating function of the conditioned chain, G(t;s) = s*f(F(t;s))/f(s).
 
-    Evaluated as s * R * decay_rate(R) / f(s) with R from the exact oracle
-    (default) or the ODE solver. ``one_minus_s`` may be passed to keep
-    precision when s is within roundoff of 1; the domain check is then made
-    on ``one_minus_s``, since s itself may have rounded to 1.0.
+    Evaluated as s * R * decay_rate(R) / f(s) with R from the exact oracle.
+    ``one_minus_s`` may be passed to keep precision when s is within
+    roundoff of 1; the domain check is then made on ``one_minus_s``, since
+    s itself may have rounded to 1.0.
     """
     y0 = 1.0 - s if one_minus_s is None else one_minus_s
     if not (0.0 < y0 < 1.0):
         raise DomainError(f"G_of requires 0 < s < 1, got s={s}, 1-s={y0}")
     if t < 0.0:
         raise DomainError(f"G_of requires t >= 0, got t={t}")
-    if method == "oracle":
-        r = exact_R(sf, s, t, one_minus_s=y0)
-    elif method == "ode":
-        r = solve_F(sf, s, t, cfg or DEFAULT_CFG).value
-    else:
-        raise DomainError(f"unknown method {method!r}")
+    r = exact_R(sf, s, t, one_minus_s=y0)
     f_s = y0 * sf.decay_rate(y0)
     return float(s * r * sf.decay_rate(r) / f_s)

@@ -415,9 +415,6 @@ class EmpiricalCDF:
     censored: int
     scale_q: float
 
-    def dkw(self, alpha: float = 0.05) -> float:
-        return math.sqrt(math.log(2.0 / alpha) / (2.0 * self.n))
-
 
 def dkw_band(n: int, alpha: float = 0.05) -> float:
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))

@@ -32,6 +32,13 @@ Three built-in families provide independent exact oracles:
     Finite-variance quadratic mechanism f(s) = a0*(1-s)**2, the classical
     baseline; nu is pinned to 1 and index_drift = 0.
 
+Each family is one ``ScaleFunction`` subclass, and everything that differs
+between families lives on it: the closed forms above, the Taylor
+coefficients of f and f composed with a series, the exact R(t;s) oracle,
+the ``has_drift`` flag and the drift-integral oracle, the series of 1/sv,
+the second-order term of the survival expansion and, where known, the
+exact tail of the jump law. Adding a family means adding one subclass.
+
 The normalizer N(t) used by the survival asymptotics is defined implicitly by
 N**nu * sv((nu*t)**(1/nu) / N) = 1, equivalently N = (nu*t)**(1/nu) * y* with
 decay_rate(y*) = 1/(nu*t), which is how ``solve_normalizer`` computes it.
@@ -42,19 +49,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import gammaln
 
+from . import _series
 from .errors import DomainError, ParameterError, SolverError
 
 __all__ = [
     "Family",
     "ModelParams",
     "ScaleFunction",
-    "Normalizer",
     "make_scale_function",
     "remainder_rho",
     "solve_normalizer",
@@ -98,21 +107,16 @@ class ModelParams:
             )
 
 
-@dataclass(frozen=True)
-class Normalizer:
-    """Value of the implicit normalizer N(t) at one time point."""
-
-    t: float
-    value: float
-
-
 class ScaleFunction:
     """Evaluable bundle (sv, decay_rate, index_drift, sv_elasticity) for one family.
 
     Subclasses supply closed forms; the exact-oracle hooks (``decay_inverse``,
-    ``invariant_measure_closed``, ``normalizer_closed``) are what the solvers
-    cross-validate against.
+    ``exact_R``, ``drift_integral``, ``invariant_measure_closed``,
+    ``normalizer_closed``) are what the solvers cross-validate against.
     """
+
+    has_drift = True  # False when index_drift vanishes identically
+    finite_variance = False  # True for the quadratic (nu = 1) baseline
 
     def __init__(self, params: ModelParams):
         self.params = params
@@ -159,6 +163,40 @@ class ScaleFunction:
         val = y * self.decay_rate(y)
         return float(val) if np.ndim(val) == 0 else val
 
+    # series and exact oracles -------------------------------------------
+    def mechanism_series(self, J: int) -> np.ndarray:
+        """Formal Taylor coefficients a_0..a_J of f(s) (J >= 2, unchecked)."""
+        raise NotImplementedError
+
+    def f_series(self, y: np.ndarray, J: int) -> np.ndarray:
+        """Coefficients of f(1 - y) = y * decay_rate(y) for a series y, y[0] > 0."""
+        raise NotImplementedError
+
+    def exact_R(self, y0: float, t: float) -> float:
+        """Exact R(t;s) from R(0;s) = y0 = 1 - s in (0, 1], t >= 0 (unchecked)."""
+        raise NotImplementedError
+
+    def drift_integral(self, y0: float, t: float) -> float:
+        """Exact int_0^t index_drift(R(u;s)) du from R(0;s) = y0 (unchecked)."""
+        raise NotImplementedError
+
+    def sv_reciprocal_series(self, order: int) -> np.ndarray:
+        """Series of 1/sv(1/(1-s)) in powers of s."""
+        raise NotImplementedError
+
+    def second_order(self, t: float) -> tuple[float, float]:
+        """(num, den) such that the second-order correction of q(t) is -num/den.
+
+        In general num is the accumulated index drift along q(u), u <= t,
+        and den = nu**2 * t; a family may substitute a closed form.
+        """
+        return self.drift_integral(1.0, t), self.nu**2 * t
+
+    def exact_tail(self, rate: float) -> Callable | None:
+        """Exact pmf k -> a_k / rate of the jump law's tail, or None when
+        only its power-law envelope is known."""
+        return None
+
     # optional exact hooks -------------------------------------------------
     def invariant_measure_closed(self, s: float) -> float | None:
         return None
@@ -166,20 +204,59 @@ class ScaleFunction:
     def normalizer_closed(self, t: float) -> float | None:
         return None
 
+    def normalizer_defined(self, t: float) -> bool:
+        """Whether N(t) exists: by closed form, or t >= 1/(nu*a0) (t > 0)."""
+        return self.normalizer_closed(t) is not None or 1.0 / (self.nu * t) <= self.a0
 
-class ConstantScale(ScaleFunction):
-    """sv(x) = a0; all derived quantities in closed form."""
+
+class _ConstantSV(ScaleFunction):
+    """sv(x) = a0: no index drift, and 1/sv is the constant 1/a0."""
+
+    has_drift = False
 
     def sv(self, x):
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(np.float64(self.a0), x.shape).copy() if x.ndim else float(self.a0)
 
-    def decay_rate(self, y):
-        return self.a0 * np.asarray(y, dtype=float) ** self.nu
-
     def index_drift(self, y):
         y = np.asarray(y, dtype=float)
         return np.zeros(y.shape) if y.ndim else 0.0
+
+    def drift_integral(self, y0, t):
+        return 0.0
+
+    def sv_reciprocal_series(self, order):
+        out = np.zeros(order + 1)
+        out[0] = 1.0 / self.a0
+        return out
+
+
+class ConstantScale(_ConstantSV):
+    """sv(x) = a0; all derived quantities in closed form."""
+
+    def decay_rate(self, y):
+        return self.a0 * np.asarray(y, dtype=float) ** self.nu
+
+    def mechanism_series(self, J):
+        # a_j = a0 * (-1)**j * C(1+nu, j) by the binomial recurrence
+        return self.a0 * _series.binom_series(1.0 + self.nu, J)
+
+    def f_series(self, y, J):
+        return self.a0 * _series.powf(y, 1.0 + self.nu, J)
+
+    def exact_R(self, y0, t):
+        # dR/dt = -a0 R**(1+nu) separates to R**-nu = y0**-nu + nu*a0*t
+        nu = self.nu
+        return (y0 ** (-nu) + nu * self.a0 * t) ** (-1.0 / nu)
+
+    def exact_tail(self, rate):
+        return partial(self._binomial_tail, self.a0 / rate)
+
+    def _binomial_tail(self, a0_over_rate, k):
+        # |C(1+nu, k)| = Gamma(k-1-nu) / (Gamma(k+1) * |Gamma(-1-nu)|)
+        nu = self.nu
+        log_abs_gamma = math.log(abs(math.gamma(-1.0 - nu)))
+        return a0_over_rate * np.exp(gammaln(k - 1.0 - nu) - gammaln(k + 1.0) - log_abs_gamma)
 
     def decay_inverse(self, z):
         return (np.asarray(z, dtype=float) / self.a0) ** (1.0 / self.nu)
@@ -224,23 +301,87 @@ class CoupledDriftScale(ScaleFunction):
         nu, a0 = self.nu, self.a0
         return (nu + a0) * ((1.0 - s) ** (-nu) - 1.0) / (nu * nu * a0) + math.log1p(-s) / nu
 
+    def mechanism_series(self, J):
+        # series division of nu*a0*(1-s)**(1+nu) by nu + a0*(1 - (1-s)**nu)
+        nu, a0 = self.nu, self.a0
+        num = nu * a0 * _series.binom_series(1.0 + nu, J)
+        den = -a0 * _series.binom_series(nu, J)
+        den[0] = nu
+        return _series.div(num, den)
 
-class BinarySplitScale(ScaleFunction):
+    def f_series(self, y, J):
+        nu, a0 = self.nu, self.a0
+        u = _series.powf(y, nu, J)
+        den = -a0 * u
+        den[0] += nu + a0
+        return _series.div(nu * a0 * _series.mul(y, u, J), den, J)
+
+    # w = 1/decay_rate(R) obeys dw/dt = nu + 1/w, which integrates to
+    # g(w) = t + g(w0) with g(w) = w/nu - log(nu*w + 1)/nu**2.
+    def _w_integral(self, w):
+        nu = self.nu
+        return w / nu - math.log1p(nu * w) / (nu * nu)
+
+    def _solve_w(self, w0, t):
+        """Solve g(w) = t + g(w0); w >= w0."""
+        nu = self.nu
+        if t == 0.0:
+            return w0
+        target = t + self._w_integral(w0)
+        lo = w0 + nu * t
+        hi = w0 + (nu + 1.0 / w0) * t
+        g = lambda w: self._w_integral(w) - target
+        glo, ghi = g(lo), g(hi)
+        if glo > 0.0 or ghi < 0.0:
+            raise SolverError(f"w bracket failed at t={t}, w0={w0}")
+        if glo == 0.0:
+            return lo
+        return float(brentq(g, lo, hi, rtol=8.9e-16, maxiter=200))
+
+    def exact_R(self, y0, t):
+        w0 = 1.0 / self.decay_rate(y0)
+        w = self._solve_w(w0, t)
+        return float(self.decay_inverse(1.0 / w))
+
+    def drift_integral(self, y0, t):
+        # the identity w(t) - w0 = nu*t + int_0^t index_drift(R(u)) du
+        w0 = 1.0 / self.decay_rate(y0)
+        w = self._solve_w(w0, t)
+        return float(w - w0 - self.nu * t)
+
+    def sv_reciprocal_series(self, order):
+        nu, a0 = self.nu, self.a0
+        out = -a0 * _series.binom_series(nu, order)
+        out[0] += nu + a0
+        return out / (nu * a0)
+
+    def second_order(self, t):
+        # closed form log(a0*nu*t + 1)/nu**3 of the accumulated drift over nu**2
+        return math.log(self.a0 * self.nu * t + 1.0), self.nu**3 * t
+
+
+class BinarySplitScale(_ConstantSV):
     """Quadratic mechanism f(s) = a0*(1-s)**2 with finite variance (nu = 1)."""
 
-    def sv(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(np.float64(self.a0), x.shape).copy() if x.ndim else float(self.a0)
+    finite_variance = True
 
     def decay_rate(self, y):
         return self.a0 * np.asarray(y, dtype=float)
 
-    def index_drift(self, y):
-        y = np.asarray(y, dtype=float)
-        return np.zeros(y.shape) if y.ndim else 0.0
-
     def decay_inverse(self, z):
         return np.asarray(z, dtype=float) / self.a0
+
+    def mechanism_series(self, J):
+        a = np.zeros(J + 1)
+        a[0], a[1], a[2] = self.a0, -2.0 * self.a0, self.a0
+        return a
+
+    def f_series(self, y, J):
+        return self.a0 * _series.mul(y, y, J)
+
+    def exact_R(self, y0, t):
+        # dR/dt = -a0 R**2 gives 1/R = 1/y0 + a0*t
+        return 1.0 / (1.0 / y0 + self.a0 * t)
 
     def invariant_measure_closed(self, s):
         return s / (self.a0 * (1.0 - s))
@@ -277,7 +418,7 @@ def remainder_rho(sf: ScaleFunction, lam: float, x: float) -> float:
     return float(sf.sv(lam * x) / sf.sv(x) - 1.0)
 
 
-def solve_normalizer(sf: ScaleFunction, t: float) -> Normalizer:
+def solve_normalizer(sf: ScaleFunction, t: float) -> float:
     """Solve N**nu * sv((nu*t)**(1/nu)/N) = 1 to relative tolerance 1e-12.
 
     Equivalent to N = (nu*t)**(1/nu) * y* with decay_rate(y*) = 1/(nu*t),
@@ -289,13 +430,13 @@ def solve_normalizer(sf: ScaleFunction, t: float) -> Normalizer:
         raise DomainError(f"solve_normalizer requires t > 0, got {t}")
     closed = sf.normalizer_closed(t)
     if closed is not None:
-        return Normalizer(t, float(closed))
+        return float(closed)
     nu = sf.nu
-    target = 1.0 / (nu * t)
-    if target > sf.a0:
+    if not sf.normalizer_defined(t):
         raise SolverError(
             f"normalizer undefined for t={t}: needs t >= 1/(nu*a0) = {1.0/(nu*sf.a0):g}"
         )
+    target = 1.0 / (nu * t)
     ystar = float(sf.decay_inverse(target))
     # decay_inverse is the analytic inverse for the built-in families; fall
     # back to a bracketed solve if a subclass does not provide it.
@@ -307,7 +448,7 @@ def solve_normalizer(sf: ScaleFunction, t: float) -> Normalizer:
             )
         except ValueError as exc:
             raise SolverError(f"normalizer bracket failed at t={t}: {exc}") from exc
-    return Normalizer(t, float((nu * t) ** (1.0 / nu) * ystar))
+    return float((nu * t) ** (1.0 / nu) * ystar)
 
 
 def invariant_measure_M(sf: ScaleFunction, s: float) -> float:

@@ -91,7 +91,7 @@ def test_leading_order_recovery_all_families():
         for s in (0.0, 0.5, 0.9):
             ratios = []
             for t in (1e4, 1e6, 1e8):
-                N = solve_normalizer(sf, t).value
+                N = solve_normalizer(sf, t)
                 ratios.append(exact_R(sf, s, t) * (sf.nu * t) ** (1.0 / sf.nu) / N)
             gaps = [abs(r - 1.0) for r in ratios]
             assert all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -327,7 +327,7 @@ def test_fit_rate_survival_second_order_constant():
     # pinned-slope constant estimate lands within 15% of 1/nu^3 = 8
     ts = np.logspace(6, 10, 9)
     resid = np.array(
-        [1.0 - survival_q(COUPLED, t) * (0.5 * t) ** 2 / solve_normalizer(COUPLED, t).value
+        [1.0 - survival_q(COUPLED, t) * (0.5 * t) ** 2 / solve_normalizer(COUPLED, t)
          for t in ts]
     )
     fit = fit_rate(ts=ts, residuals=resid, against="loglog_t_over_t")

@@ -12,7 +12,6 @@ import pytest
 
 from critlab import (
     DomainError,
-    F_LIMIT_AT_ONE,
     Family,
     ModelParams,
     OffspringDistribution,
@@ -20,10 +19,8 @@ from critlab import (
     build_offspring_distribution,
     build_size_biased_distribution,
     expand_coeffs,
-    f_of,
     make_scale_function,
     mechanism_series,
-    sample_offspring,
 )
 from critlab.branching_model import AliasTable
 
@@ -47,17 +44,16 @@ def taylor_by_circle(sf, n, radius=0.4):
 
 
 def test_f_of_values():
-    assert f_of(CONST, 0.0) == pytest.approx(1.0)
-    assert f_of(CONST, 0.75) == pytest.approx(0.25**1.5)
-    assert f_of(BINARY, 0.5) == pytest.approx(0.25)
-    assert F_LIMIT_AT_ONE == 0.0
+    assert CONST.f(0.0) == pytest.approx(1.0)
+    assert CONST.f(0.75) == pytest.approx(0.25**1.5)
+    assert BINARY.f(0.5) == pytest.approx(0.25)
     with pytest.raises(DomainError):
-        f_of(CONST, 1.0)
+        CONST.f(1.0)
 
 
 def test_f_vanishes_at_one():
     for sf in (CONST, COUPLED_OK, BINARY):
-        assert f_of(sf, 1.0 - 1e-12) < 1e-11
+        assert sf.f(1.0 - 1e-12) < 1e-11
 
 
 def test_constant_coefficients():
@@ -92,16 +88,16 @@ def test_partial_sum_approximates_f():
     c = expand_coeffs(CONST, 512)
     for s in (0.3, 0.9, 0.99):
         approx = np.polynomial.polynomial.polyval(s, c.coeffs)
-        assert abs(approx - f_of(CONST, s)) <= 2.0 * c.mass_deficit
+        assert abs(approx - CONST.f(s)) <= 2.0 * c.mass_deficit
 
 
 def test_criticality_and_infinite_variance():
     # slope at 1- tends to 0; second difference quotient diverges
     hs = np.array([1e-2, 1e-4, 1e-6])
-    slopes = [f_of(CONST, 1.0 - h) / h for h in hs]
+    slopes = [CONST.f(1.0 - h) / h for h in hs]
     assert all(a > b for a, b in zip(slopes, slopes[1:]))
     assert slopes[-1] < 1e-2
-    curls = [f_of(CONST, 1.0 - h) / h**2 for h in hs]
+    curls = [CONST.f(1.0 - h) / h**2 for h in hs]
     assert all(a < b for a, b in zip(curls, curls[1:]))
 
 
@@ -132,7 +128,7 @@ def test_alias_table_distribution():
 def test_binary_sampling_half_half():
     model = build_offspring_distribution(expand_coeffs(BINARY, 4), BINARY)
     rng = np.random.default_rng(5)
-    k = sample_offspring(model, rng, 100_000)
+    k = model.sample(rng, 100_000)
     assert set(np.unique(k)) == {0, 2}
     assert np.mean(k == 0) == pytest.approx(0.5, abs=4 * math.sqrt(0.25 / 100_000))
 
@@ -140,7 +136,7 @@ def test_binary_sampling_half_half():
 def test_offspring_frequencies_match_table():
     dist = build_offspring_distribution(expand_coeffs(CONST, 2**16), CONST)
     rng = np.random.default_rng(7)
-    k = sample_offspring(dist, rng, 10**6)
+    k = dist.sample(rng, 10**6)
     freq = np.bincount(k, minlength=11)[:11] / 1e6
     for j in range(11):
         p = dist.probs[j]
@@ -154,7 +150,7 @@ def test_tail_sampler_exact_against_binomial_masses():
     dist = build_offspring_distribution(expand_coeffs(CONST, 8), CONST)
     assert dist.tail_mass > 1e-3
     rng = np.random.default_rng(13)
-    k = sample_offspring(dist, rng, 2 * 10**6)
+    k = dist.sample(rng, 2 * 10**6)
     assert int(k.max()) > 8
     coeffs = expand_coeffs(CONST, 64).coeffs
     for j in range(9, 25):
@@ -167,7 +163,7 @@ def test_tail_sampler_exact_against_binomial_masses():
 def test_hill_estimator_recovers_tail_exponent():
     dist = build_offspring_distribution(expand_coeffs(CONST, 2**16), CONST)
     rng = np.random.default_rng(23)
-    k = sample_offspring(dist, rng, 10**6).astype(float)
+    k = dist.sample(rng, 10**6).astype(float)
     k = k[k >= 1]
     top = np.sort(k)[-int(len(k) * 0.01) :]
     hill = 1.0 / np.mean(np.log(top / top[0]))

@@ -21,7 +21,6 @@ from critlab import (
     TruncationError,
     evolve_series,
     exact_R,
-    exact_R_coupled,
     identity_residual,
     index_drift_integral,
     make_scale_function,
@@ -51,7 +50,7 @@ def test_solve_config_validation():
 def test_initial_condition():
     for sf in (CONST, COUPLED, BINARY):
         for s in (0.0, 0.5, 0.9):
-            assert solve_F(sf, s, 0.0).value == 1.0 - s
+            assert solve_F(sf, s, 0.0) == 1.0 - s
             assert exact_R(sf, s, 0.0) == pytest.approx(1.0 - s, rel=1e-14)
 
 
@@ -60,7 +59,7 @@ def test_constant_family_closed_form():
     for t in (0.1, 2.0, 50.0, 1000.0):
         for s in (0.0, 0.5, 0.9):
             expect = ((1.0 - s) ** -0.5 + 0.5 * t) ** -2.0
-            assert solve_F(CONST, s, t, TIGHT).value == pytest.approx(expect, rel=1e-10)
+            assert solve_F(CONST, s, t, TIGHT) == pytest.approx(expect, rel=1e-10)
     assert survival_q(CONST, 2.0) == pytest.approx(0.25, rel=1e-14)
 
 
@@ -68,19 +67,17 @@ def test_binary_family_reciprocal_rule():
     # dR/dt = -a0 R^2 gives 1/R = 1/(1-s) + a0 t exactly
     for t in (1.0, 10.0, 100.0):
         for s in (0.0, 0.5, 0.9):
-            r = solve_F(BINARY, s, t, TIGHT).value
+            r = solve_F(BINARY, s, t, TIGHT)
             assert 1.0 / r == pytest.approx(1.0 / (1.0 - s) + t, rel=1e-11)
 
 
 def test_exact_coupled_matches_ode():
     for t in (0.1, 1.0, 10.0, 100.0, 1000.0):
         for s in (0.0, 0.5, 0.9):
-            r1 = exact_R_coupled(COUPLED, s, t)
-            r2 = solve_F(COUPLED, s, t, TIGHT).value
+            r1 = exact_R(COUPLED, s, t)
+            r2 = solve_F(COUPLED, s, t, TIGHT)
             assert abs(r1 / r2 - 1.0) <= 1e-9
-    assert exact_R_coupled(COUPLED, 0.3, 0.0) == pytest.approx(0.7)
-    with pytest.raises(DomainError):
-        exact_R_coupled(CONST, 0.0, 1.0)
+    assert exact_R(COUPLED, 0.3, 0.0) == pytest.approx(0.7)
 
 
 def test_transformed_variable_linear_growth():
@@ -148,9 +145,9 @@ def test_semigroup_property():
     for sf in (CONST, COUPLED):
         for s in (0.0, 0.6):
             for t, tau in ((0.5, 1.5), (2.0, 2.0)):
-                f_t = solve_F(sf, s, t, TIGHT).F
-                lhs = solve_F(sf, s, t + tau, TIGHT).F
-                rhs = solve_F(sf, f_t, tau, TIGHT).F
+                f_t = 1.0 - solve_F(sf, s, t, TIGHT)
+                lhs = 1.0 - solve_F(sf, s, t + tau, TIGHT)
+                rhs = 1.0 - solve_F(sf, f_t, tau, TIGHT)
                 assert abs(lhs - rhs) <= 1e-9
 
 
@@ -199,7 +196,7 @@ def test_series_pointwise_matches_solver():
     st = evolve_series(COUPLED, 256, 0.7, cfg)
     for s in (0.2, 0.5):
         val = float(np.polynomial.polynomial.polyval(s, st.coeffs))
-        expect = solve_F(COUPLED, s, 0.7, TIGHT).F
+        expect = 1.0 - solve_F(COUPLED, s, 0.7, TIGHT)
         assert val == pytest.approx(expect, abs=1e-9)
 
 

@@ -170,7 +170,6 @@ def test_empirical_law_mass_above_zero(model):
     e = empirical_D(model, 1.0, 5000, seed=41, pop_cap=10**4)
     assert np.all(e.values > 0.0)  # W >= 1 always
     assert e.n == 5000
-    assert e.dkw() == pytest.approx(dkw_band(5000))
 
 
 def test_empirical_law_converges_to_limit(model):
@@ -198,7 +197,7 @@ def test_mc_engine_oracle_triangle(model):
     from critlab import solve_F
 
     q_closed = 0.25
-    q_ode = solve_F(CONST, 0.0, 2.0, SolveConfig(rel_tol=1e-12, abs_tol=1e-14)).value
+    q_ode = solve_F(CONST, 0.0, 2.0, SolveConfig(rel_tol=1e-12, abs_tol=1e-14))
     est = estimate_survival(model, [2.0], 20000, seed=47)[0]
     assert q_ode == pytest.approx(q_closed, rel=1e-10)
     assert abs(est.value - q_closed) <= 4.0 * est.stderr

@@ -123,14 +123,14 @@ def test_remainder_rho_domain():
 
 
 def test_normalizer_constant_family_exact():
-    assert solve_normalizer(CONST, 17.0).value == pytest.approx(1.0, rel=1e-15)
+    assert solve_normalizer(CONST, 17.0) == pytest.approx(1.0, rel=1e-15)
     sf4 = make_scale_function(ModelParams(0.5, 4.0, Family.CONSTANT))
-    assert solve_normalizer(sf4, 3.0).value == pytest.approx(1.0 / 16.0, rel=1e-15)
+    assert solve_normalizer(sf4, 3.0) == pytest.approx(1.0 / 16.0, rel=1e-15)
 
 
 def test_normalizer_coupled_satisfies_defining_equation():
     for t in (10.0, 1e3, 1e6, 1e8):
-        N = solve_normalizer(COUPLED, t).value
+        N = solve_normalizer(COUPLED, t)
         resid = N**0.5 * float(COUPLED.sv((0.5 * t) ** 2 / N)) - 1.0
         assert abs(resid) <= 1e-12
 
