@@ -76,10 +76,25 @@ class ExperimentConfig:
         return make_scale_function(ModelParams(self.nu, self.a0, fam))
 
 
-_INT_KEYS = {"t_points", "mc_n", "i0", "seed", "pop_cap", "trajectories", "threads"}
-_FLOAT_KEYS = {"nu", "a0", "t_min", "t_max"}
-_STR_KEYS = {"family", "out"}
-_LIST_KEYS = {"s_list"}
+def _parse_int(text: str) -> int:
+    """An integer literal, or a float literal that is integral and at most 2**53."""
+    try:
+        return int(text)
+    except ValueError:
+        x = float(text)
+    if not (x.is_integer() and abs(x) <= 2.0**53):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(x)
+
+
+_PARSERS = {
+    **dict.fromkeys(
+        ("t_points", "mc_n", "i0", "seed", "pop_cap", "trajectories", "threads"), _parse_int
+    ),
+    **dict.fromkeys(("nu", "a0", "t_min", "t_max"), float),
+    **dict.fromkeys(("family", "out"), str),
+    "s_list": lambda v: [float(x) for x in v.split(",") if x.strip()],
+}
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -93,19 +108,14 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        parse = _PARSERS.get(key)
+        if parse is None:
+            raise ConfigError(f"{path}:{lineno}: unknown field {key!r}")
         try:
-            if key in _INT_KEYS:
-                setattr(cfg, key, int(float(value)))
-            elif key in _FLOAT_KEYS:
-                setattr(cfg, key, float(value))
-            elif key in _STR_KEYS:
-                setattr(cfg, key, value)
-            elif key in _LIST_KEYS:
-                setattr(cfg, key, [float(v) for v in value.split(",") if v.strip()])
-            else:
-                raise ConfigError(f"{path}:{lineno}: unknown field {key!r}")
+            setattr(cfg, key, parse(value))
         except ValueError:
-            raise ConfigError(f"{path}:{lineno}: field {key!r}: cannot parse {value!r}") from None
+            kind = " as an integer" if parse is _parse_int else ""
+            raise ConfigError(f"{path}:{lineno}: field {key!r}: cannot parse {value!r}{kind}") from None
     return cfg
 
 
@@ -149,12 +159,14 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     sf = cfg.scale_function()
     rows = []
     for t in cfg.t_grid():
+        # the predictions need t >= 1 and the normalizer N(t); blank cells elsewhere
+        predicted = t >= 1.0 and sf.normalizer_defined(t)
         q = survival_q(sf, t)
-        pred = predict_q(sf, t).value if t >= 1.0 else None
+        pred = predict_q(sf, t).value if predicted else None
         err = (q / pred - 1.0) if pred else 0.0
         rows.append(("solve", "q", t, q, pred, err, "oracle", ""))
         scaled = (sf.nu * t) ** (1.0 + 1.0 / sf.nu) * p11_exact(sf, t)
-        p_pred = predict_p11(sf, t).value if t >= 1.0 else None
+        p_pred = predict_p11(sf, t).value if predicted else None
         rows.append(("solve", "P11", t, scaled, p_pred,
                      (scaled / p_pred - 1.0) if p_pred else 0.0, "oracle", ""))
         for s in cfg.s_list:
@@ -164,7 +176,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
                          r_ode / r_oracle - 1.0, "ode", ""))
             if 0.0 < s < 1.0:
                 g = G_of(sf, s, t)
-                gp = pi_of(sf, s) * solve_normalizer(sf, t) / (sf.nu * t) ** (1.0 + 1.0 / sf.nu) if t >= 1 else None
+                gp = pi_of(sf, s) * solve_normalizer(sf, t) / (sf.nu * t) ** (1.0 + 1.0 / sf.nu) if predicted else None
                 rows.append((f"s={s:g}", "G", t, g, gp,
                              (g / gp - 1.0) if gp else 0.0, "oracle", ""))
     out = Path(cfg.out) / "solve.csv"

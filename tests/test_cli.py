@@ -49,6 +49,37 @@ def test_parse_config_bad_value(tmp_path):
         parse_config(path)
 
 
+def test_parse_config_integers_are_exact(tmp_path):
+    # integers are parsed as integers, not through a float
+    cfg = parse_config(write_cfg(tmp_path, "seed = 12345678901234567891\n"))
+    assert cfg.seed == 12345678901234567891
+    # an integral float literal up to 2**53 is still accepted
+    cfg = parse_config(write_cfg(tmp_path, "pop_cap = 1e9\nmc_n = 2e3\n"))
+    assert cfg.pop_cap == 10**9 and cfg.mc_n == 2000
+
+
+@pytest.mark.parametrize("line", ["mc_n = 1.5", "seed = 1e17", "threads = inf", "i0 = nan"])
+def test_parse_config_rejects_non_integers(tmp_path, capsys, line):
+    path = write_cfg(tmp_path, line + "\n")
+    key = line.split()[0]
+    with pytest.raises(ConfigError, match=key):
+        parse_config(path)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "r")]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["theta_min = 1e-3", "theta_max = 1e3", "theta_points = 200", "event_budget = 10",
+     "series_order = 1024"],
+)
+def test_removed_fields_are_unknown(tmp_path, capsys, line):
+    # these fields were parsed and never read; a config naming them fails
+    path = write_cfg(tmp_path, line + "\n")
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "r")]) == 2
+    assert "unknown field" in capsys.readouterr().err
+
+
 def test_unknown_family_exits_2(tmp_path, capsys):
     path = write_cfg(tmp_path, "family = exotic\n")
     code = main(["solve", "--config", path, "--out", str(tmp_path / "r")])
@@ -138,12 +169,28 @@ def test_verify_failing_band_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def test_solver_failure_exits_3(tmp_path, capsys):
-    # the coupled-family normalizer is undefined below t = 1/(nu*a0) = 2,
-    # so a sweep at t = 1 is a numerical failure, not a config error
-    cfg = "family = coupled_drift\nnu = 0.5\na0 = 1.0\nt_min = 1\nt_max = 1\nt_points = 1\ns_list = 0\n"
+    # at t = 1e200 the coupled-family root y* of decay_rate(y) = 1/(nu*t) is
+    # about 1e-400, below the smallest double, so the normalizer solve fails:
+    # a numerical failure, not a config error
+    cfg = "family = coupled_drift\nnu = 0.5\na0 = 1.0\nt_min = 1e200\nt_max = 1e200\nt_points = 1\ns_list = 0\n"
     path = write_cfg(tmp_path, cfg)
     assert main(["solve", "--config", path, "--out", str(tmp_path / "r")]) == 3
     assert "normalizer" in capsys.readouterr().err
+
+
+def test_solve_blanks_predictions_where_normalizer_undefined(tmp_path):
+    # the coupled-family normalizer exists only for t >= 1/(nu*a0) = 2; with
+    # the default grid (t_min = 1) the t = 1 predictions are left blank
+    path = write_cfg(tmp_path, "family = coupled_drift\n")
+    out = tmp_path / "r"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 0
+    lines = (out / "solve.csv").read_text().splitlines()
+    at_one = [line.split(",") for line in lines[1:] if line.split(",")[2] == "1"]
+    assert {r[1] for r in at_one} == {"q", "P11", "R", "G"}
+    for r in at_one:
+        assert (r[4] == "") == (r[1] != "R")  # R compares the ODE, not a prediction
+    later = [line.split(",") for line in lines[1:] if line.split(",")[1] == "q"][1:]
+    assert later and all(r[4] != "" for r in later)
 
 
 def test_rates_command_recovers_slope(tmp_path, capsys):
@@ -185,3 +232,30 @@ def test_config_t_grid_validation():
     cfg = ExperimentConfig(t_min=10.0, t_max=1.0)
     with pytest.raises(ConfigError):
         cfg.t_grid()
+
+
+README_CFG = """
+family   = coupled_drift
+nu       = 0.5
+a0       = 1.0
+t_min    = 10       # geometric grid
+t_max    = 1e6
+t_points = 7
+s_list   = 0, 0.5, 0.9
+mc_n     = 100000
+seed     = 42       # mandatory for any Monte Carlo command
+out      = reports
+"""
+
+
+def test_solve_readme_config_is_frozen(tmp_path):
+    # The CSV contract: `critlab solve` on the README example config must
+    # reproduce tests/data/solve_readme.csv byte for byte. A numpy or scipy
+    # upgrade may change the last digits and require regenerating the file
+    # (run solve on README_CFG and copy solve.csv); log any regeneration,
+    # with the reason, in CHANGES.md.
+    path = write_cfg(tmp_path, README_CFG)
+    out = tmp_path / "r"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 0
+    frozen = Path(__file__).parent / "data" / "solve_readme.csv"
+    assert (out / "solve.csv").read_bytes() == frozen.read_bytes()
