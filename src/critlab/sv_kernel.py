@@ -316,38 +316,36 @@ class CoupledDriftScale(ScaleFunction):
         den[0] += nu + a0
         return _series.div(nu * a0 * _series.mul(y, u, J), den, J)
 
-    # w = 1/decay_rate(R) obeys dw/dt = nu + 1/w, which integrates to
-    # g(w) = t + g(w0) with g(w) = w/nu - log(nu*w + 1)/nu**2.
-    def _w_integral(self, w):
-        nu = self.nu
-        return w / nu - math.log1p(nu * w) / (nu * nu)
-
     def _solve_w(self, w0, t):
-        """Solve g(w) = t + g(w0); w >= w0."""
+        """Excess e = w - w0 - nu*t of w = 1/decay_rate(R(t)) over w0 = 1/decay_rate(R(0)).
+
+        w obeys dw/dt = nu + 1/w, which integrates to g(w) = t + g(w0) with
+        g(w) = w/nu - log(nu*w + 1)/nu**2. Subtracting g(w0) by hand leaves
+        e = log1p(a*(nu*t + e))/nu with a = nu/(1 + nu*w0), whose root lies in
+        [0, t/w0] because log1p(x) <= x. Unlike g(w) - g(w0), this loses no
+        digits when w0 is far above t.
+        """
         nu = self.nu
         if t == 0.0:
-            return w0
-        target = t + self._w_integral(w0)
-        lo = w0 + nu * t
-        hi = w0 + (nu + 1.0 / w0) * t
-        g = lambda w: self._w_integral(w) - target
-        glo, ghi = g(lo), g(hi)
-        if glo > 0.0 or ghi < 0.0:
+            return 0.0
+        a = nu / (1.0 + nu * w0)
+        h = lambda e: math.log1p(a * (nu * t + e)) / nu - e
+        lo, hi = 0.0, t / w0
+        hlo, hhi = h(lo), h(hi)
+        if hlo < 0.0 or hhi > 0.0:
             raise SolverError(f"w bracket failed at t={t}, w0={w0}")
-        if glo == 0.0:
-            return lo
-        return float(brentq(g, lo, hi, rtol=8.9e-16, maxiter=200))
+        if hlo == 0.0 or hhi == 0.0:
+            return lo if hlo == 0.0 else hi
+        return float(brentq(h, lo, hi, xtol=5e-324, rtol=8.9e-16, maxiter=200))
 
     def exact_R(self, y0, t):
         w0 = 1.0 / self.decay_rate(y0)
-        w = self._solve_w(w0, t)
+        w = w0 + self.nu * t + self._solve_w(w0, t)
         return float(self.decay_inverse(1.0 / w))
 
     def drift_integral(self, y0, t):
         # the identity w(t) - w0 = nu*t + int_0^t index_drift(R(u)) du
-        w0 = 1.0 / self.decay_rate(y0)
-        w = self._solve_w(w0, t)
-        return float(w - w0 - self.nu * t)
+        return self._solve_w(1.0 / self.decay_rate(y0), t)
 
     def sv_reciprocal_series(self, order):
         nu, a0 = self.nu, self.a0

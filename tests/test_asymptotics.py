@@ -183,6 +183,22 @@ def test_delta_sup_interior_argmax_and_profile_normalization():
     assert laplace_sup_profile_max(0.5) == pytest.approx(27.0 / 256.0, rel=1e-12)
 
 
+def test_delta_sup_runs_at_long_horizons():
+    # the coupled oracle keeps its digits when w0 = 1/decay_rate(1-s) is far
+    # above t, so the sup is defined past t = 1e12; the stated normalization
+    # keeps rising toward M(nu) (0.10284 at t = 1e12, 0.10322 at t = 1e14 by
+    # the 60-digit route; the double-precision gap carries ~3e-4 relative
+    # cancellation error at 1e14)
+    M = laplace_sup_profile_max(0.5)
+    grid = default_theta_grid(200)
+    for t in (1e13, 1e14):
+        sup, arg = delta_sup(COUPLED, t, grid)
+        stated = sup * 0.125 * t / (1.5 * math.log(t))
+        assert 0.1028 < stated < M
+        assert abs(math.log(9.0 * arg)) < math.log(grid[1] / grid[0])  # argmax -> 1/9
+    assert stated == pytest.approx(0.10322, rel=2e-3)
+
+
 def test_delta_sup_decreasing_and_small_theta_vanishes():
     s1, _ = delta_sup(COUPLED, 1e4)
     s2, _ = delta_sup(COUPLED, 1e5)

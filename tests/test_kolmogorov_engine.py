@@ -80,6 +80,36 @@ def test_exact_coupled_matches_ode():
     assert exact_R(COUPLED, 0.3, 0.0) == pytest.approx(0.7)
 
 
+@pytest.mark.parametrize("nu, a0", [(0.5, 0.05), (0.5, 1.0), (0.2, 5.0), (0.8, 1.0)])
+def test_coupled_oracle_matches_mpmath_at_extremes(nu, a0):
+    # independent route: with z = R**-nu the backward equation integrates to
+    # (nu+a0)(z - z0) - a0 log(z/z0) = nu**2 a0 t, solved by mpmath.findroot
+    # at 60 digits; the points include w0 = 1/decay_rate(1-s) far above t
+    # (s = 1 - 1e-12) and t = 1e14, where subtracting g(w0) in double
+    # precision used to lose every digit
+    mpmath = pytest.importorskip("mpmath")
+    sf = make_scale_function(ModelParams(nu, a0, Family.COUPLED_DRIFT))
+    with mpmath.workdps(60):
+        m_nu, m_a0 = mpmath.mpf(nu), mpmath.mpf(a0)
+
+        def decay(y):
+            return m_nu * m_a0 * y**m_nu / (m_nu + m_a0 * (1 - y**m_nu))
+
+        for s in (0.0, 0.5, 1.0 - 1e-12):
+            y0 = mpmath.mpf(1.0 - s)
+            z0 = y0**-m_nu
+            for t in (1e-3, 0.1, 1.0, 1e3, 1e8, 1e14):
+                z = mpmath.findroot(
+                    lambda z: (m_nu + m_a0) * (z - z0) - m_a0 * mpmath.log(z / z0)
+                    - m_nu**2 * m_a0 * t,
+                    z0 + m_nu**2 * m_a0 * t / (m_nu + m_a0),
+                )
+                r = z ** (-1 / m_nu)
+                drift = 1 / decay(r) - 1 / decay(y0) - m_nu * t
+                assert exact_R(sf, s, t) == pytest.approx(float(r), rel=1e-13)
+                assert index_drift_integral(sf, s, t) == pytest.approx(float(drift), rel=1e-12)
+
+
 def test_transformed_variable_linear_growth():
     # w(t) = 1/decay_rate(R(t;0)) grows like nu*t
     for t in (1e6, 1e8):
