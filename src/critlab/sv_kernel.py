@@ -323,14 +323,16 @@ class CoupledDriftScale(ScaleFunction):
         g(w) = w/nu - log(nu*w + 1)/nu**2. Subtracting g(w0) by hand leaves
         e = log1p(a*(nu*t + e))/nu with a = nu/(1 + nu*w0), whose root lies in
         [0, t/w0] because log1p(x) <= x. Unlike g(w) - g(w0), this loses no
-        digits when w0 is far above t.
+        digits when w0 is far above t. The bracket is [0, 2t/w0]: for tiny t
+        the root sits within rounding of t/w0, while the residual at 2t/w0 is
+        at most -nu*t/(1 + nu*w0).
         """
         nu = self.nu
         if t == 0.0:
             return 0.0
         a = nu / (1.0 + nu * w0)
         h = lambda e: math.log1p(a * (nu * t + e)) / nu - e
-        lo, hi = 0.0, t / w0
+        lo, hi = 0.0, 2.0 * t / w0
         hlo, hhi = h(lo), h(hi)
         if hlo < 0.0 or hhi > 0.0:
             raise SolverError(f"w bracket failed at t={t}, w0={w0}")

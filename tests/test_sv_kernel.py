@@ -18,16 +18,22 @@ from critlab import (
     Family,
     ModelParams,
     ParameterError,
+    SolveConfig,
     SolverError,
+    exact_R,
+    index_drift_integral,
     invariant_measure_M,
     make_scale_function,
     level_at_time,
+    mechanism_series,
     time_to_level,
     perturbation_ratio,
     remainder_rho,
+    solve_F,
     solve_normalizer,
     survival_q,
 )
+from critlab import _series
 
 CONST = make_scale_function(ModelParams(0.5, 1.0, Family.CONSTANT))
 COUPLED = make_scale_function(ModelParams(0.5, 1.0, Family.COUPLED_DRIFT))
@@ -223,13 +229,63 @@ def test_perturbation_ratio_bounded():
 )
 @settings(max_examples=60, deadline=None)
 def test_decay_identity_property(nu, a0, y):
-    for fam in (Family.CONSTANT, Family.COUPLED_DRIFT):
+    for fam in Family:
         sf = make_scale_function(ModelParams(nu, a0, fam))
         lhs = sf.decay_rate(y)
-        assert abs(lhs - y**nu * sf.sv(1.0 / y)) <= 1e-13 * max(lhs, 1e-300)
+        assert abs(lhs - y**sf.nu * sf.sv(1.0 / y)) <= 1e-13 * max(lhs, 1e-300)
 
 
 @given(t=st.floats(1.0, 1e6))
 @settings(max_examples=30, deadline=None)
 def test_survival_decreasing_property(t):
     assert survival_q(COUPLED, 1.02 * t) < survival_q(COUPLED, t) <= 1.0
+
+
+# --- the family interface, over (family, nu, a0, s, t) -----------------------
+
+SCALE_FUNCTIONS = st.builds(
+    lambda fam, nu, a0: make_scale_function(ModelParams(nu, a0, fam)),
+    st.sampled_from(list(Family)),
+    st.floats(0.05, 0.95),
+    st.floats(0.05, 5.0),
+)
+TIGHT = SolveConfig(rel_tol=1e-12, abs_tol=1e-14)
+
+
+@given(sf=SCALE_FUNCTIONS)
+@settings(max_examples=60, deadline=None)
+def test_f_series_of_identity_matches_mechanism_series(sf):
+    # f composed with F(s) = s (so y = 1 - s) is the Taylor series of f
+    J = 12
+    y = np.zeros(J + 1)
+    y[0], y[1] = 1.0, -1.0
+    a = mechanism_series(sf, J)
+    assert np.max(np.abs(sf.f_series(y, J) - a)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
+
+
+@given(sf=SCALE_FUNCTIONS, s=st.floats(0.0, 0.99), t=st.floats(0.0, 100.0))
+@settings(max_examples=40, deadline=None)
+def test_exact_R_matches_solver_and_is_monotone(sf, s, t):
+    r = exact_R(sf, s, t)
+    assert r == pytest.approx(solve_F(sf, s, t, TIGHT), rel=1e-9)
+    assert exact_R(sf, s + 0.5 * (1.0 - s), t) < r  # decreasing in s
+    assert exact_R(sf, s, 2.0 * t + 0.1) < r  # decreasing in t
+
+
+@given(sf=SCALE_FUNCTIONS, s=st.floats(0.0, 0.1))
+@settings(max_examples=60, deadline=None)
+def test_sv_reciprocal_series_matches_pointwise(sf, s):
+    c = sf.sv_reciprocal_series(40)
+    assert _series.eval_series(c, s) == pytest.approx(1.0 / float(sf.sv(1.0 / (1.0 - s))), rel=1e-12)
+
+
+@given(sf=SCALE_FUNCTIONS, s=st.floats(0.0, 0.99), t=st.floats(0.0, 100.0))
+@settings(max_examples=40, deadline=None)
+def test_has_drift_flag_matches_drift_integral(sf, s, t):
+    oracle = index_drift_integral(sf, s, t)
+    if not sf.has_drift:
+        assert oracle == 0.0
+        assert index_drift_integral(sf, s, t, method="quad") == 0.0
+        assert np.all(sf.index_drift(Y_GRID) == 0.0)
+    elif t > 0.0:
+        assert oracle > 0.0
