@@ -375,10 +375,7 @@ def c11_mc_ks_rate() -> CriterionResult:
     ecdfs = []
     for t in _C11_TS:
         sample = sample_qprocess_exact(sf, t, n, seed=20240813)
-        q = exact_R(sf, 0.0, t)
-        keep = ~sample.censored
-        vals = np.sort(q * sample.sizes[keep, 0].astype(float))
-        ecdfs.append(EmpiricalCDF(t, vals, n, int(sample.censored.sum()), q))
+        ecdfs.append(EmpiricalCDF.from_sample(sample, exact_R(sf, 0.0, t)))
     res.passed, res.rows, res.details = _c11_verdict(ecdfs, cdf, sf.nu, sf.a0)
     return res
 

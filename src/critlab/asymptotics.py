@@ -17,8 +17,9 @@ Each predictor mirrors one limit statement of the theory:
 * ``d_limit``: the limiting distribution function recovered by numerical
   Laplace inversion (two methods cross-checked).
 
-``VerifyReport`` collects (t, exact, predicted, normalized error) records
-and ``fit_rate`` turns them into a log-log convergence-rate estimate.
+``VerifyReport`` collects (t, exact, predicted, normalized error) records;
+``fit_rate`` turns times and residuals into a log-log convergence-rate
+estimate.
 """
 
 from __future__ import annotations
@@ -99,14 +100,6 @@ class VerifyReport:
                 raise DomainError(f"non-finite report entry for tag {self.tag!r}")
         self.records.append((float(t), float(exact), float(predicted), float(norm_err)))
         self.records.sort(key=lambda r: r[0])
-
-    @property
-    def ts(self) -> np.ndarray:
-        return np.array([r[0] for r in self.records])
-
-    @property
-    def normalized_errors(self) -> np.ndarray:
-        return np.array([r[3] for r in self.records])
 
 
 @dataclass(frozen=True)
@@ -386,13 +379,7 @@ def baseline_checks(
     return rep
 
 
-def fit_rate(
-    report: VerifyReport | None = None,
-    *,
-    ts: np.ndarray | None = None,
-    residuals: np.ndarray | None = None,
-    against: str = "log_t",
-) -> RateFit:
+def fit_rate(ts: np.ndarray, residuals: np.ndarray, *, against: str = "log_t") -> RateFit:
     """Least-squares fit of log|residual| against log t (or log(log t / t)).
 
     Requires at least 5 records spanning two decades of t; degenerate
@@ -400,9 +387,6 @@ def fit_rate(
     against='loglog_t_over_t' fits log|r| = slope*log(log t / t) + c, the
     natural axis for second-order terms.
     """
-    if report is not None:
-        ts = report.ts
-        residuals = report.normalized_errors
     ts = np.asarray(ts, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
     if len(ts) < 5:

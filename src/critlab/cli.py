@@ -59,8 +59,8 @@ class ExperimentConfig:
     out: str = "reports"
 
     def t_grid(self) -> np.ndarray:
-        if self.t_points < 1 or self.t_max < self.t_min or self.t_min <= 0:
-            raise ConfigError("t grid needs t_points >= 1 and 0 < t_min <= t_max")
+        if self.t_points < 1 or not (0.0 < self.t_min <= self.t_max < math.inf):
+            raise ConfigError("t grid needs t_points >= 1 and 0 < t_min <= t_max < inf")
         if self.t_points == 1:
             return np.array([self.t_min])
         return np.geomspace(self.t_min, self.t_max, self.t_points)
@@ -284,7 +284,12 @@ def main(argv=None) -> int:
         if args.threads is not None:
             cfg.threads = args.threads
         elif os.environ.get("CRITLAB_THREADS"):
-            cfg.threads = int(os.environ["CRITLAB_THREADS"])
+            try:
+                cfg.threads = _parse_int(os.environ["CRITLAB_THREADS"])
+            except ValueError:
+                raise ConfigError(
+                    f"CRITLAB_THREADS: cannot parse {os.environ['CRITLAB_THREADS']!r} as an integer"
+                ) from None
         if args.command == "solve":
             return cmd_solve(cfg)
         if args.command == "simulate":

@@ -61,14 +61,15 @@ __all__ = [
 _ODE_HORIZON = 1e4  # survival_q(method='ode') refuses longer horizons
 
 
+_ODE_METHOD = "DOP853"  # the explicit Runge-Kutta pair of every adaptive integration
+
+
 @dataclass(frozen=True)
 class SolveConfig:
-    """Tolerances and method tag for the adaptive ODE integrations."""
+    """Tolerances for the adaptive ODE integrations."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = math.inf
-    method: str = "DOP853"
 
     def __post_init__(self):
         for name, tol in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
@@ -82,7 +83,7 @@ DEFAULT_CFG = SolveConfig()
 def _check_ts(s: float, t: float) -> None:
     if not (0.0 <= s < 1.0):
         raise DomainError(f"requires 0 <= s < 1, got s={s}")
-    if t < 0.0:
+    if not t >= 0.0:
         raise DomainError(f"requires t >= 0, got t={t}")
 
 
@@ -92,16 +93,19 @@ def _solve_log_path(sf: ScaleFunction, s: float, t: float, cfg: SolveConfig):
     def rhs(u, x):
         return [-sf.decay_rate(math.exp(x[0]))]
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, t),
-        [math.log1p(-s)],
-        method=cfg.method,
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        max_step=cfg.max_step,
-        dense_output=True,
-    )
+    try:
+        sol = solve_ivp(
+            rhs,
+            (0.0, t),
+            [math.log1p(-s)],
+            method=_ODE_METHOD,
+            rtol=cfg.rel_tol,
+            atol=cfg.abs_tol,
+            dense_output=True,
+        )
+    except OverflowError as exc:
+        # a trial step past log R = 709 overflows exp in the right-hand side
+        raise SolverError(f"backward integration overflowed at s={s}, t={t}: {exc}") from None
     if not sol.success:
         raise SolverError(f"backward integration failed at s={s}, t={t}: {sol.message}")
     return sol
@@ -124,7 +128,7 @@ def exact_R(
     ``one_minus_s`` may carry 1 - s when s is within roundoff of 1.
     """
     y0 = 1.0 - s if one_minus_s is None else one_minus_s
-    if not (0.0 < y0 <= 1.0) or t < 0.0:
+    if not (0.0 < y0 <= 1.0) or not t >= 0.0:
         raise DomainError(f"invalid (s, t) = ({s}, {t})")
     return sf.exact_R(y0, t)
 
@@ -261,10 +265,9 @@ def evolve_series(
         rhs,
         (0.0, t),
         y0,
-        method=cfg.method,
+        method=_ODE_METHOD,
         rtol=cfg.rel_tol,
         atol=cfg.abs_tol,
-        max_step=cfg.max_step,
     )
     if not sol.success:
         raise SolverError(f"series evolution failed at t={t}: {sol.message}")

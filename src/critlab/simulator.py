@@ -13,8 +13,10 @@ size-biased event (law k * a_k / |a1|, supported on k >= 2) with probability
 Populations here have infinite mean for every t > 0 (offspring tails with
 index 2 + nu make the conditioned population tail index nu < 1), so every
 run carries explicit population and event budgets; trajectories that hit a
-budget are reported as censored, never silently dropped. Batches advance
-all active trajectories one event per vectorized round.
+budget are reported as censored, never silently dropped. One event engine
+advances all active trajectories of a batch one event per vectorized round;
+it serves ``population_at`` and, run on a single trajectory that records
+every event, the paths of ``simulate_mbp`` and ``simulate_qprocess``.
 
 For the ``constant`` family the law of W(t) is also drawn directly, at a
 cost that does not grow with W(t) (``sample_qprocess_exact``); the event
@@ -61,6 +63,7 @@ __all__ = [
 DEFAULT_POP_CAP = 10**9
 DEFAULT_SAMPLING_ORDER = 2**16
 EXACT_POP_CAP = 2**62  # Poisson means at or past this are censored, not drawn
+_BATCHES = 16  # seed-split batches per population_at call; part of the seed-to-sample map
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,10 @@ def build_sim_model(sf: ScaleFunction, order: int = DEFAULT_SAMPLING_ORDER) -> S
     )
 
 
+def _sim_model(sf_or_model: ScaleFunction | SimModel) -> SimModel:
+    return sf_or_model if isinstance(sf_or_model, SimModel) else build_sim_model(sf_or_model)
+
+
 def qprocess_kernel_row(model: SimModel, i: int, kmax: int) -> np.ndarray:
     """Conditioned-chain jump law from state i over offspring counts k <= kmax.
 
@@ -136,11 +143,11 @@ def qprocess_kernel_row(model: SimModel, i: int, kmax: int) -> np.ndarray:
     return row
 
 
-def _record_remaining(out, gidx, h_a, values, H):
-    """Fill all not-yet-recorded horizon slots of the given trajectories."""
-    for h in range(H):
-        rows = np.flatnonzero(h_a <= h)
-        if rows.size:
+def _record(out, gidx, h_from, h_to, values):
+    """Write values[i] into the horizon slots h_from[i] <= h < h_to[i] of row gidx[i]."""
+    if gidx.size:
+        for h in range(h_from.min(), np.max(h_to)):
+            rows = (h_from <= h) & (h < h_to)
             out[gidx[rows], h] = values[rows]
 
 
@@ -153,14 +160,19 @@ def _simulate_population_batch(
     rng: np.random.Generator,
     pop_cap: int,
     max_events: int | None,
+    path: list | None = None,
 ) -> PopulationSample:
+    """Advance n trajectories one event per round; the event engine of the module.
+
+    With n = 1, ``path`` (if given) receives (time, size) after every event.
+    """
     H = len(horizons)
     out = np.zeros((n, H), dtype=np.int64)
     censored = np.zeros(n, dtype=bool)
     ext = np.full(n, np.inf)
     pop = np.full(n, i0, dtype=np.int64)
     tnow = np.zeros(n)
-    h_a = np.zeros(n, dtype=np.int64)
+    h_a = np.zeros(n, dtype=np.int64)  # horizons recorded so far
     gidx = np.arange(n)
     rate = model.rate
     events = 0
@@ -169,29 +181,24 @@ def _simulate_population_batch(
         m = gidx.size
         if max_events is not None and events + m > max_events:
             censored[gidx] = True
-            _record_remaining(out, gidx, h_a, pop, H)
+            _record(out, gidx, h_a, H, pop)
             exhausted = True
             break
         events += m
         tnew = tnow + rng.exponential(1.0, m) / (rate * pop)
-        # record states held across any horizons crossed by this waiting time
-        while True:
-            live = h_a < H
-            if not live.any():
-                break
-            cross = live.copy()
-            cross[live] = tnew[live] >= horizons[h_a[live]]
-            if not cross.any():
-                break
-            rows = np.flatnonzero(cross)
-            out[gidx[rows], h_a[rows]] = pop[rows]
-            h_a[rows] += 1
-        keep = h_a < H
-        if not keep.all():
-            gidx, pop, tnew, h_a = gidx[keep], pop[keep], tnew[keep], h_a[keep]
-            m = gidx.size
-            if m == 0:
-                break
+        # record the state held across every horizon this waiting time crosses
+        h_new = np.searchsorted(horizons, tnew, side="right")
+        if (h_new > h_a).any():
+            _record(out, gidx, h_a, h_new, pop)
+            h_a = h_new
+            keep = h_a < H
+            if not keep.all():
+                # drop finished lanes before the draws, so each round draws
+                # exactly one offspring count per live lane
+                gidx, pop, tnew, h_a = gidx[keep], pop[keep], tnew[keep], h_a[keep]
+                m = gidx.size
+                if m == 0:
+                    break
         # the event itself
         k = model.offspring.sample(rng, m)
         if conditioned:
@@ -201,19 +208,21 @@ def _simulate_population_batch(
                 k[biased] = model.size_biased.sample(rng, nb)
         pop = pop + k - 1
         tnow = tnew
+        if path is not None:
+            path.append((tnow[0], pop[0]))
+        # stop lanes that reached the cap or died; the remaining horizons of a
+        # dead lane keep the initialized 0
+        stop = over = pop >= pop_cap
         if not conditioned:
             dead = pop == 0
-            if dead.any():
+            stop = over | dead
+        if stop.any():
+            if not conditioned:
                 ext[gidx[dead]] = tnow[dead]
-                alivem = ~dead  # remaining horizons keep the initialized 0
-                gidx, pop, tnow, h_a = gidx[alivem], pop[alivem], tnow[alivem], h_a[alivem]
-                if gidx.size == 0:
-                    break
-        over = pop >= pop_cap
-        if over.any():
+                over &= ~dead
             censored[gidx[over]] = True
-            _record_remaining(out, gidx[over], h_a[over], pop[over], H)
-            keep = ~over
+            _record(out, gidx[over], h_a[over], H, pop[over])
+            keep = ~stop
             gidx, pop, tnow, h_a = gidx[keep], pop[keep], tnow[keep], h_a[keep]
     return PopulationSample(horizons, out, censored, ext, events, exhausted)
 
@@ -229,7 +238,6 @@ def population_at(
     pop_cap: int = DEFAULT_POP_CAP,
     max_events: int | None = None,
     threads: int = 1,
-    batches: int = 16,
 ) -> PopulationSample:
     """Population sizes at the given horizons for n independent trajectories.
 
@@ -237,13 +245,19 @@ def population_at(
     merged in index order, so results are identical for any thread count.
     The same trajectory serves every horizon (common random numbers).
     """
-    if seed is None:
-        raise ParameterError("a seed is mandatory for Monte Carlo runs")
-    model = sf_or_model if isinstance(sf_or_model, SimModel) else build_sim_model(sf_or_model)
+    if seed is None or seed < 0:
+        raise ParameterError(f"a seed >= 0 is mandatory for Monte Carlo runs, got {seed}")
+    if n < 1 or i0 < 1:
+        raise DomainError(f"population_at needs n >= 1 and i0 >= 1, got n={n}, i0={i0}")
+    if pop_cap > EXACT_POP_CAP:
+        # tail draws are clipped at 2**62, which is a censored draw only
+        # while the cap stops every population at or below 2**62
+        raise DomainError(f"pop_cap must be at most 2**62, got {pop_cap}")
+    model = _sim_model(sf_or_model)
     horizons = np.sort(np.atleast_1d(np.asarray(horizons, dtype=float)))
-    if horizons.size == 0 or np.any(horizons < 0.0):
+    if horizons.size == 0 or not np.all(horizons >= 0.0):
         raise DomainError("horizons must be nonnegative and nonempty")
-    batches = max(1, min(batches, n))
+    batches = min(_BATCHES, n)
     sizes = [n // batches + (1 if b < n % batches else 0) for b in range(batches)]
     seqs = np.random.SeedSequence(seed).spawn(batches)
     per_batch = None if max_events is None else max(1, max_events // batches)
@@ -254,8 +268,8 @@ def population_at(
     if threads <= 1:
         parts = [_simulate_population_batch(*a) for a in args]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_simulate_population_batch_star, args))
+        with ProcessPoolExecutor(max_workers=min(threads, batches)) as pool:
+            parts = list(pool.map(_simulate_population_batch, *zip(*args)))
     return PopulationSample(
         horizons,
         np.concatenate([p.sizes for p in parts]),
@@ -264,10 +278,6 @@ def population_at(
         sum(p.events for p in parts),
         any(p.budget_exhausted for p in parts),
     )
-
-
-def _simulate_population_batch_star(a):
-    return _simulate_population_batch(*a)
 
 
 def sample_qprocess_exact(sf: ScaleFunction, t: float, n: int, seed: int) -> PopulationSample:
@@ -312,41 +322,19 @@ def sample_qprocess_exact(sf: ScaleFunction, t: float, n: int, seed: int) -> Pop
     )
 
 
-def _simulate_single(
-    model: SimModel,
-    conditioned: bool,
-    i0: int,
-    horizon: float,
-    rng: np.random.Generator,
-    pop_cap: int,
-    max_events: int,
-) -> Trajectory:
-    times = [0.0]
-    sizes = [i0]
-    pop = i0
-    t = 0.0
-    censored = False
-    ext = None
-    for _ in range(max_events):
-        t_next = t + rng.exponential() / (model.rate * pop)
-        if t_next > horizon:
-            break
-        t = t_next
-        k = int(model.offspring.sample(rng, 1)[0])
-        if conditioned and rng.random() * pop < 1.0:
-            k = int(model.size_biased.sample(rng, 1)[0])
-        pop += k - 1
-        times.append(t)
-        sizes.append(pop)
-        if pop == 0:
-            ext = t
-            break
-        if pop >= pop_cap:
-            censored = True
-            break
-    else:
-        censored = True
-    return Trajectory(np.array(times), np.array(sizes, dtype=np.int64), ext, censored)
+def _simulate_path(model, conditioned, i0, horizon, rng, pop_cap, max_events) -> Trajectory:
+    if i0 < 1:
+        raise DomainError(f"i0 must be >= 1, got {i0}")
+    path = [(0.0, i0)]
+    s = _simulate_population_batch(
+        _sim_model(model), conditioned, i0, np.array([horizon]), 1, rng, pop_cap, max_events, path
+    )
+    times, sizes = zip(*path)
+    ext = float(s.extinction_time[0])
+    return Trajectory(
+        np.array(times), np.array(sizes, dtype=np.int64),
+        ext if ext < math.inf else None, bool(s.censored[0]),
+    )
 
 
 def simulate_mbp(
@@ -358,10 +346,7 @@ def simulate_mbp(
     max_events: int = 10**8,
 ) -> Trajectory:
     """Exact event simulation of the branching chain to extinction or horizon."""
-    if i0 < 1:
-        raise DomainError(f"i0 must be >= 1, got {i0}")
-    m = model if isinstance(model, SimModel) else build_sim_model(model)
-    return _simulate_single(m, False, i0, horizon, rng, pop_cap, max_events)
+    return _simulate_path(model, False, i0, horizon, rng, pop_cap, max_events)
 
 
 def simulate_qprocess(
@@ -373,10 +358,7 @@ def simulate_qprocess(
     max_events: int = 10**8,
 ) -> Trajectory:
     """Exact event simulation of the conditioned chain (never absorbs at 0)."""
-    if i0 < 1:
-        raise DomainError(f"i0 must be >= 1, got {i0}")
-    m = model if isinstance(model, SimModel) else build_sim_model(model)
-    return _simulate_single(m, True, i0, horizon, rng, pop_cap, max_events)
+    return _simulate_path(model, True, i0, horizon, rng, pop_cap, max_events)
 
 
 def estimate_survival(
@@ -415,6 +397,13 @@ class EmpiricalCDF:
     censored: int
     scale_q: float
 
+    @classmethod
+    def from_sample(cls, sample: PopulationSample, q: float) -> EmpiricalCDF:
+        """Law of q * W at the sample's first horizon; censored draws are counted, not kept."""
+        censored = sample.censored
+        vals = np.sort(q * sample.sizes[~censored, 0].astype(float))
+        return cls(float(sample.horizons[0]), vals, len(censored), int(censored.sum()), q)
+
 
 def dkw_band(n: int, alpha: float = 0.05) -> float:
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
@@ -451,7 +440,7 @@ def empirical_D(
 
     q(t) comes from the exact engine oracle; W(t) from event simulation.
     """
-    model = sf_or_model if isinstance(sf_or_model, SimModel) else build_sim_model(sf_or_model)
+    model = _sim_model(sf_or_model)
     q = exact_R(model.sf, 0.0, t)
     sample = population_at(
         model,
@@ -463,6 +452,4 @@ def empirical_D(
         max_events=max_events,
         threads=threads,
     )
-    keep = ~sample.censored
-    vals = np.sort(q * sample.sizes[keep, 0].astype(float))
-    return EmpiricalCDF(t, vals, n, int(np.sum(sample.censored)), q)
+    return EmpiricalCDF.from_sample(sample, q)

@@ -229,9 +229,37 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
 
 
 def test_config_t_grid_validation():
-    cfg = ExperimentConfig(t_min=10.0, t_max=1.0)
-    with pytest.raises(ConfigError):
-        cfg.t_grid()
+    for t_min, t_max in ((10.0, 1.0), (math.nan, 1.0), (1.0, math.inf)):
+        cfg = ExperimentConfig(t_min=t_min, t_max=t_max)
+        with pytest.raises(ConfigError):
+            cfg.t_grid()
+
+
+@pytest.mark.parametrize(
+    "command, extra, env, code, named",
+    [
+        ("simulate", "seed = 1\nmc_n = 0\n", None, 2, "n >= 1"),
+        ("simulate", "seed = 1\nmc_n = -5\n", None, 2, "n >= 1"),
+        ("simulate", "seed = -1\nmc_n = 10\n", None, 2, "seed"),
+        ("simulate", "seed = 1\nmc_n = 10\ni0 = 0\n", None, 2, "i0 >= 1"),
+        ("simulate", "seed = 1\nmc_n = 10\npop_cap = 4611686018427387905\n", None, 2, "pop_cap"),
+        ("simulate", "seed = 1\nmc_n = 10\nt_max = inf\n", None, 2, "t grid"),
+        ("solve", "t_min = nan\n", None, 2, "t grid"),
+        ("solve", "", "abc", 2, "CRITLAB_THREADS"),
+        ("solve", "t_min = 1e300\nt_max = 1e300\nt_points = 1\n", None, 3, "overflowed"),
+    ],
+    ids=["mc_n-zero", "mc_n-negative", "seed-negative", "i0-zero", "pop_cap-past-2**62",
+         "t_max-inf", "t_min-nan", "threads-env", "ode-overflow"],
+)
+def test_accepted_configs_fail_by_name(tmp_path, capsys, monkeypatch, command, extra, env, code, named):
+    # parse_config accepts each of these; the run must end in a named error
+    # with its exit code (2 config, 3 numerical), never in a traceback
+    path = write_cfg(tmp_path, BASE + extra)
+    if env is not None:
+        monkeypatch.setenv("CRITLAB_THREADS", env)
+    assert main([command, "--config", path, "--out", str(tmp_path / "r")]) == code
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
 
 
 README_CFG = """
@@ -246,6 +274,35 @@ mc_n     = 100000
 seed     = 42       # mandatory for any Monte Carlo command
 out      = reports
 """
+
+
+SIMULATE_SMALL_CFG = """
+family       = constant
+nu           = 0.5
+a0           = 1
+t_min        = 1
+t_max        = 20
+t_points     = 4
+mc_n         = 20000
+seed         = 4
+trajectories = 25
+pop_cap      = 1e5
+"""
+
+
+def test_simulate_small_config_is_frozen(tmp_path):
+    # The Monte Carlo contract: `critlab simulate` on SIMULATE_SMALL_CFG must
+    # reproduce tests/data/simulate_small/ (the survival CSV and the path
+    # dump) byte for byte. A numpy or scipy upgrade may change the random
+    # streams and require regenerating the files (run simulate on
+    # SIMULATE_SMALL_CFG and copy both); log any regeneration, with the
+    # reason, in CHANGES.md.
+    path = write_cfg(tmp_path, SIMULATE_SMALL_CFG)
+    out = tmp_path / "r"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+    frozen = Path(__file__).parent / "data" / "simulate_small"
+    for name in ("simulate.csv", "trajectories.txt"):
+        assert (out / name).read_bytes() == (frozen / name).read_bytes()
 
 
 def test_solve_readme_config_is_frozen(tmp_path):

@@ -4,6 +4,7 @@ The engine oracle provides every expected value; Monte Carlo assertions use
 fixed seeds so runs are reproducible bit for bit.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -164,6 +165,55 @@ def test_event_count_grows_with_horizon(model):
     e1 = population_at(model, [0.5], 3000, seed=37, conditioned=True, pop_cap=10**4)
     e2 = population_at(model, [2.0], 3000, seed=37, conditioned=True, pop_cap=10**4)
     assert e2.events > e1.events
+
+
+# sha256 of population_at over (sizes, censored, extinction times, events,
+# budget flag) at horizons [0, 1, 1, 3], i0 = 3, n = 300, seed 2024; the
+# cap of 40 is hit, and max_events = 3000 runs out
+POPULATION_DIGESTS = {
+    (False, 40, None): "1b83ead75c36a6bf75aad77886aebf15f676f376d49115b468c4cf358fa3c475",
+    (False, 10**9, 3000): "1b4885d6c2de5541bbb22b58a58cd7b98f6dff4ebb9e00de2fada5deb2a9535d",
+    (True, 40, None): "faa8cf71d437c6d85315fdafdb20d815a9d5817ad4ad52c6a4b89bf16778d228",
+    (True, 10**9, 3000): "1cbdb948ed09401fed4167be608ab378ba573f91bdf8ab62fdd0ba1ad12d8031",
+}
+
+
+@pytest.mark.parametrize("key", list(POPULATION_DIGESTS), ids=lambda k: "cond=%s-cap=%s-max=%s" % k)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_population_at_is_frozen(model, key, threads):
+    # The Monte Carlo contract for the event engine, bit for bit, at any
+    # thread count. A numpy upgrade may change the random streams and
+    # require regenerating the digests; log any regeneration, with the
+    # reason, in CHANGES.md.
+    conditioned, pop_cap, max_events = key
+    s = population_at(model, [3.0, 1.0, 0.0, 1.0], 300, seed=2024, conditioned=conditioned,
+                      i0=3, pop_cap=pop_cap, max_events=max_events, threads=threads)
+    assert 0.0 < s.censored.mean() < 1.0 and s.budget_exhausted == (max_events is not None)
+    h = hashlib.sha256()
+    for a in (s.horizons, s.sizes, s.censored, s.extinction_time):
+        h.update(a.tobytes())
+    h.update(f"{s.events},{s.budget_exhausted}".encode())
+    assert h.hexdigest() == POPULATION_DIGESTS[key]
+
+
+@pytest.mark.parametrize("simulate, digest", [
+    (simulate_mbp, "05d2748d5579faa325a099fa953a7654c4ef0ea6bc23430f6b42546628229f4c"),
+    (simulate_qprocess, "1f13d6a2ca9b1c2032faba6da1e3d7ff59405cd7df8326d253957203d7957a09"),
+])
+def test_paths_are_frozen(model, simulate, digest):
+    # 27 paths from one generator: a cap of 8 from i0 = 3, a budget of 5
+    # events, and horizon 0; same regeneration rule as above
+    rng = np.random.default_rng(2024)
+    paths = [simulate(model, 3, 3.0, rng, pop_cap=8) for _ in range(20)]
+    paths += [simulate(model, 1, 3.0, rng, max_events=5) for _ in range(5)]
+    paths += [simulate(model, 2, 0.0, rng) for _ in range(2)]
+    assert any(p.censored for p in paths)
+    h = hashlib.sha256()
+    for p in paths:
+        h.update(p.times.tobytes())
+        h.update(p.sizes.tobytes())
+        h.update(f"{p.extinction_time!r},{p.censored}".encode())
+    assert h.hexdigest() == digest
 
 
 def test_empirical_law_mass_above_zero(model):

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -280,6 +280,7 @@ def test_sv_reciprocal_series_matches_pointwise(sf, s):
 
 
 @given(sf=SCALE_FUNCTIONS, s=st.floats(0.0, 0.99), t=st.floats(0.0, 100.0))
+@example(sf=make_scale_function(ModelParams(0.35, 1.0, Family.COUPLED_DRIFT)), s=0.0, t=5e-324)
 @settings(max_examples=40, deadline=None)
 def test_has_drift_flag_matches_drift_integral(sf, s, t):
     oracle = index_drift_integral(sf, s, t)
@@ -288,4 +289,10 @@ def test_has_drift_flag_matches_drift_integral(sf, s, t):
         assert index_drift_integral(sf, s, t, method="quad") == 0.0
         assert np.all(sf.index_drift(Y_GRID) == 0.0)
     elif t > 0.0:
-        assert oracle > 0.0
+        # the integral is t/w0 + O(t**2), which may round to 0 at subnormal t;
+        # there it must agree with t/w0 to one subnormal ulp
+        if t < 1e-300:
+            w0 = 1.0 / sf.decay_rate(1.0 - s)
+            assert oracle == pytest.approx(t / w0, rel=1e-12, abs=5e-324)
+        else:
+            assert oracle > 0.0
