@@ -62,7 +62,7 @@ __all__ = [
 
 DEFAULT_POP_CAP = 10**9
 DEFAULT_SAMPLING_ORDER = 2**16
-EXACT_POP_CAP = 2**62  # Poisson means at or past this are censored, not drawn
+EXACT_POP_CAP = 2**62  # exact draws past it are censored; pop_cap may not exceed it
 _BATCHES = 16  # seed-split batches per population_at call; part of the seed-to-sample map
 
 
@@ -141,6 +141,20 @@ def qprocess_kernel_row(model: SimModel, i: int, kmax: int) -> np.ndarray:
     row = (i + k - 1.0) * a / (i * model.rate)
     row[1] = 0.0
     return row
+
+
+def _check_seed(seed) -> None:
+    if seed is None or seed < 0:
+        raise ParameterError(f"a seed >= 0 is mandatory for Monte Carlo runs, got {seed}")
+
+
+def _check_start(i0: int, pop_cap: int) -> None:
+    if i0 < 1:
+        raise DomainError(f"i0 must be >= 1, got {i0}")
+    if pop_cap > EXACT_POP_CAP:
+        # tail draws are clipped at 2**62, which is a censored draw only
+        # while the cap stops every population at or below 2**62
+        raise DomainError(f"pop_cap must be at most 2**62, got {pop_cap}")
 
 
 def _record(out, gidx, h_from, h_to, values):
@@ -245,14 +259,10 @@ def population_at(
     merged in index order, so results are identical for any thread count.
     The same trajectory serves every horizon (common random numbers).
     """
-    if seed is None or seed < 0:
-        raise ParameterError(f"a seed >= 0 is mandatory for Monte Carlo runs, got {seed}")
-    if n < 1 or i0 < 1:
-        raise DomainError(f"population_at needs n >= 1 and i0 >= 1, got n={n}, i0={i0}")
-    if pop_cap > EXACT_POP_CAP:
-        # tail draws are clipped at 2**62, which is a censored draw only
-        # while the cap stops every population at or below 2**62
-        raise DomainError(f"pop_cap must be at most 2**62, got {pop_cap}")
+    _check_seed(seed)
+    if n < 1:
+        raise DomainError(f"population_at needs n >= 1, got {n}")
+    _check_start(i0, pop_cap)
     model = _sim_model(sf_or_model)
     horizons = np.sort(np.atleast_1d(np.asarray(horizons, dtype=float)))
     if horizons.size == 0 or not np.all(horizons >= 0.0):
@@ -294,8 +304,7 @@ def sample_qprocess_exact(sf: ScaleFunction, t: float, n: int, seed: int) -> Pop
     EXACT_POP_CAP (or not finite) is reported as censored, with EXACT_POP_CAP
     as its recorded lower bound, never wrapped.
     """
-    if seed is None:
-        raise ParameterError("a seed is mandatory for Monte Carlo runs")
+    _check_seed(seed)
     if sf.family is not Family.CONSTANT:
         raise DomainError(
             f"sample_qprocess_exact serves the constant family only, got {sf.family.value}"
@@ -323,8 +332,7 @@ def sample_qprocess_exact(sf: ScaleFunction, t: float, n: int, seed: int) -> Pop
 
 
 def _simulate_path(model, conditioned, i0, horizon, rng, pop_cap, max_events) -> Trajectory:
-    if i0 < 1:
-        raise DomainError(f"i0 must be >= 1, got {i0}")
+    _check_start(i0, pop_cap)
     path = [(0.0, i0)]
     s = _simulate_population_batch(
         _sim_model(model), conditioned, i0, np.array([horizon]), 1, rng, pop_cap, max_events, path

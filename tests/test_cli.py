@@ -241,7 +241,7 @@ def test_config_t_grid_validation():
         ("simulate", "seed = 1\nmc_n = 0\n", None, 2, "n >= 1"),
         ("simulate", "seed = 1\nmc_n = -5\n", None, 2, "n >= 1"),
         ("simulate", "seed = -1\nmc_n = 10\n", None, 2, "seed"),
-        ("simulate", "seed = 1\nmc_n = 10\ni0 = 0\n", None, 2, "i0 >= 1"),
+        ("simulate", "seed = 1\nmc_n = 10\ni0 = 0\n", None, 2, "i0 must be >= 1"),
         ("simulate", "seed = 1\nmc_n = 10\npop_cap = 4611686018427387905\n", None, 2, "pop_cap"),
         ("simulate", "seed = 1\nmc_n = 10\nt_max = inf\n", None, 2, "t grid"),
         ("solve", "t_min = nan\n", None, 2, "t grid"),

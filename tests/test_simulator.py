@@ -4,6 +4,7 @@ The engine oracle provides every expected value; Monte Carlo assertions use
 fixed seeds so runs are reproducible bit for bit.
 """
 
+import dataclasses
 import hashlib
 import math
 
@@ -35,6 +36,7 @@ from critlab import (
     survival_q,
 )
 
+from critlab import simulator
 from critlab.acceptance import _c11_verdict, _limit_cdf
 from critlab.simulator import EXACT_POP_CAP
 
@@ -62,8 +64,54 @@ def test_thread_count_does_not_change_results(model):
 
 
 def test_seed_mandatory(model):
-    with pytest.raises(ParameterError):
-        population_at(model, [1.0], 10, seed=None)
+    for seed in (None, -1):
+        with pytest.raises(ParameterError):
+            population_at(model, [1.0], 10, seed=seed)
+
+
+def test_worker_count_is_bounded_by_batches(model, monkeypatch):
+    # a huge thread count starts at most one worker per seed-split batch
+    seen = {}
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen["workers"] = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", SerialPool)
+    a = population_at(model, [1.0], 40, seed=3, threads=10**6)
+    b = population_at(model, [1.0], 40, seed=3, threads=1)
+    assert seen["workers"] == 16
+    assert np.array_equal(a.sizes, b.sizes)
+
+
+def test_clipped_tail_draw_is_censored_not_wrapped(model):
+    # the tail sampler clips draws at 2**62; with pop_cap <= 2**62 a clipped
+    # draw ends its trajectory censored at 2**62 + i0 - 1 < 2**63, never
+    # wrapped past int64, and a larger cap is refused
+    class Clipped:
+        total_rate = model.rate
+
+        def sample(self, rng, size):
+            return np.full(size, EXACT_POP_CAP, dtype=np.int64)
+
+    huge = dataclasses.replace(model, offspring=Clipped(), size_biased=Clipped())
+    for conditioned in (False, True):
+        s = population_at(huge, [1e9], 20, seed=5, conditioned=conditioned, i0=3,
+                          pop_cap=EXACT_POP_CAP)
+        assert s.censored.all() and np.all(s.sizes == EXACT_POP_CAP + 2)
+    with pytest.raises(DomainError):
+        population_at(model, [1.0], 10, seed=5, pop_cap=EXACT_POP_CAP + 1)
+    with pytest.raises(DomainError):
+        simulate_qprocess(model, 1, 1.0, np.random.default_rng(5), pop_cap=EXACT_POP_CAP + 1)
 
 
 def test_pure_death_extinction_times():
