@@ -59,9 +59,7 @@ __all__ = [
 ]
 
 _ODE_HORIZON = 1e4  # survival_q(method='ode') refuses longer horizons
-
-
-_ODE_METHOD = "DOP853"  # the explicit Runge-Kutta pair of every adaptive integration
+_ODE_METHOD = "DOP853"  # the Runge-Kutta pair of every adaptive integration
 
 
 @dataclass(frozen=True)
