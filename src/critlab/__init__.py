@@ -10,7 +10,6 @@ from .asymptotics import (
     AsymptoticPrediction,
     PiMeasure,
     RateFit,
-    VerifyReport,
     baseline_checks,
     d_limit,
     delta_sup,
@@ -53,11 +52,7 @@ from .kolmogorov_engine import (
     exact_R,
     identity_residual,
     index_drift_integral,
-    nu_ts,
-    q_matrix,
-    series_power_row,
     solve_F,
-    survival_q,
     transition_matrix,
 )
 from .simulator import (

@@ -89,14 +89,6 @@ def powf(y: np.ndarray, alpha: float, order: int | None = None) -> np.ndarray:
     return w
 
 
-def integrate(c: np.ndarray) -> np.ndarray:
-    """Antiderivative with zero constant term; output one order longer."""
-    out = np.empty(len(c) + 1)
-    out[0] = 0.0
-    out[1:] = c / np.arange(1, len(c) + 1)
-    return out
-
-
 def eval_series(c: np.ndarray, s: float) -> float:
     """Horner evaluation at a scalar point."""
     acc = 0.0

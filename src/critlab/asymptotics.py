@@ -14,10 +14,11 @@ Each predictor mirrors one limit statement of the theory:
 * ``psi_limit`` / ``psi_finite``: limiting and finite-horizon Laplace
   transforms of the scaled conditioned population q(t)*W(t); their gap
   decays like log t / t with an explicit theta profile.
-* ``d_limit``: the limiting distribution function recovered by numerical
-  Laplace inversion (two methods cross-checked).
+* ``d_limit``: the limiting distribution function recovered by fixed
+  Talbot inversion, every point checked against Gaver-Stehfest.
 
-``VerifyReport`` collects (t, exact, predicted, normalized error) records;
+Every exact survival probability comes from ``exact_R(sf, 0.0, t)``.
+``baseline_checks`` returns (t, exact, predicted, normalized error) tuples;
 ``fit_rate`` turns times and residuals into a log-log convergence-rate
 estimate.
 """
@@ -25,27 +26,19 @@ estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from . import _series
 from .errors import DomainError, SolverError
-from .kolmogorov_engine import (
-    DEFAULT_CFG,
-    SolveConfig,
-    G_of,
-    nu_ts,
-    solve_F,
-    survival_q,
-)
-from .laplace import invert_checked, talbot
+from .kolmogorov_engine import DEFAULT_CFG, SolveConfig, G_of, exact_R, solve_F
+from .laplace import gaver_stehfest, talbot
 from .sv_kernel import ScaleFunction, solve_normalizer
 
 __all__ = [
     "AsymptoticPrediction",
-    "VerifyReport",
     "RateFit",
     "PiMeasure",
     "predict_q",
@@ -71,35 +64,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AsymptoticPrediction:
-    """Leading factor and first correction of one expansion at time t.
+    """Leading factor and first correction of one expansion.
 
-    The predicted quantity is leading * (1 + correction); ``tag`` names the
-    expansion in the report catalog.
+    The predicted quantity is leading * (1 + correction).
     """
 
-    t: float
     leading: float
     correction: float
-    tag: str
 
     @property
     def value(self) -> float:
         return self.leading * (1.0 + self.correction)
-
-
-@dataclass
-class VerifyReport:
-    """Ordered residual records for one asymptotic statement."""
-
-    tag: str
-    records: list = field(default_factory=list)  # (t, exact, predicted, normalized_error)
-
-    def add(self, t: float, exact: float, predicted: float, norm_err: float) -> None:
-        for v in (t, exact, predicted, norm_err):
-            if not math.isfinite(v):
-                raise DomainError(f"non-finite report entry for tag {self.tag!r}")
-        self.records.append((float(t), float(exact), float(predicted), float(norm_err)))
-        self.records.sort(key=lambda r: r[0])
 
 
 @dataclass(frozen=True)
@@ -118,12 +93,12 @@ def predict_q(sf: ScaleFunction, t: float) -> AsymptoticPrediction:
     leading = N / (nu * t) ** (1.0 / nu)
     num, den = sf.second_order(t)
     corr = -num / den
-    return AsymptoticPrediction(t, leading, corr, "survival-second-order")
+    return AsymptoticPrediction(leading, corr)
 
 
 def p11_exact(sf: ScaleFunction, t: float) -> float:
     """Exact P_11(t) = q(t) * decay_rate(q(t)) / a0 via the survival oracle."""
-    q = survival_q(sf, t)
+    q = exact_R(sf, 0.0, t)
     return float(q * sf.decay_rate(q) / sf.a0)
 
 
@@ -136,7 +111,7 @@ def predict_p11(sf: ScaleFunction, t: float) -> AsymptoticPrediction:
     leading = N / sf.a0
     num, den = sf.second_order(t)
     corr = -(1.0 + nu) * num / den
-    return AsymptoticPrediction(t, leading, corr, "p11-second-order")
+    return AsymptoticPrediction(leading, corr)
 
 
 def normalized_error_q(sf: ScaleFunction, t: float) -> float:
@@ -146,7 +121,7 @@ def normalized_error_q(sf: ScaleFunction, t: float) -> float:
     on this quantity.
     """
     nu = sf.nu
-    q = survival_q(sf, t)
+    q = exact_R(sf, 0.0, t)
     pred = predict_q(sf, t)
     return float((1.0 - q / pred.leading) * nu**3 * t / math.log(sf.a0 * nu * t + 1.0))
 
@@ -236,7 +211,7 @@ def psi_finite(sf: ScaleFunction, t: float, theta: float) -> float:
         raise DomainError(f"psi_finite requires theta > 0, got {theta}")
     if t < 1.0:
         raise DomainError(f"psi_finite requires t >= 1, got {t}")
-    q = survival_q(sf, t)
+    q = exact_R(sf, 0.0, t)
     y = -math.expm1(-theta * q)
     return G_of(sf, 1.0 - y, t, one_minus_s=y)
 
@@ -258,7 +233,7 @@ def delta_sup(
     """
     grid = default_theta_grid() if theta_grid is None else np.asarray(theta_grid)
     nu = sf.nu
-    q = survival_q(sf, t)
+    q = exact_R(sf, 0.0, t)
     best, arg, idx = -1.0, grid[0], 0
     for i, th in enumerate(grid):
         y = -math.expm1(-th * q)
@@ -302,9 +277,8 @@ def qproc_gf_second_order(sf: ScaleFunction, s: float, t: float) -> float:
     """
     nu = sf.nu
     ratio = qproc_gf_ratio(sf, s, t)
-    return float(
-        (1.0 - ratio) * nu**3 * t / ((1.0 + nu) * math.log(nu_ts(sf, s, t)))
-    )
+    log_ts = math.log(sf.decay_rate(1.0 - s) * nu * t + 1.0)
+    return float((1.0 - ratio) * nu**3 * t / ((1.0 + nu) * log_ts))
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +286,13 @@ def qproc_gf_second_order(sf: ScaleFunction, s: float, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def d_limit(nu: float, x_grid, method: str = "checked") -> tuple[np.ndarray, dict]:
+def d_limit(nu: float, x_grid) -> tuple[np.ndarray, dict]:
     """Limit CDF values D(x) on a positive grid by transform inversion.
 
-    The transform of the CDF is psi_limit(nu, p)/p. method='checked' runs
-    fixed Talbot and Gaver-Stehfest and flags points disagreeing by more
-    than 1e-4; 'talbot' runs the contour method alone. Returns (values,
-    metadata) where metadata records the method and flagged points.
+    The transform of the CDF is psi_limit(nu, p)/p. Fixed Talbot gives the
+    values; Gaver-Stehfest checks each one, and points where the two
+    disagree by more than 1e-4 are flagged. Returns (values, metadata) where
+    metadata records the flagged indices and the largest disagreement.
     """
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
     if np.any(x_grid <= 0.0):
@@ -327,25 +301,13 @@ def d_limit(nu: float, x_grid, method: str = "checked") -> tuple[np.ndarray, dic
     def cdf_transform(p):
         return (1.0 + p**nu) ** (-(1.0 + 1.0 / nu)) / p
 
-    vals = np.empty_like(x_grid)
-    flags = []
-    disagreements = np.zeros_like(x_grid)
-    for i, x in enumerate(x_grid):
-        if method == "talbot":
-            vals[i] = talbot(cdf_transform, x)
-        elif method == "checked":
-            vals[i], disagreements[i], bad = invert_checked(cdf_transform, x)
-            if bad:
-                flags.append(i)
-        else:
-            raise DomainError(f"unknown method {method!r}")
-    vals = np.clip(vals, 0.0, 1.0)
+    vals = np.array([talbot(cdf_transform, x) for x in x_grid])
+    disagreements = np.abs(vals - [gaver_stehfest(cdf_transform, x) for x in x_grid])
     meta = {
-        "method": "talbot+gaver-stehfest" if method == "checked" else "talbot",
-        "flagged_indices": flags,
-        "max_disagreement": float(np.max(disagreements)) if method == "checked" else None,
+        "flagged_indices": [int(i) for i in np.flatnonzero(disagreements > 1e-4)],
+        "max_disagreement": float(np.max(disagreements)),
     }
-    return vals, meta
+    return np.clip(vals, 0.0, 1.0), meta
 
 
 # ---------------------------------------------------------------------------
@@ -358,25 +320,30 @@ def baseline_checks(
     t_grid,
     s: float,
     cfg: SolveConfig = DEFAULT_CFG,
-) -> VerifyReport:
-    """Classical first-order checks.
+) -> list[tuple[float, float, float, float]]:
+    """Classical first-order checks as (t, exact, predicted, normalized error)
+    tuples sorted by t.
 
     binary_split: 1/R(t;s) - 1/(1-s) - a0*t vanishes identically (quadratic
     mechanism); recorded with the ODE solution so the residual measures the
     solver. Slowly varying families: the ratio q(t) / (f(1-q(t)) * nu * t)
-    tends to 1 and is recorded from the exact oracle.
+    tends to 1 and is recorded from the exact oracle. A non-finite entry
+    raises DomainError.
     """
-    rep = VerifyReport("baselines")
-    for t in np.atleast_1d(np.asarray(t_grid, dtype=float)):
+    records = []
+    for t in np.sort(np.atleast_1d(np.asarray(t_grid, dtype=float))):
         if sf.finite_variance:
             r_ode = solve_F(sf, s, t, cfg)
             exact = 1.0 / (1.0 - s) + sf.a0 * t
-            rep.add(t, 1.0 / r_ode, exact, 1.0 / r_ode - exact)
+            rec = (t, 1.0 / r_ode, exact, 1.0 / r_ode - exact)
         else:
-            q = survival_q(sf, t)
+            q = exact_R(sf, 0.0, t)
             ratio = q / (sf.f(1.0 - q) * sf.nu * t)
-            rep.add(t, ratio, 1.0, ratio - 1.0)
-    return rep
+            rec = (t, ratio, 1.0, ratio - 1.0)
+        if not all(math.isfinite(v) for v in rec):
+            raise DomainError(f"non-finite baseline entry at t={t}")
+        records.append(tuple(float(v) for v in rec))
+    return records
 
 
 def fit_rate(ts: np.ndarray, residuals: np.ndarray, *, against: str = "log_t") -> RateFit:

@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _NEG_COEFF_SLACK = 1e-12  # absolute roundoff slack for series-division output
+EXACT_POP_CAP = 2**62  # tail draws are clipped at it, so a population cap may not exceed it
 
 
 @dataclass(frozen=True)
@@ -185,7 +186,7 @@ class OffspringDistribution:
         while todo:
             u = rng.random(todo)
             x = (J + 0.5) * u ** (-1.0 / (beta - 1.0))
-            k = np.minimum(np.floor(x + 0.5), 2.0**62).astype(np.int64)
+            k = np.minimum(np.floor(x + 0.5), float(EXACT_POP_CAP)).astype(np.int64)
             k = np.maximum(k, J + 1)
             kf = k.astype(float)
             m = (J + 0.5) ** (beta - 1.0) * (

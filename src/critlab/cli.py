@@ -23,7 +23,7 @@ import numpy as np
 from .acceptance import run_all
 from .asymptotics import fit_rate, pi_of, predict_p11, predict_q, p11_exact
 from .errors import ConfigError, CritlabError, DomainError, ParameterError, SolverError
-from .kolmogorov_engine import G_of, exact_R, solve_F, survival_q
+from .kolmogorov_engine import G_of, exact_R, solve_F
 from .simulator import build_sim_model, estimate_survival, simulate_mbp
 from .sv_kernel import Family, ModelParams, make_scale_function, solve_normalizer
 
@@ -39,6 +39,7 @@ TAG_CATALOG = frozenset({
     "mc-q", "mc-qcell", "mc-ks-rate",
     "quadratic-baseline", "first-order-ratio",
 })
+_NUMERIC_COLUMNS = ("t", "exact", "predicted", "normalized_error", "stderr")
 
 
 @dataclass
@@ -128,13 +129,25 @@ def _fmt(v) -> str:
 
 
 def write_rows(path: Path, rows) -> None:
+    """Write a report CSV; every row is checked before the file is opened,
+    so a bad tag or a non-finite cell leaves no partial report."""
+    rows = list(rows)
+    for row in rows:
+        cells = dict(zip(CSV_COLUMNS, row))
+        if cells["tag"] not in TAG_CATALOG:
+            raise ConfigError(f"report tag {cells['tag']!r} is not in the catalog")
+        for col in _NUMERIC_COLUMNS:
+            v = cells[col]
+            if v is not None and not isinstance(v, str) and not math.isfinite(v):
+                raise SolverError(
+                    f"report row {cells['experiment']}/{cells['tag']} at t={cells['t']:g}: "
+                    f"{col} is not finite ({v})"
+                )
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for row in rows:
             exp, tag, t, exact, pred, err, method, stderr = row
-            if tag not in TAG_CATALOG:
-                raise ConfigError(f"report tag {tag!r} is not in the catalog")
             fh.write(
                 ",".join([str(exp), str(tag), _fmt(t), _fmt(exact), _fmt(pred),
                           _fmt(err), str(method), _fmt(stderr)]) + "\n"
@@ -155,20 +168,25 @@ def read_rows(path: Path):
     return out
 
 
+def _rel_err(value: float, pred: float | None) -> float:
+    """value/pred - 1; 0 without a prediction, inf when the prediction underflowed to 0."""
+    if pred is None:
+        return 0.0
+    return value / pred - 1.0 if pred != 0.0 else math.inf
+
+
 def cmd_solve(cfg: ExperimentConfig) -> int:
     sf = cfg.scale_function()
     rows = []
     for t in cfg.t_grid():
         # the predictions need t >= 1 and the normalizer N(t); blank cells elsewhere
         predicted = t >= 1.0 and sf.normalizer_defined(t)
-        q = survival_q(sf, t)
+        q = exact_R(sf, 0.0, t)
         pred = predict_q(sf, t).value if predicted else None
-        err = (q / pred - 1.0) if pred else 0.0
-        rows.append(("solve", "q", t, q, pred, err, "oracle", ""))
+        rows.append(("solve", "q", t, q, pred, _rel_err(q, pred), "oracle", ""))
         scaled = (sf.nu * t) ** (1.0 + 1.0 / sf.nu) * p11_exact(sf, t)
         p_pred = predict_p11(sf, t).value if predicted else None
-        rows.append(("solve", "P11", t, scaled, p_pred,
-                     (scaled / p_pred - 1.0) if p_pred else 0.0, "oracle", ""))
+        rows.append(("solve", "P11", t, scaled, p_pred, _rel_err(scaled, p_pred), "oracle", ""))
         for s in cfg.s_list:
             r_oracle = exact_R(sf, s, t)
             r_ode = solve_F(sf, s, t)
@@ -177,8 +195,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
             if 0.0 < s < 1.0:
                 g = G_of(sf, s, t)
                 gp = pi_of(sf, s) * solve_normalizer(sf, t) / (sf.nu * t) ** (1.0 + 1.0 / sf.nu) if predicted else None
-                rows.append((f"s={s:g}", "G", t, g, gp,
-                             (g / gp - 1.0) if gp else 0.0, "oracle", ""))
+                rows.append((f"s={s:g}", "G", t, g, gp, _rel_err(g, gp), "oracle", ""))
     out = Path(cfg.out) / "solve.csv"
     write_rows(out, rows)
     print(f"wrote {len(rows)} rows to {out}")
@@ -195,7 +212,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     ests = estimate_survival(model, ts, cfg.mc_n, cfg.seed, i0=cfg.i0,
                              threads=cfg.threads, pop_cap=cfg.pop_cap)
     for t, est in zip(ts, ests):
-        exact = survival_q(sf, t) if cfg.i0 == 1 else 1.0 - (1.0 - survival_q(sf, t)) ** cfg.i0
+        q = exact_R(sf, 0.0, t)
+        exact = q if cfg.i0 == 1 else 1.0 - (1.0 - q) ** cfg.i0
         rows.append(("mc", "mc-q", t, exact, est.value, est.value - exact, "mc", est.stderr))
     out = Path(cfg.out) / "simulate.csv"
     write_rows(out, rows)

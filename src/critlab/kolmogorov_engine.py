@@ -18,14 +18,15 @@ satisfies dw/dt = nu + 1/w, so
 a monotone scalar equation solved to machine precision for any t. The exact
 oracles themselves live on the family classes (``ScaleFunction.exact_R``,
 ``ScaleFunction.drift_integral``); ``exact_R`` here validates and dispatches.
-The oracles serve any horizon; ``survival_q(method='ode')`` refuses horizons
-past 1e4, while ``solve_F`` integrates to whatever horizon it is given, so
-callers can compare the two routes there.
+Each quantity has one route: q(t) is ``exact_R(sf, 0.0, t)`` (any horizon),
+and ``solve_F`` is the independent ODE route, which integrates to whatever
+horizon it is given, so callers can compare the two there.
 
 Transition probabilities P_1j(t) are the coefficients of F(t;s); their
 coupled coefficient ODE is triangular (coefficient j only involves
 coefficients 0..j), so a truncated solve is exact for every kept column.
-Rows for i initial individuals are series powers of F.
+``transition_matrix`` builds the rows for i initial individuals as series
+powers of F, and ``size_biased`` turns them into the conditioned chain's Q.
 """
 
 from __future__ import annotations
@@ -46,19 +47,14 @@ __all__ = [
     "SeriesState",
     "solve_F",
     "exact_R",
-    "survival_q",
     "identity_residual",
     "index_drift_integral",
-    "nu_ts",
     "evolve_series",
     "transition_matrix",
-    "series_power_row",
     "size_biased",
-    "q_matrix",
     "G_of",
 ]
 
-_ODE_HORIZON = 1e4  # survival_q(method='ode') refuses longer horizons
 _ODE_METHOD = "DOP853"  # the Runge-Kutta pair of every adaptive integration
 
 
@@ -129,27 +125,6 @@ def exact_R(
     if not (0.0 < y0 <= 1.0) or not t >= 0.0:
         raise DomainError(f"invalid (s, t) = ({s}, {t})")
     return sf.exact_R(y0, t)
-
-
-def survival_q(
-    sf: ScaleFunction, t: float, cfg: SolveConfig | None = None, method: str = "oracle"
-) -> float:
-    """Survival probability q(t) = R(t;0).
-
-    method='oracle' uses the family closed form / implicit equation (valid at
-    any horizon); method='ode' integrates the backward equation and refuses
-    horizons past 1e4 where stepping error would accumulate.
-    """
-    if method == "oracle":
-        return exact_R(sf, 0.0, t)
-    if t > _ODE_HORIZON:
-        raise SolverError(f"ODE route refused for t={t} > {_ODE_HORIZON}; use the oracle")
-    return solve_F(sf, 0.0, t, cfg or DEFAULT_CFG)
-
-
-def nu_ts(sf: ScaleFunction, s: float, t: float) -> float:
-    """Time-scale factor decay_rate(1-s)*nu*t + 1 from the exact identity."""
-    return sf.decay_rate(1.0 - s) * sf.nu * t + 1.0
 
 
 def _drift_quad(sf: ScaleFunction, sol, t: float) -> float:
@@ -278,24 +253,6 @@ def evolve_series(
     return state
 
 
-def series_power_row(state: SeriesState, i: int) -> np.ndarray:
-    """Row P_ij(t) = [F(t;s)**i]_j by binary exponentiation on the series."""
-    if i < 0:
-        raise DomainError(f"row index must be >= 0, got {i}")
-    J = state.order
-    out = np.zeros(J + 1)
-    out[0] = 1.0
-    base = state.coeffs.copy()
-    n = i
-    while n:
-        if n & 1:
-            out = _series.mul(out, base, J)
-        n >>= 1
-        if n:
-            base = _series.mul(base, base, J)
-    return out
-
-
 def transition_matrix(state: SeriesState, imax: int | None = None) -> np.ndarray:
     """Matrix P[i, j] = P_ij(t) for 0 <= i <= imax via cumulative products."""
     J = state.order
@@ -319,13 +276,6 @@ def size_biased(P: np.ndarray) -> np.ndarray:
     Q[0] = 0.0
     Q[1:] /= np.arange(1, P.shape[0], dtype=float)[:, None]
     return Q
-
-
-def q_matrix(
-    sf: ScaleFunction, J: int, t: float, cfg: SolveConfig = DEFAULT_CFG
-) -> np.ndarray:
-    """Size-biased transition matrix Q_ij(t) = (j/i) * P_ij(t), i >= 1."""
-    return size_biased(transition_matrix(evolve_series(sf, J, t, cfg)))
 
 
 def G_of(

@@ -1,6 +1,7 @@
 """Numerical inversion of Laplace transforms on the positive half line.
 
-Two independent classical methods are provided so callers can cross-check:
+Two independent classical methods are provided so callers can cross-check
+(``asymptotics.d_limit`` runs both at every point):
 
 * fixed Talbot: deformed Bromwich contour sampled at M nodes; handles
   transforms with a branch cut along the negative real axis (our case).
@@ -19,7 +20,7 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-__all__ = ["talbot", "gaver_stehfest", "invert_checked"]
+__all__ = ["talbot", "gaver_stehfest"]
 
 
 def talbot(F, x: float, M: int = 48) -> float:
@@ -74,10 +75,3 @@ def gaver_stehfest(F, x: float, N: int = 16) -> float:
     vals = np.array([float(F(ln2_over_x * k)) for k in range(1, N + 1)])
     return ln2_over_x * float(np.dot(w, vals))
 
-
-def invert_checked(F, x: float, *, M: int = 48, N: int = 16, flag_tol: float = 1e-4):
-    """Invert with both methods; return (talbot value, |disagreement|, flagged)."""
-    a = talbot(F, x, M)
-    b = gaver_stehfest(F, x, N)
-    dis = abs(a - b)
-    return a, dis, dis > flag_tol

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .branching_model import (
+    EXACT_POP_CAP,
     OffspringCoeffs,
     OffspringDistribution,
     build_offspring_distribution,
@@ -62,7 +63,6 @@ __all__ = [
 
 DEFAULT_POP_CAP = 10**9
 DEFAULT_SAMPLING_ORDER = 2**16
-EXACT_POP_CAP = 2**62  # exact draws past it are censored; pop_cap may not exceed it
 _BATCHES = 16  # seed-split batches per population_at call; part of the seed-to-sample map
 
 
@@ -82,8 +82,6 @@ class MCEstimate:
 
     value: float
     stderr: float
-    n: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -152,8 +150,8 @@ def _check_start(i0: int, pop_cap: int) -> None:
     if i0 < 1:
         raise DomainError(f"i0 must be >= 1, got {i0}")
     if pop_cap > EXACT_POP_CAP:
-        # tail draws are clipped at 2**62, which is a censored draw only
-        # while the cap stops every population at or below 2**62
+        # tail draws are clipped at EXACT_POP_CAP, which is a censored draw
+        # only while the cap stops every population at or below it
         raise DomainError(f"pop_cap must be at most 2**62, got {pop_cap}")
 
 
@@ -386,7 +384,7 @@ def estimate_survival(
     out = []
     for col in range(sample.sizes.shape[1]):
         p = float(np.mean(sample.sizes[:, col] > 0))
-        out.append(MCEstimate(p, math.sqrt(p * (1.0 - p) / n), n, seed))
+        out.append(MCEstimate(p, math.sqrt(p * (1.0 - p) / n)))
     return out
 
 

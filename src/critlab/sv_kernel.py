@@ -265,7 +265,12 @@ class ConstantScale(_ConstantSV):
         return ((1.0 - s) ** (-self.nu) - 1.0) / (self.nu * self.a0)
 
     def normalizer_closed(self, t):
-        return self.a0 ** (-1.0 / self.nu)
+        try:
+            return self.a0 ** (-1.0 / self.nu)
+        except OverflowError:
+            raise SolverError(
+                f"normalizer a0**(-1/nu) overflows at a0={self.a0:g}, nu={self.nu:g}"
+            ) from None
 
 
 class CoupledDriftScale(ScaleFunction):

@@ -247,9 +247,11 @@ def test_config_t_grid_validation():
         ("solve", "t_min = nan\n", None, 2, "t grid"),
         ("solve", "", "abc", 2, "CRITLAB_THREADS"),
         ("solve", "t_min = 1e300\nt_max = 1e300\nt_points = 1\n", None, 3, "overflowed"),
+        ("solve", "t_min = 1e160\nt_max = 1e160\nt_points = 1\n", None, 3, "solve/q at t=1e+160"),
+        ("solve", "a0 = 1e-300\n", None, 3, "normalizer"),
     ],
     ids=["mc_n-zero", "mc_n-negative", "seed-negative", "i0-zero", "pop_cap-past-2**62",
-         "t_max-inf", "t_min-nan", "threads-env", "ode-overflow"],
+         "t_max-inf", "t_min-nan", "threads-env", "ode-overflow", "huge-horizon", "tiny-a0"],
 )
 def test_accepted_configs_fail_by_name(tmp_path, capsys, monkeypatch, command, extra, env, code, named):
     # parse_config accepts each of these; the run must end in a named error
@@ -260,6 +262,9 @@ def test_accepted_configs_fail_by_name(tmp_path, capsys, monkeypatch, command, e
     assert main([command, "--config", path, "--out", str(tmp_path / "r")]) == code
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+    if code == 3:
+        # a numerical failure leaves no partial report behind
+        assert not (tmp_path / "r").exists()
 
 
 README_CFG = """

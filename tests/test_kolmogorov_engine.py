@@ -17,22 +17,18 @@ from critlab import (
     G_of,
     ModelParams,
     SolveConfig,
-    SolverError,
     TruncationError,
     evolve_series,
     exact_R,
     identity_residual,
     index_drift_integral,
     make_scale_function,
-    nu_ts,
     level_at_time,
     time_to_level,
-    q_matrix,
-    series_power_row,
     solve_F,
-    survival_q,
     transition_matrix,
 )
+from critlab.kolmogorov_engine import size_biased
 
 CONST = make_scale_function(ModelParams(0.5, 1.0, Family.CONSTANT))
 COUPLED = make_scale_function(ModelParams(0.5, 1.0, Family.COUPLED_DRIFT))
@@ -60,7 +56,7 @@ def test_constant_family_closed_form():
         for s in (0.0, 0.5, 0.9):
             expect = ((1.0 - s) ** -0.5 + 0.5 * t) ** -2.0
             assert solve_F(CONST, s, t, TIGHT) == pytest.approx(expect, rel=1e-10)
-    assert survival_q(CONST, 2.0) == pytest.approx(0.25, rel=1e-14)
+    assert exact_R(CONST, 0.0, 2.0) == pytest.approx(0.25, rel=1e-14)
 
 
 def test_binary_family_reciprocal_rule():
@@ -113,22 +109,17 @@ def test_coupled_oracle_matches_mpmath_at_extremes(nu, a0):
 def test_transformed_variable_linear_growth():
     # w(t) = 1/decay_rate(R(t;0)) grows like nu*t
     for t in (1e6, 1e8):
-        w = 1.0 / COUPLED.decay_rate(survival_q(COUPLED, t))
+        w = 1.0 / COUPLED.decay_rate(exact_R(COUPLED, 0.0, t))
         assert abs(w / (0.5 * t) - 1.0) < 0.01
 
 
 def test_survival_monotone_and_normalized():
     ts = np.logspace(-1, 3, 9)
-    qs = [survival_q(COUPLED, t) for t in ts]
+    qs = [exact_R(COUPLED, 0.0, t) for t in ts]
     assert all(a > b for a, b in zip(qs, qs[1:]))
     assert exact_R(COUPLED, 0.0, 0.0) == 1.0
     rs = [exact_R(COUPLED, s, 5.0) for s in (0.0, 0.3, 0.6, 0.9)]
     assert all(a > b for a, b in zip(rs, rs[1:]))
-
-
-def test_ode_route_refuses_long_horizons():
-    with pytest.raises(SolverError):
-        survival_q(COUPLED, 1e5, method="ode")
 
 
 def test_identity_residual_constant_reduces_to_linear():
@@ -158,7 +149,7 @@ def test_drift_integral_log_asymptotics():
     ratios = []
     for t in (1e4, 1e6, 1e8, 1e10):
         m = index_drift_integral(COUPLED, 0.0, t)
-        ratios.append(m * 0.5 / math.log(nu_ts(COUPLED, 0.0, t)))
+        ratios.append(m * 0.5 / math.log(COUPLED.decay_rate(1.0) * 0.5 * t + 1.0))
     assert all(a < b for a, b in zip(ratios, ratios[1:]))
     assert abs(ratios[-1] - 1.0) <= 0.05
 
@@ -205,13 +196,13 @@ def test_series_evolution_consistency():
         assert np.all(st.coeffs >= -1e-12)
         assert st.coeffs.sum() <= 1.0 + 1e-12
         # P_10(t) = 1 - q(t)
-        assert st.coeffs[0] == pytest.approx(1.0 - survival_q(sf, 1.0), abs=1e-8)
+        assert st.coeffs[0] == pytest.approx(1.0 - exact_R(sf, 0.0, 1.0), abs=1e-8)
     # the coupled flow at a0 = 1 is not an offspring law (a_3 < 0) and its
     # series coefficients can dip negative, while the flow identities still
     # hold; the row sum stays bounded by one
     st = evolve_series(COUPLED, 128, 1.0, cfg)
     assert st.coeffs.sum() <= 1.0 + 1e-12
-    assert st.coeffs[0] == pytest.approx(1.0 - survival_q(COUPLED, 1.0), abs=1e-8)
+    assert st.coeffs[0] == pytest.approx(1.0 - exact_R(COUPLED, 0.0, 1.0), abs=1e-8)
 
 
 def test_series_p11_closed_form():
@@ -241,17 +232,15 @@ def test_series_guards():
 def test_power_row_binary_exponentiation():
     st = evolve_series(CONST, 64, 1.0)
     P = transition_matrix(st, imax=9)
-    for i in (0, 1, 2, 5, 9):
-        assert np.allclose(series_power_row(st, i), P[i], rtol=1e-12, atol=1e-15)
     # row for i initial individuals is the i-fold convolution: from i the
     # chance of extinction by t is (1-q)^i
-    q1 = survival_q(CONST, 1.0)
+    q1 = exact_R(CONST, 0.0, 1.0)
     assert P[3, 0] == pytest.approx((1.0 - q1) ** 3, abs=1e-9)
 
 
 def test_q_matrix_structure():
-    Q = q_matrix(CONST, 64, 1.0, SolveConfig(rel_tol=1e-11, abs_tol=1e-13))
     st = evolve_series(CONST, 64, 1.0, SolveConfig(rel_tol=1e-11, abs_tol=1e-13))
+    Q = size_biased(transition_matrix(st))
     assert np.allclose(Q[1], st.coeffs * np.arange(65), atol=1e-14)
     assert np.all(Q[0] == 0.0)
     # row sums equal 1 minus the size-biased truncation defect, which decays
@@ -298,7 +287,7 @@ def test_G_one_minus_s_survives_rounding_of_s():
     # when 1 - y rounds to 1.0 the carried y = 1 - s keeps G well defined:
     # constant family against its closed form s*(1 + c*y**nu)**-(1+1/nu)
     for t in (1e8, 1e10, 1e12):
-        q = survival_q(CONST, t)
+        q = exact_R(CONST, 0.0, t)
         y = -math.expm1(-1e-3 * q)
         assert 1.0 - y == 1.0
         closed = (1.0 + 0.5 * t * y**0.5) ** -3.0

@@ -33,7 +33,6 @@ from critlab import (
     sample_qprocess_exact,
     simulate_mbp,
     simulate_qprocess,
-    survival_q,
 )
 
 from critlab import simulator
@@ -299,7 +298,7 @@ def test_mc_engine_oracle_triangle(model):
     est = estimate_survival(model, [2.0], 20000, seed=47)[0]
     assert q_ode == pytest.approx(q_closed, rel=1e-10)
     assert abs(est.value - q_closed) <= 4.0 * est.stderr
-    assert survival_q(CONST, 2.0) == pytest.approx(q_closed, rel=1e-14)
+    assert exact_R(CONST, 0.0, 2.0) == pytest.approx(q_closed, rel=1e-14)
 
 
 def test_exact_sampler_cells_match_engine():

@@ -31,7 +31,6 @@ from critlab import (
     remainder_rho,
     solve_F,
     solve_normalizer,
-    survival_q,
 )
 from critlab import _series
 
@@ -238,7 +237,7 @@ def test_decay_identity_property(nu, a0, y):
 @given(t=st.floats(1.0, 1e6))
 @settings(max_examples=30, deadline=None)
 def test_survival_decreasing_property(t):
-    assert survival_q(COUPLED, 1.02 * t) < survival_q(COUPLED, t) <= 1.0
+    assert exact_R(COUPLED, 0.0, 1.02 * t) < exact_R(COUPLED, 0.0, t) <= 1.0
 
 
 # --- the family interface, over (family, nu, a0, s, t) -----------------------
