@@ -10,11 +10,6 @@ triangular in the coefficient index.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import fftconvolve
-
-# fftconvolve wins over direct convolution well below this, but direct is
-# bit-reproducible and exact enough for the short series used by the solvers.
-_FFT_CUTOFF = 2048
 
 
 def binom_series(alpha: float, order: int) -> np.ndarray:
@@ -36,10 +31,7 @@ def mul(a: np.ndarray, b: np.ndarray, order: int | None = None) -> np.ndarray:
     if order is None:
         order = min(len(a), len(b)) - 1
     n = order + 1
-    if max(len(a), len(b)) >= _FFT_CUTOFF:
-        full = fftconvolve(a, b)
-    else:
-        full = np.convolve(a, b)
+    full = np.convolve(a, b)
     out = np.zeros(n)
     m = min(n, len(full))
     out[:m] = full[:m]

@@ -17,7 +17,9 @@ Each predictor mirrors one limit statement of the theory:
 * ``d_limit``: the limiting distribution function recovered by fixed
   Talbot inversion, every point checked against Gaver-Stehfest.
 
-Every exact survival probability comes from ``exact_R(sf, 0.0, t)``.
+Every exact survival probability comes from ``exact_R(sf, 0.0, t)``, and
+every time scale (nu*t)**p from ``nu_t_power``, which refuses a horizon
+where it overflows.
 ``baseline_checks`` returns (t, exact, predicted, normalized error) tuples;
 ``fit_rate`` turns times and residuals into a log-log convergence-rate
 estimate.
@@ -41,6 +43,7 @@ __all__ = [
     "AsymptoticPrediction",
     "RateFit",
     "PiMeasure",
+    "nu_t_power",
     "predict_q",
     "predict_p11",
     "normalized_error_q",
@@ -84,13 +87,25 @@ class RateFit:
     r_squared: float
 
 
+def nu_t_power(nu: float, t: float, power: float, quantity: str) -> float:
+    """(nu*t)**power, the time scale of the limit theorems.
+
+    A horizon where it overflows raises a SolverError naming the quantity
+    and t, so no inf or nan reaches a prediction or a report.
+    """
+    try:
+        return math.pow(nu * t, power)
+    except OverflowError:
+        raise SolverError(f"{quantity} at t={t:g}: (nu*t)**{power:g} overflows") from None
+
+
 def predict_q(sf: ScaleFunction, t: float) -> AsymptoticPrediction:
     """Second-order prediction of the survival probability at t >= 1."""
     if t < 1.0:
         raise DomainError(f"predict_q requires t >= 1, got {t}")
     nu = sf.nu
     N = solve_normalizer(sf, t)
-    leading = N / (nu * t) ** (1.0 / nu)
+    leading = N / nu_t_power(nu, t, 1.0 / nu, "q prediction")
     num, den = sf.second_order(t)
     corr = -num / den
     return AsymptoticPrediction(leading, corr)
@@ -129,7 +144,7 @@ def normalized_error_q(sf: ScaleFunction, t: float) -> float:
 def normalized_error_p11(sf: ScaleFunction, t: float) -> float:
     """Same normalization for P_11 with the (1+nu) coefficient divided out."""
     nu = sf.nu
-    val = (nu * t) ** (1.0 + 1.0 / nu) * p11_exact(sf, t)
+    val = nu_t_power(nu, t, 1.0 + 1.0 / nu, "scaled P11") * p11_exact(sf, t)
     pred = predict_p11(sf, t)
     return float(
         (1.0 - val / pred.leading)
@@ -266,7 +281,7 @@ def qproc_gf_ratio(sf: ScaleFunction, s: float, t: float) -> float:
     nu = sf.nu
     G = G_of(sf, s, t)
     N = solve_normalizer(sf, t)
-    return float((nu * t) ** (1.0 + 1.0 / nu) * G / (pi_of(sf, s) * N))
+    return float(nu_t_power(nu, t, 1.0 + 1.0 / nu, "G ratio") * G / (pi_of(sf, s) * N))
 
 
 def qproc_gf_second_order(sf: ScaleFunction, s: float, t: float) -> float:
@@ -291,12 +306,13 @@ def d_limit(nu: float, x_grid) -> tuple[np.ndarray, dict]:
 
     The transform of the CDF is psi_limit(nu, p)/p. Fixed Talbot gives the
     values; Gaver-Stehfest checks each one, and points where the two
-    disagree by more than 1e-4 are flagged. Returns (values, metadata) where
-    metadata records the flagged indices and the largest disagreement.
+    disagree by more than 1e-4, or where either is not finite, are flagged.
+    Returns (values, metadata) where metadata records the flagged indices and
+    the largest disagreement.
     """
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    if np.any(x_grid <= 0.0):
-        raise DomainError("d_limit requires strictly positive x")
+    if x_grid.size == 0 or not np.all(np.isfinite(x_grid) & (x_grid > 0.0)):
+        raise DomainError("d_limit requires a non-empty grid of finite, strictly positive x")
 
     def cdf_transform(p):
         return (1.0 + p**nu) ** (-(1.0 + 1.0 / nu)) / p
@@ -304,7 +320,7 @@ def d_limit(nu: float, x_grid) -> tuple[np.ndarray, dict]:
     vals = np.array([talbot(cdf_transform, x) for x in x_grid])
     disagreements = np.abs(vals - [gaver_stehfest(cdf_transform, x) for x in x_grid])
     meta = {
-        "flagged_indices": [int(i) for i in np.flatnonzero(disagreements > 1e-4)],
+        "flagged_indices": [int(i) for i in np.flatnonzero(~(disagreements <= 1e-4))],
         "max_disagreement": float(np.max(disagreements)),
     }
     return np.clip(vals, 0.0, 1.0), meta
@@ -346,13 +362,11 @@ def baseline_checks(
     return records
 
 
-def fit_rate(ts: np.ndarray, residuals: np.ndarray, *, against: str = "log_t") -> RateFit:
-    """Least-squares fit of log|residual| against log t (or log(log t / t)).
+def fit_rate(ts: np.ndarray, residuals: np.ndarray) -> RateFit:
+    """Least-squares fit log|residual| = slope*log t + c.
 
     Requires at least 5 records spanning two decades of t; degenerate
-    spreads are rejected. against='log_t' fits log|r| = slope*log t + c;
-    against='loglog_t_over_t' fits log|r| = slope*log(log t / t) + c, the
-    natural axis for second-order terms.
+    spreads are rejected.
     """
     ts = np.asarray(ts, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
@@ -364,12 +378,7 @@ def fit_rate(ts: np.ndarray, residuals: np.ndarray, *, against: str = "log_t") -
     if mask.sum() < 5:
         raise DomainError("fit_rate: too many exactly-zero residuals")
     ly = np.log(np.abs(residuals[mask]))
-    if against == "log_t":
-        lx = np.log(ts[mask])
-    elif against == "loglog_t_over_t":
-        lx = np.log(np.log(ts[mask]) / ts[mask])
-    else:
-        raise DomainError(f"unknown axis {against!r}")
+    lx = np.log(ts[mask])
     A = np.vstack([lx, np.ones_like(lx)]).T
     coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
     pred = A @ coef

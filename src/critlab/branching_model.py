@@ -208,7 +208,7 @@ class OffspringDistribution:
 
 
 def build_offspring_distribution(
-    coeffs: OffspringCoeffs, sf: ScaleFunction | None = None
+    coeffs: OffspringCoeffs, sf: ScaleFunction
 ) -> OffspringDistribution:
     """Normalize intensities into the jump law of a single individual."""
     a = coeffs.coeffs
@@ -217,9 +217,7 @@ def build_offspring_distribution(
     p[1] = 0.0
     # the dropped tail carries exactly the mass missing from the table
     tail_mass = max(0.0, 1.0 - float(p.sum()))
-    exact_tail = None
-    if sf is not None and tail_mass > 0.0:
-        exact_tail = sf.exact_tail(rate)
+    exact_tail = sf.exact_tail(rate) if tail_mass > 0.0 else None
     return OffspringDistribution(
         probs=p,
         tail_cutoff=coeffs.order,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .acceptance import run_all
-from .asymptotics import fit_rate, pi_of, predict_p11, predict_q, p11_exact
+from .asymptotics import fit_rate, nu_t_power, pi_of, predict_p11, predict_q, p11_exact
 from .errors import ConfigError, CritlabError, DomainError, ParameterError, SolverError
 from .kolmogorov_engine import G_of, exact_R, solve_F
 from .simulator import build_sim_model, estimate_survival, simulate_mbp
@@ -184,7 +183,8 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
         q = exact_R(sf, 0.0, t)
         pred = predict_q(sf, t).value if predicted else None
         rows.append(("solve", "q", t, q, pred, _rel_err(q, pred), "oracle", ""))
-        scaled = (sf.nu * t) ** (1.0 + 1.0 / sf.nu) * p11_exact(sf, t)
+        scale = nu_t_power(sf.nu, t, 1.0 + 1.0 / sf.nu, "scaled P11")
+        scaled = scale * p11_exact(sf, t)
         p_pred = predict_p11(sf, t).value if predicted else None
         rows.append(("solve", "P11", t, scaled, p_pred, _rel_err(scaled, p_pred), "oracle", ""))
         for s in cfg.s_list:
@@ -194,7 +194,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
                          r_ode / r_oracle - 1.0, "ode", ""))
             if 0.0 < s < 1.0:
                 g = G_of(sf, s, t)
-                gp = pi_of(sf, s) * solve_normalizer(sf, t) / (sf.nu * t) ** (1.0 + 1.0 / sf.nu) if predicted else None
+                gp = pi_of(sf, s) * solve_normalizer(sf, t) / scale if predicted else None
                 rows.append((f"s={s:g}", "G", t, g, gp, _rel_err(g, gp), "oracle", ""))
     out = Path(cfg.out) / "solve.csv"
     write_rows(out, rows)
@@ -286,8 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", type=str, default=None, help="run one acceptance criterion (id or tag)")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", type=str, default=None, help="output directory")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (fallback: CRITLAB_THREADS)")
+    p.add_argument("--threads", type=int, default=None, help="worker processes")
     return p
 
 
@@ -301,13 +300,6 @@ def main(argv=None) -> int:
             cfg.out = args.out
         if args.threads is not None:
             cfg.threads = args.threads
-        elif os.environ.get("CRITLAB_THREADS"):
-            try:
-                cfg.threads = _parse_int(os.environ["CRITLAB_THREADS"])
-            except ValueError:
-                raise ConfigError(
-                    f"CRITLAB_THREADS: cannot parse {os.environ['CRITLAB_THREADS']!r} as an integer"
-                ) from None
         if args.command == "solve":
             return cmd_solve(cfg)
         if args.command == "simulate":

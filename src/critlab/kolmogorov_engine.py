@@ -17,7 +17,9 @@ satisfies dw/dt = nu + 1/w, so
 
 a monotone scalar equation solved to machine precision for any t. The exact
 oracles themselves live on the family classes (``ScaleFunction.exact_R``,
-``ScaleFunction.drift_integral``); ``exact_R`` here validates and dispatches.
+``ScaleFunction.drift_integral``); ``exact_R`` and ``index_drift_integral``
+here validate and dispatch, and ``identity_residual`` checks the identity
+by quadrature along the ODE path.
 Each quantity has one route: q(t) is ``exact_R(sf, 0.0, t)`` (any horizon),
 and ``solve_F`` is the independent ODE route, which integrates to whatever
 horizon it is given, so callers can compare the two there.
@@ -127,19 +129,6 @@ def exact_R(
     return sf.exact_R(y0, t)
 
 
-def _drift_quad(sf: ScaleFunction, sol, t: float) -> float:
-    """int_0^t index_drift(R(u;s)) du by adaptive quadrature over the dense ODE output."""
-    val, _ = quad(
-        lambda u: sf.index_drift(math.exp(float(sol.sol(u)[0]))),
-        0.0,
-        t,
-        epsabs=1e-12,
-        epsrel=1e-11,
-        limit=400,
-    )
-    return val
-
-
 def identity_residual(
     sf: ScaleFunction, s: float, t: float, cfg: SolveConfig = DEFAULT_CFG
 ) -> float:
@@ -156,32 +145,30 @@ def identity_residual(
     sol = _solve_log_path(sf, s, t, cfg)
     r_end = math.exp(float(sol.y[0, -1]))
     lhs = 1.0 / sf.decay_rate(r_end) - 1.0 / sf.decay_rate(1.0 - s)
-    integral = _drift_quad(sf, sol, t) if sf.has_drift else 0.0
+    integral = 0.0
+    if sf.has_drift:
+        integral, _ = quad(
+            lambda u: sf.index_drift(math.exp(float(sol.sol(u)[0]))),
+            0.0,
+            t,
+            epsabs=1e-12,
+            epsrel=1e-11,
+            limit=400,
+        )
     return float(lhs - (sf.nu * t + integral))
 
 
-def index_drift_integral(
-    sf: ScaleFunction,
-    s: float,
-    t: float,
-    cfg: SolveConfig = DEFAULT_CFG,
-    method: str = "oracle",
-) -> float:
-    """Accumulated index drift int_0^t index_drift(R(u;s)) du.
+def index_drift_integral(sf: ScaleFunction, s: float, t: float) -> float:
+    """Accumulated index drift int_0^t index_drift(R(u;s)) du; any horizon.
 
-    method='oracle' evaluates it through the exact identity as
-    1/decay_rate(R) - 1/decay_rate(1-s) - nu*t (any horizon, by the family's
-    ``drift_integral``); method='quad' integrates along the dense ODE
-    solution. Families without drift return 0 exactly on both routes.
+    Evaluated by the family's exact ``drift_integral``, i.e. through the
+    identity as 1/decay_rate(R) - 1/decay_rate(1-s) - nu*t. Families without
+    drift return 0 exactly.
     """
     _check_ts(s, t)
-    if method not in ("oracle", "quad"):
-        raise DomainError(f"unknown method {method!r}")
     if t == 0.0 or not sf.has_drift:
         return 0.0
-    if method == "oracle":
-        return sf.drift_integral(1.0 - s, t)
-    return float(_drift_quad(sf, _solve_log_path(sf, s, t, cfg), t))
+    return sf.drift_integral(1.0 - s, t)
 
 
 # ---------------------------------------------------------------------------

@@ -433,9 +433,11 @@ def solve_normalizer(sf: ScaleFunction, t: float) -> float:
     """Solve N**nu * sv((nu*t)**(1/nu)/N) = 1 to relative tolerance 1e-12.
 
     Equivalent to N = (nu*t)**(1/nu) * y* with decay_rate(y*) = 1/(nu*t),
-    which is solved on y in (0, 1]; the constant family short-circuits to
-    the exact a0**(-1/nu). Requires 1/(nu*t) <= a0, i.e. t >= 1/(nu*a0),
-    otherwise the defining equation has no root with sv evaluated on x >= 1.
+    where y* is the family's analytic ``decay_inverse``; the constant family
+    short-circuits to the exact a0**(-1/nu). Requires 1/(nu*t) <= a0, i.e.
+    t >= 1/(nu*a0), otherwise the defining equation has no root with sv
+    evaluated on x >= 1. Raises SolverError when y* misses the defining
+    equation by more than 1e-12.
     """
     if not t > 0.0:
         raise DomainError(f"solve_normalizer requires t > 0, got {t}")
@@ -447,18 +449,11 @@ def solve_normalizer(sf: ScaleFunction, t: float) -> float:
         raise SolverError(
             f"normalizer undefined for t={t}: needs t >= 1/(nu*a0) = {1.0/(nu*sf.a0):g}"
         )
-    target = 1.0 / (nu * t)
-    ystar = float(sf.decay_inverse(target))
-    # decay_inverse is the analytic inverse for the built-in families; fall
-    # back to a bracketed solve if a subclass does not provide it.
+    ystar = float(sf.decay_inverse(1.0 / (nu * t)))
     resid = sf.decay_rate(ystar) * nu * t - 1.0
     if not abs(resid) <= 1e-12:
-        try:
-            ystar = brentq(
-                lambda y: sf.decay_rate(y) - target, 1e-300, 1.0, xtol=5e-324, rtol=8.9e-16
-            )
-        except ValueError as exc:
-            raise SolverError(f"normalizer bracket failed at t={t}: {exc}") from exc
+        # far out, y* underflows and decay_rate(y*) no longer returns 1/(nu*t)
+        raise SolverError(f"normalizer residual {resid:.3g} above 1e-12 at t={t:g}")
     return float((nu * t) ** (1.0 / nu) * ystar)
 
 

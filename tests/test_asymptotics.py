@@ -7,6 +7,7 @@ here with log-gamma and frozen against the series machinery.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from scipy.special import gammaln
 from critlab import (
     DomainError,
     Family,
+    SolverError,
     ModelParams,
     baseline_checks,
     d_limit,
@@ -275,6 +277,30 @@ def test_d_limit_cdf_shape():
     assert meta["max_disagreement"] < 1e-4
 
 
+@pytest.mark.parametrize("grid", [[], [math.nan], [math.inf]], ids=["empty", "nan", "inf"])
+def test_d_limit_rejects_empty_or_non_finite_grid(grid):
+    with pytest.raises(DomainError):
+        d_limit(0.5, grid)
+
+
+def test_d_limit_flags_non_finite_disagreement():
+    # at x = 1e300 the Gaver-Stehfest sum overflows to a non-finite value
+    with np.errstate(all="ignore"):
+        _, meta = d_limit(0.5, [1.0, 1e300])
+    assert meta["flagged_indices"] == [1]
+
+
+@pytest.mark.parametrize(
+    "fn, t, quantity",
+    [(predict_q, 1e160, "q prediction"), (normalized_error_p11, 1e110, "scaled P11"),
+     (lambda sf, t: qproc_gf_ratio(sf, 0.5, t), 1e110, "G ratio")],
+    ids=["predict_q", "normalized_error_p11", "qproc_gf_ratio"],
+)
+def test_overflowing_horizon_is_refused_by_name(fn, t, quantity):
+    with pytest.raises(SolverError, match=re.escape(f"{quantity} at t={t:g}")):
+        fn(CONST, t)
+
+
 def test_d_limit_tail_matches_tauberian_constant():
     # 1 - D(x) ~ (1+1/nu) x^-nu / Gamma(1-nu); at the x where that tail
     # equals 1e-3 the inverted CDF must be within 1e-3 of 1
@@ -346,8 +372,9 @@ def test_fit_rate_survival_second_order_constant():
         [1.0 - exact_R(COUPLED, 0.0, t) * (0.5 * t) ** 2 / solve_normalizer(COUPLED, t)
          for t in ts]
     )
-    fit = fit_rate(ts=ts, residuals=resid, against="loglog_t_over_t")
-    assert fit.slope == pytest.approx(1.0, abs=0.1)
+    # fitted on the axis t / log t, so the log t / t decay reads as slope -1
+    fit = fit_rate(ts=ts / np.log(ts), residuals=resid)
+    assert fit.slope == pytest.approx(-1.0, abs=0.1)
     assert fit.r_squared >= 0.99
     pinned = float(np.mean(resid * ts / np.log(ts)))
     assert pinned == pytest.approx(8.0, rel=0.15)

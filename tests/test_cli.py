@@ -218,12 +218,11 @@ def test_rates_requires_input(capsys):
     assert main(["rates"]) == 2
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
+def test_threads_env_fallback(tmp_path):
     path = write_cfg(tmp_path, BASE + "mc_n = 1000\nseed = 9\n")
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     main(["simulate", "--config", path, "--out", str(out1)])
-    monkeypatch.setenv("CRITLAB_THREADS", "2")
-    main(["simulate", "--config", path, "--out", str(out2)])
+    main(["simulate", "--config", path, "--out", str(out2), "--threads", "2"])
     # seed-split batches make results independent of the worker count
     assert (out1 / "simulate.csv").read_bytes() == (out2 / "simulate.csv").read_bytes()
 
@@ -236,29 +235,28 @@ def test_config_t_grid_validation():
 
 
 @pytest.mark.parametrize(
-    "command, extra, env, code, named",
+    "command, extra, code, named",
     [
-        ("simulate", "seed = 1\nmc_n = 0\n", None, 2, "n >= 1"),
-        ("simulate", "seed = 1\nmc_n = -5\n", None, 2, "n >= 1"),
-        ("simulate", "seed = -1\nmc_n = 10\n", None, 2, "seed"),
-        ("simulate", "seed = 1\nmc_n = 10\ni0 = 0\n", None, 2, "i0 must be >= 1"),
-        ("simulate", "seed = 1\nmc_n = 10\npop_cap = 4611686018427387905\n", None, 2, "pop_cap"),
-        ("simulate", "seed = 1\nmc_n = 10\nt_max = inf\n", None, 2, "t grid"),
-        ("solve", "t_min = nan\n", None, 2, "t grid"),
-        ("solve", "", "abc", 2, "CRITLAB_THREADS"),
-        ("solve", "t_min = 1e300\nt_max = 1e300\nt_points = 1\n", None, 3, "overflowed"),
-        ("solve", "t_min = 1e160\nt_max = 1e160\nt_points = 1\n", None, 3, "solve/q at t=1e+160"),
-        ("solve", "a0 = 1e-300\n", None, 3, "normalizer"),
+        ("simulate", "seed = 1\nmc_n = 0\n", 2, "n >= 1"),
+        ("simulate", "seed = 1\nmc_n = -5\n", 2, "n >= 1"),
+        ("simulate", "seed = -1\nmc_n = 10\n", 2, "seed"),
+        ("simulate", "seed = 1\nmc_n = 10\ni0 = 0\n", 2, "i0 must be >= 1"),
+        ("simulate", "seed = 1\nmc_n = 10\npop_cap = 4611686018427387905\n", 2, "pop_cap"),
+        ("simulate", "seed = 1\nmc_n = 10\nt_max = inf\n", 2, "t grid"),
+        ("solve", "t_min = nan\n", 2, "t grid"),
+        ("solve", "t_min = 1e300\nt_max = 1e300\nt_points = 1\n", 3,
+         "q prediction at t=1e+300: (nu*t)**2 overflows"),
+        ("solve", "t_min = 1e160\nt_max = 1e160\nt_points = 1\n", 3,
+         "q prediction at t=1e+160: (nu*t)**2 overflows"),
+        ("solve", "a0 = 1e-300\n", 3, "normalizer"),
     ],
     ids=["mc_n-zero", "mc_n-negative", "seed-negative", "i0-zero", "pop_cap-past-2**62",
-         "t_max-inf", "t_min-nan", "threads-env", "ode-overflow", "huge-horizon", "tiny-a0"],
+         "t_max-inf", "t_min-nan", "ode-overflow", "huge-horizon", "tiny-a0"],
 )
-def test_accepted_configs_fail_by_name(tmp_path, capsys, monkeypatch, command, extra, env, code, named):
+def test_accepted_configs_fail_by_name(tmp_path, capsys, command, extra, code, named):
     # parse_config accepts each of these; the run must end in a named error
     # with its exit code (2 config, 3 numerical), never in a traceback
     path = write_cfg(tmp_path, BASE + extra)
-    if env is not None:
-        monkeypatch.setenv("CRITLAB_THREADS", env)
     assert main([command, "--config", path, "--out", str(tmp_path / "r")]) == code
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err

@@ -17,6 +17,7 @@ from critlab import (
     G_of,
     ModelParams,
     SolveConfig,
+    SolverError,
     TruncationError,
     evolve_series,
     exact_R,
@@ -76,6 +77,13 @@ def test_exact_coupled_matches_ode():
     assert exact_R(COUPLED, 0.3, 0.0) == pytest.approx(0.7)
 
 
+def test_ode_overflow_is_a_solver_error():
+    # a trial step far past the horizon overflows exp(log R) in the
+    # right-hand side; the solver names it instead of raising OverflowError
+    with pytest.raises(SolverError, match="overflowed"):
+        solve_F(CONST, 0.0, 1e300)
+
+
 @pytest.mark.parametrize("nu, a0", [(0.5, 0.05), (0.5, 1.0), (0.2, 5.0), (0.8, 1.0)])
 def test_coupled_oracle_matches_mpmath_at_extremes(nu, a0):
     # independent route: with z = R**-nu the backward equation integrates to
@@ -129,17 +137,9 @@ def test_identity_residual_constant_reduces_to_linear():
 
 
 def test_identity_residual_coupled():
-    for t in (1.0, 10.0, 100.0):
-        for s in (0.0, 0.9):
+    for t in (1.0, 10.0, 100.0, 300.0):
+        for s in (0.0, 0.3, 0.9):
             assert abs(identity_residual(COUPLED, s, t, TIGHT)) <= 1e-6
-
-
-def test_drift_integral_routes_agree():
-    for t in (1.0, 10.0, 300.0):
-        a = index_drift_integral(COUPLED, 0.3, t, TIGHT, method="quad")
-        b = index_drift_integral(COUPLED, 0.3, t, method="oracle")
-        assert a == pytest.approx(b, rel=1e-7, abs=1e-9)
-    assert index_drift_integral(CONST, 0.0, 50.0) == 0.0
 
 
 def test_drift_integral_log_asymptotics():

@@ -22,6 +22,15 @@ def test_mul_truncates_exactly():
     assert np.allclose(out, [4.0, 13.0, 22.0, 15.0])
 
 
+def test_mul_is_exact_on_long_integer_series():
+    # integer-valued products stay below 2**53, so the convolution is exact
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, 10, size=4096)
+    b = rng.integers(0, 10, size=4096)
+    out = _series.mul(a.astype(float), b.astype(float))
+    assert np.array_equal(out, np.convolve(a, b)[:4096].astype(float))
+
+
 def test_div_inverts_mul():
     rng = np.random.default_rng(0)
     a = rng.normal(size=12)
