@@ -18,8 +18,8 @@ Each predictor mirrors one limit statement of the theory:
   Talbot inversion, every point checked against Gaver-Stehfest.
 
 Every exact survival probability comes from ``exact_R(sf, 0.0, t)``, and
-every time scale (nu*t)**p from ``nu_t_power``, which refuses a horizon
-where it overflows.
+every time scale (nu*t)**p from ``sv_kernel.nu_t_power``, which refuses a
+horizon where it overflows.
 ``baseline_checks`` returns (t, exact, predicted, normalized error) tuples;
 ``fit_rate`` turns times and residuals into a log-log convergence-rate
 estimate.
@@ -37,13 +37,12 @@ from . import _series
 from .errors import DomainError, SolverError
 from .kolmogorov_engine import DEFAULT_CFG, SolveConfig, G_of, exact_R, solve_F
 from .laplace import gaver_stehfest, talbot
-from .sv_kernel import ScaleFunction, solve_normalizer
+from .sv_kernel import ScaleFunction, nu_t_power, solve_normalizer
 
 __all__ = [
     "AsymptoticPrediction",
     "RateFit",
     "PiMeasure",
-    "nu_t_power",
     "predict_q",
     "predict_p11",
     "normalized_error_q",
@@ -85,18 +84,6 @@ class RateFit:
     slope: float
     intercept: float
     r_squared: float
-
-
-def nu_t_power(nu: float, t: float, power: float, quantity: str) -> float:
-    """(nu*t)**power, the time scale of the limit theorems.
-
-    A horizon where it overflows raises a SolverError naming the quantity
-    and t, so no inf or nan reaches a prediction or a report.
-    """
-    try:
-        return math.pow(nu * t, power)
-    except OverflowError:
-        raise SolverError(f"{quantity} at t={t:g}: (nu*t)**{power:g} overflows") from None
 
 
 def predict_q(sf: ScaleFunction, t: float) -> AsymptoticPrediction:

@@ -20,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from .acceptance import run_all
-from .asymptotics import fit_rate, nu_t_power, pi_of, predict_p11, predict_q, p11_exact
+from .asymptotics import fit_rate, pi_of, predict_p11, predict_q, p11_exact
 from .errors import ConfigError, CritlabError, DomainError, ParameterError, SolverError
 from .kolmogorov_engine import G_of, exact_R, solve_F
 from .simulator import build_sim_model, estimate_survival, simulate_mbp
-from .sv_kernel import Family, ModelParams, make_scale_function, solve_normalizer
+from .sv_kernel import Family, ModelParams, make_scale_function, nu_t_power, solve_normalizer
 
 CSV_COLUMNS = ("experiment", "tag", "t", "exact", "predicted", "normalized_error", "method", "stderr")
 

@@ -66,6 +66,7 @@ __all__ = [
     "ScaleFunction",
     "make_scale_function",
     "remainder_rho",
+    "nu_t_power",
     "solve_normalizer",
     "invariant_measure_M",
     "time_to_level",
@@ -429,6 +430,18 @@ def remainder_rho(sf: ScaleFunction, lam: float, x: float) -> float:
     return float(sf.sv(lam * x) / sf.sv(x) - 1.0)
 
 
+def nu_t_power(nu: float, t: float, power: float, quantity: str) -> float:
+    """(nu*t)**power, the time scale of the limit theorems.
+
+    A horizon where it overflows raises a SolverError naming the quantity
+    and t, so no inf or nan reaches a prediction or a report.
+    """
+    try:
+        return math.pow(nu * t, power)
+    except OverflowError:
+        raise SolverError(f"{quantity} at t={t:g}: (nu*t)**{power:g} overflows") from None
+
+
 def solve_normalizer(sf: ScaleFunction, t: float) -> float:
     """Solve N**nu * sv((nu*t)**(1/nu)/N) = 1 to relative tolerance 1e-12.
 
@@ -454,7 +467,7 @@ def solve_normalizer(sf: ScaleFunction, t: float) -> float:
     if not abs(resid) <= 1e-12:
         # far out, y* underflows and decay_rate(y*) no longer returns 1/(nu*t)
         raise SolverError(f"normalizer residual {resid:.3g} above 1e-12 at t={t:g}")
-    return float((nu * t) ** (1.0 / nu) * ystar)
+    return float(nu_t_power(nu, t, 1.0 / nu, "normalizer") * ystar)
 
 
 def invariant_measure_M(sf: ScaleFunction, s: float) -> float:

@@ -16,8 +16,8 @@ from scipy.special import gammaln
 from critlab import (
     DomainError,
     Family,
-    SolverError,
     ModelParams,
+    SolverError,
     baseline_checks,
     d_limit,
     delta_sup,
@@ -291,14 +291,16 @@ def test_d_limit_flags_non_finite_disagreement():
 
 
 @pytest.mark.parametrize(
-    "fn, t, quantity",
-    [(predict_q, 1e160, "q prediction"), (normalized_error_p11, 1e110, "scaled P11"),
-     (lambda sf, t: qproc_gf_ratio(sf, 0.5, t), 1e110, "G ratio")],
-    ids=["predict_q", "normalized_error_p11", "qproc_gf_ratio"],
+    "fn, sf, t, quantity",
+    [(predict_q, CONST, 1e160, "q prediction"),
+     (predict_p11, COUPLED, 1e155, "normalizer"),
+     (normalized_error_p11, CONST, 1e110, "scaled P11"),
+     (lambda sf, t: qproc_gf_ratio(sf, 0.5, t), CONST, 1e110, "G ratio")],
+    ids=["predict_q", "predict_p11", "normalized_error_p11", "qproc_gf_ratio"],
 )
-def test_overflowing_horizon_is_refused_by_name(fn, t, quantity):
+def test_overflowing_horizon_is_refused_by_name(fn, sf, t, quantity):
     with pytest.raises(SolverError, match=re.escape(f"{quantity} at t={t:g}")):
-        fn(CONST, t)
+        fn(sf, t)
 
 
 def test_d_limit_tail_matches_tauberian_constant():
