@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from critlab import (
     DEFAULT_CFG,
@@ -29,7 +30,7 @@ from critlab import (
     solve_F,
     transition_matrix,
 )
-from critlab.kolmogorov_engine import size_biased
+from critlab.kolmogorov_engine import _solve_log_path, size_biased
 
 CONST = make_scale_function(ModelParams(0.5, 1.0, Family.CONSTANT))
 COUPLED = make_scale_function(ModelParams(0.5, 1.0, Family.COUPLED_DRIFT))
@@ -140,6 +141,20 @@ def test_identity_residual_coupled():
     for t in (1.0, 10.0, 100.0, 300.0):
         for s in (0.0, 0.3, 0.9):
             assert abs(identity_residual(COUPLED, s, t, TIGHT)) <= 1e-6
+
+
+def test_drift_integral_routes_agree():
+    # quadrature of index_drift along the adaptive ODE path against the
+    # family's exact drift_integral
+    for t in (1.0, 10.0, 300.0):
+        sol = _solve_log_path(COUPLED, 0.3, t, TIGHT)
+        a, _ = quad(
+            lambda u: COUPLED.index_drift(math.exp(float(sol.sol(u)[0]))),
+            0.0, t, epsabs=1e-12, epsrel=1e-11, limit=400,
+        )
+        b = index_drift_integral(COUPLED, 0.3, t)
+        assert a == pytest.approx(b, rel=1e-7, abs=1e-9)
+    assert index_drift_integral(CONST, 0.0, 50.0) == 0.0
 
 
 def test_drift_integral_log_asymptotics():
