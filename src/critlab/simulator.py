@@ -14,8 +14,12 @@ Populations here have infinite mean for every t > 0 (offspring tails with
 index 2 + nu make the conditioned population tail index nu < 1), so every
 run carries explicit population and event budgets; trajectories that hit a
 budget are reported as censored, never silently dropped. One event engine
-advances all active trajectories of a batch one event per vectorized round;
-it serves ``population_at`` and, run on a single trajectory that records
+advances all active trajectories of a batch together. Between state-dependent
+events (a size-biased pick, a horizon, a death, the cap) the jump chain is a
+random walk with i.i.d. steps, so each vectorized round applies a block of
+exact events per trajectory, cut at its first such event; this is the exact
+stochastic simulation algorithm (Gillespie 1977), not tau-leaping. The
+engine serves ``population_at`` and, run on a single trajectory that records
 every event, the paths of ``simulate_mbp`` and ``simulate_qprocess``.
 
 For the ``constant`` family the law of W(t) is also drawn directly, at a
@@ -64,6 +68,7 @@ __all__ = [
 DEFAULT_POP_CAP = 10**9
 DEFAULT_SAMPLING_ORDER = 2**16
 _BATCHES = 16  # seed-split batches per population_at call; part of the seed-to-sample map
+_BLOCK_DRAWS = 4096  # draws per engine round, shared by the live lanes; part of the same map
 
 
 @dataclass(frozen=True)
@@ -163,6 +168,11 @@ def _record(out, gidx, h_from, h_to, values):
             out[gidx[rows], h] = values[rows]
 
 
+def _first(mask: np.ndarray, B: int) -> np.ndarray:
+    """Index of the first True in each row of mask, or B where there is none."""
+    return np.where(mask.any(axis=1), mask.argmax(axis=1), B)
+
+
 def _simulate_population_batch(
     model: SimModel,
     conditioned: bool,
@@ -174,9 +184,22 @@ def _simulate_population_batch(
     max_events: int | None,
     path: list | None = None,
 ) -> PopulationSample:
-    """Advance n trajectories one event per round; the event engine of the module.
+    """Advance n trajectories by blocks of exact events; the event engine of the module.
 
-    With n = 1, ``path`` (if given) receives (time, size) after every event.
+    Each round draws, for its m live lanes, B = _BLOCK_DRAWS // m offspring
+    counts, waiting times and (conditioned chain) pick uniforms per lane,
+    and builds each lane's ordinary path with cumsum. A lane's block is cut
+    at its first state-dependent event L: a size-biased pick, a waiting time
+    that crosses the lane's next horizon, a death or the cap. Events before
+    L are applied in bulk, event L is applied alone with the values already
+    drawn (a picked lane draws its size-biased count then), and the draws
+    past L are discarded. L is a stopping time of an i.i.d. draw sequence,
+    so the law of the jump chain is that of one event at a time.
+
+    ``events`` counts the waiting times drawn and used, so it includes the
+    horizon crossing that ends a lane, and a batch never applies more than
+    ``max_events``. With n = 1, ``path`` (if given) receives (time, size)
+    after every event.
     """
     H = len(horizons)
     out = np.zeros((n, H), dtype=np.int64)
@@ -191,50 +214,82 @@ def _simulate_population_batch(
     exhausted = False
     while gidx.size:
         m = gidx.size
-        if max_events is not None and events + m > max_events:
-            censored[gidx] = True
-            _record(out, gidx, h_a, H, pop)
-            exhausted = True
-            break
-        events += m
-        tnew = tnow + rng.exponential(1.0, m) / (rate * pop)
-        # record the state held across every horizon this waiting time crosses
-        h_new = np.searchsorted(horizons, tnew, side="right")
-        if (h_new > h_a).any():
-            _record(out, gidx, h_a, h_new, pop)
-            h_a = h_new
-            keep = h_a < H
-            if not keep.all():
-                # drop finished lanes before the draws, so each round draws
-                # exactly one offspring count per live lane
-                gidx, pop, tnew, h_a = gidx[keep], pop[keep], tnew[keep], h_a[keep]
-                m = gidx.size
-                if m == 0:
-                    break
-        # the event itself
-        k = model.offspring.sample(rng, m)
+        B = max(1, _BLOCK_DRAWS // m)
+        if max_events is not None:
+            B = min(B, (max_events - events) // m)
+            if B == 0:
+                censored[gidx] = True
+                _record(out, gidx, h_a, H, pop)
+                exhausted = True
+                break
+        # tentative ordinary path; pop < pop_cap <= 2**62 and k <= 2**62 keep
+        # every entry up to the first cap crossing exact, and the entries
+        # past a lane's cut (which may wrap) are never read
+        k = model.offspring.sample(rng, m * B).reshape(m, B)
+        wait = rng.exponential(1.0, (m, B))
+        steps = k - 1
+        steps[:, 0] += pop
+        after = np.cumsum(steps, axis=1)
+        before = np.concatenate((pop[:, None], after[:, :-1]), axis=1)
+        stop = after >= pop_cap
         if conditioned:
-            biased = rng.random(m) * pop < 1.0
+            u = rng.random((m, B))
+            stop |= u * before < 1.0
+        else:
+            stop |= after == 0
+        L = _first(stop, B)
+        # sizes up to the cut are >= 1; mask the rest before dividing
+        held = np.where(np.arange(B) <= L[:, None], before, 1)
+        dt = wait / (rate * held)
+        dt[:, 0] += tnow
+        tc = np.cumsum(dt, axis=1)
+        L = np.minimum(L, _first(tc >= horizons[h_a][:, None], B))
+        # events 0..L-1 in bulk
+        events += int(L.sum())
+        bulk = np.flatnonzero(L)
+        pop[bulk] = after[bulk, L[bulk] - 1]
+        tnow[bulk] = tc[bulk, L[bulk] - 1]
+        if path is not None:
+            path.extend(zip(tc[0, : L[0]].tolist(), after[0, : L[0]].tolist()))
+        cut = np.flatnonzero(L < B)
+        if cut.size == 0:
+            continue
+        # event L alone: record the state held across every horizon its
+        # waiting time crosses
+        Lc = L[cut]
+        events += cut.size
+        tnew = tc[cut, Lc]
+        h_new = np.searchsorted(horizons, tnew, side="right")
+        crossed = h_new > h_a[cut]
+        if crossed.any():
+            lanes = cut[crossed]
+            _record(out, gidx[lanes], h_a[lanes], h_new[crossed], pop[lanes])
+            h_a[lanes] = h_new[crossed]
+        go = h_a[cut] < H
+        live, Lg = cut[go], Lc[go]
+        kk = k[live, Lg]
+        if conditioned:
+            biased = u[live, Lg] * pop[live] < 1.0
             nb = int(biased.sum())
             if nb:
-                k[biased] = model.size_biased.sample(rng, nb)
-        pop = pop + k - 1
-        tnow = tnew
-        if path is not None:
+                kk[biased] = model.size_biased.sample(rng, nb)
+        pop[live] = pop[live] + kk - 1
+        tnow[live] = tnew[go]
+        if path is not None and live.size:
             path.append((tnow[0], pop[0]))
-        # stop lanes that reached the cap or died; the remaining horizons of a
-        # dead lane keep the initialized 0
-        stop = over = pop >= pop_cap
-        if not conditioned:
-            dead = pop == 0
-            stop = over | dead
-        if stop.any():
-            if not conditioned:
-                ext[gidx[dead]] = tnow[dead]
-                over &= ~dead
-            censored[gidx[over]] = True
-            _record(out, gidx[over], h_a[over], H, pop[over])
-            keep = ~stop
+        # stop lanes that finished their horizons, reached the cap or died;
+        # the remaining horizons of a dead lane keep the initialized 0
+        stop_pop = pop[live]
+        dead = stop_pop == 0  # never in the conditioned chain
+        over = (stop_pop >= pop_cap) & ~dead
+        ext[gidx[live[dead]]] = tnow[live[dead]]
+        lanes = live[over]
+        censored[gidx[lanes]] = True
+        _record(out, gidx[lanes], h_a[lanes], H, stop_pop[over])
+        keep = np.ones(m, dtype=bool)
+        keep[cut[~go]] = False
+        keep[live[over | dead]] = False
+        if not keep.all():
             gidx, pop, tnow, h_a = gidx[keep], pop[keep], tnow[keep], h_a[keep]
     return PopulationSample(horizons, out, censored, ext, events, exhausted)
 

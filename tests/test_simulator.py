@@ -199,6 +199,11 @@ def test_trajectory_structure(model):
     if traj.extinction_time is not None:
         assert traj.sizes[-1] == 0
         assert not traj.censored
+    # a long conditioned path crosses many block cuts and lists every event
+    traj = simulate_qprocess(model, 1, 10.0, rng, pop_cap=10**4)
+    assert np.all(np.diff(traj.times) > 0.0)
+    assert np.all(np.diff(traj.sizes) != 0)
+    assert np.all(traj.sizes >= 1)
 
 
 def test_event_budget_censors_explicitly(model):
@@ -206,6 +211,22 @@ def test_event_budget_censors_explicitly(model):
                            pop_cap=10**6, max_events=2000)
     assert sample.budget_exhausted
     assert sample.censored.sum() > 0
+    assert sample.events <= 2000  # block cuts never overrun the budget
+
+
+def test_qprocess_cells_match_engine_with_cap_hit(model):
+    # the straggler regime: at t = 10 a cap of 1e3 censors a large share of
+    # the conditioned trajectories, and the uncensored cells still match
+    n = 20000
+    sample = population_at(model, [10.0], n, seed=83, conditioned=True, pop_cap=10**3)
+    assert sample.censored.mean() > 0.2
+    state = evolve_series(CONST, 64, 10.0, SolveConfig(rel_tol=1e-11, abs_tol=1e-13))
+    q_row = state.coeffs * np.arange(65)
+    W = sample.sizes[:, 0]
+    for j in range(1, 11):
+        pj = float(q_row[j])
+        sd = math.sqrt(pj * (1 - pj) / n)
+        assert abs(float(np.mean(W == j)) - pj) <= 5.0 * sd
 
 
 def test_event_count_grows_with_horizon(model):
@@ -218,10 +239,10 @@ def test_event_count_grows_with_horizon(model):
 # budget flag) at horizons [0, 1, 1, 3], i0 = 3, n = 300, seed 2024; the
 # cap of 40 is hit, and max_events = 3000 runs out
 POPULATION_DIGESTS = {
-    (False, 40, None): "1b83ead75c36a6bf75aad77886aebf15f676f376d49115b468c4cf358fa3c475",
-    (False, 10**9, 3000): "1b4885d6c2de5541bbb22b58a58cd7b98f6dff4ebb9e00de2fada5deb2a9535d",
-    (True, 40, None): "faa8cf71d437c6d85315fdafdb20d815a9d5817ad4ad52c6a4b89bf16778d228",
-    (True, 10**9, 3000): "1cbdb948ed09401fed4167be608ab378ba573f91bdf8ab62fdd0ba1ad12d8031",
+    (False, 40, None): "35e13f293485af7c3a2a961902c3363fee4e647fde3c65e3d8bdd4ff083c447f",
+    (False, 10**9, 3000): "5ddc2572ccbe6082e5df15b6effd443fb63daec05482633cbf79ebb36bed2c2d",
+    (True, 40, None): "18876b5ca94df7ea00786634bb086134df00b59f994f66a53cde86f4e64b59eb",
+    (True, 10**9, 3000): "62086bf3f856af4c757564ab36f5e61449f6de81ef99f4164c972e0542b83f4a",
 }
 
 
@@ -244,9 +265,9 @@ def test_population_at_is_frozen(model, key, threads):
 
 
 @pytest.mark.parametrize("simulate, digest", [
-    (simulate_mbp, "05d2748d5579faa325a099fa953a7654c4ef0ea6bc23430f6b42546628229f4c"),
-    (simulate_qprocess, "1f13d6a2ca9b1c2032faba6da1e3d7ff59405cd7df8326d253957203d7957a09"),
-])
+    (simulate_mbp, "1a3f81b98513c260f812820593e6f3e9e9afe7d4326b3fc261581d64c81e6463"),
+    (simulate_qprocess, "fd979db27428c6ee77c782e01f9d56827a48ae92593f212f551f70bbaa7388e3"),
+], ids=["simulate_mbp", "simulate_qprocess"])
 def test_paths_are_frozen(model, simulate, digest):
     # 27 paths from one generator: a cap of 8 from i0 = 3, a budget of 5
     # events, and horizon 0; same regeneration rule as above
