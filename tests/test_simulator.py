@@ -178,15 +178,19 @@ def test_qprocess_jump_from_one_is_size_biased(model):
         assert traj.sizes[1] >= 2
 
 
-def test_qprocess_cells_match_engine(model):
-    sample = population_at(model, [1.0], 20000, seed=23, conditioned=True, pop_cap=10**4)
-    state = evolve_series(CONST, 64, 1.0, SolveConfig(rel_tol=1e-11, abs_tol=1e-13))
+def _assert_cells_match_engine(W, t):
+    # P{W(t) = j} = j * P_1j(t) from the coefficient engine, within 5 sd for j <= 10
+    state = evolve_series(CONST, 64, t, SolveConfig(rel_tol=1e-11, abs_tol=1e-13))
     q_row = state.coeffs * np.arange(65)
-    W = sample.sizes[:, 0]
     for j in range(1, 11):
         pj = float(q_row[j])
         sd = math.sqrt(pj * (1 - pj) / len(W))
         assert abs(float(np.mean(W == j)) - pj) <= 5.0 * sd
+
+
+def test_qprocess_cells_match_engine(model):
+    sample = population_at(model, [1.0], 20000, seed=23, conditioned=True, pop_cap=10**4)
+    _assert_cells_match_engine(sample.sizes[:, 0], 1.0)
 
 
 def test_trajectory_structure(model):
@@ -217,16 +221,9 @@ def test_event_budget_censors_explicitly(model):
 def test_qprocess_cells_match_engine_with_cap_hit(model):
     # the straggler regime: at t = 10 a cap of 1e3 censors a large share of
     # the conditioned trajectories, and the uncensored cells still match
-    n = 20000
-    sample = population_at(model, [10.0], n, seed=83, conditioned=True, pop_cap=10**3)
+    sample = population_at(model, [10.0], 20000, seed=83, conditioned=True, pop_cap=10**3)
     assert sample.censored.mean() > 0.2
-    state = evolve_series(CONST, 64, 10.0, SolveConfig(rel_tol=1e-11, abs_tol=1e-13))
-    q_row = state.coeffs * np.arange(65)
-    W = sample.sizes[:, 0]
-    for j in range(1, 11):
-        pj = float(q_row[j])
-        sd = math.sqrt(pj * (1 - pj) / n)
-        assert abs(float(np.mean(W == j)) - pj) <= 5.0 * sd
+    _assert_cells_match_engine(sample.sizes[:, 0], 10.0)
 
 
 def test_event_count_grows_with_horizon(model):
