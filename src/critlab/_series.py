@@ -5,11 +5,23 @@ truncated after ``len(c) - 1``. All binary operations truncate the result to
 the shorter operand's order, which is exact for the leading coefficients:
 multiplication, division by a unit, and fractional powers of a unit are all
 triangular in the coefficient index.
+
+The product is a direct convolution. The quotient and the fractional power
+solve lower-triangular linear systems in the coefficients by blocked forward
+substitution: each block of rows subtracts the columns already solved with a
+compiled convolution, then solves its small diagonal block.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_triangular, toeplitz
+
+# rows per block of the triangular solves in div and powf
+_BLOCK = 64
+# longest dot product in a history term; OpenBLAS (x86_64) splits a dot
+# product longer than 10000 terms over its threads
+_DOT_CHUNK = 8192
 
 
 def binom_series(alpha: float, order: int) -> np.ndarray:
@@ -39,21 +51,25 @@ def mul(a: np.ndarray, b: np.ndarray, order: int | None = None) -> np.ndarray:
 
 
 def div(a: np.ndarray, b: np.ndarray, order: int | None = None) -> np.ndarray:
-    """Series quotient a / b; requires b[0] != 0."""
+    """Series quotient a / b; requires b[0] != 0.
+
+    The quotient c solves the lower-triangular Toeplitz system
+    sum_{m<=n} b[n-m] * c[m] = a[n], i.e. the recurrence
+
+        b[0] * c[n] = a[n] - sum_{k=1..n} b[k] * c[n-k],
+
+    solved by blocks of rows (``_lower_triangular_solve``).
+    """
     if b[0] == 0.0:
         raise ZeroDivisionError("series division by a non-unit (b[0] == 0)")
     if order is None:
         order = min(len(a), len(b)) - 1
     n = order + 1
-    aa = np.zeros(n)
-    aa[: min(n, len(a))] = a[: min(n, len(a))]
-    bb = np.zeros(n)
-    bb[: min(n, len(b))] = b[: min(n, len(b))]
+    aa = _padded(a, n)
+    bb = _padded(b, n)
     c = np.empty(n)
     c[0] = aa[0] / bb[0]
-    for k in range(1, n):
-        c[k] = (aa[k] - np.dot(bb[1 : k + 1], c[k - 1 :: -1])) / bb[0]
-    return c
+    return _lower_triangular_solve(c, aa, [(np.ones(n), bb)])
 
 
 def powf(y: np.ndarray, alpha: float, order: int | None = None) -> np.ndarray:
@@ -63,22 +79,68 @@ def powf(y: np.ndarray, alpha: float, order: int | None = None) -> np.ndarray:
     y * w' = alpha * w * y', giving
 
         n * y[0] * w[n] = sum_{k=1..n} (k * (alpha + 1) - n) * y[k] * w[n-k].
+
+    With w[0] = y[0]**alpha, rows n >= 1 form the lower-triangular system
+    sum_{m<=n} (n * y[n-m] - (alpha + 1) * (n-m) * y[n-m]) * w[m] = 0,
+    solved by blocks of rows (``_lower_triangular_solve``).
     """
     if y[0] <= 0.0:
         raise ZeroDivisionError("fractional power of a series with y[0] <= 0")
     if order is None:
         order = len(y) - 1
     n = order + 1
-    yy = np.zeros(n)
-    yy[: min(n, len(y))] = y[: min(n, len(y))]
-    ky = np.arange(n) * yy
+    yy = _padded(y, n)
+    k = np.arange(n, dtype=float)
     w = np.empty(n)
     w[0] = y[0] ** alpha
-    for m in range(1, n):
-        s1 = np.dot(ky[1 : m + 1], w[m - 1 :: -1])
-        s2 = np.dot(yy[1 : m + 1], w[m - 1 :: -1])
-        w[m] = ((alpha + 1.0) * s1 - m * s2) / (m * y[0])
-    return w
+    terms = [(k, yy), (np.ones(n), -(alpha + 1.0) * k * yy)]
+    return _lower_triangular_solve(w, np.zeros(n), terms)
+
+
+def _padded(c: np.ndarray, n: int) -> np.ndarray:
+    """The first n coefficients of c, zero-padded past its end."""
+    out = np.zeros(n)
+    m = min(n, len(c))
+    out[:m] = c[:m]
+    return out
+
+
+def _lower_triangular_solve(x, r, terms):
+    """Fill x[1:] from x[0] so that sum_{m<=i} A[i, m] * x[m] = r[i] for i >= 1.
+
+    A[i, m] = sum over (d, p) in ``terms`` of d[i] * p[i-m], a sum of
+    row-scaled lower-triangular Toeplitz matrices, and is never formed. Rows
+    are solved ``_BLOCK`` at a time: the block's history term (the columns
+    already solved) is a 'valid' convolution per term, and its diagonal block
+    is the same Toeplitz blocks with rows scaled by d. Memory is
+    O(n + _BLOCK**2).
+    """
+    n = len(x)
+    B = min(_BLOCK, n)
+    blocks = [(d, p, toeplitz(p[:B], np.zeros(B))) for d, p in terms]
+    for s in range(1, n, B):
+        e = min(s + B, n)
+        rhs = r[s:e].copy()
+        A = np.zeros((e - s, e - s))
+        for d, p, T in blocks:
+            rhs -= d[s:e] * _history(p, x, s, e)
+            A += d[s:e, None] * T[: e - s, : e - s]
+        x[s:e] = solve_triangular(A, rhs, lower=True, check_finite=False)
+    return x
+
+
+def _history(p, x, s, e):
+    """sum_{m<s} p[i-m] * x[m] for rows i in [s, e).
+
+    Summed over column chunks of ``_DOT_CHUNK`` in a fixed order, so every
+    dot product stays shorter than the length at which OpenBLAS splits it
+    over threads, and the result does not depend on the BLAS thread count.
+    """
+    h = np.zeros(e - s)
+    for c0 in range(0, s, _DOT_CHUNK):
+        c1 = min(c0 + _DOT_CHUNK, s)
+        h += np.convolve(p[s - c1 + 1 : e - c0], x[c0:c1], "valid")
+    return h
 
 
 def eval_series(c: np.ndarray, s: float) -> float:

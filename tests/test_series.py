@@ -1,7 +1,17 @@
-"""Power-series utilities checked against direct polynomial arithmetic."""
+"""Power-series utilities checked against direct polynomial arithmetic,
+closed forms and a 50-digit mpmath recurrence."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import binom
 
 from critlab import _series
@@ -45,12 +55,24 @@ def test_div_rejects_non_unit():
         _series.div(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
+# the long order spans three column chunks of a history term
+LONG_ORDERS = (15, 2 * _series._DOT_CHUNK + 5)
+
+
 def test_powf_matches_binomial():
     # (1 - s)^0.7 through powf on the series of (1 - s)
-    y = np.zeros(16)
-    y[0], y[1] = 1.0, -1.0
-    w = _series.powf(y, 0.7)
-    assert np.allclose(w, _series.binom_series(0.7, 15), rtol=1e-13, atol=1e-15)
+    for order in LONG_ORDERS:
+        y = np.zeros(order + 1)
+        y[0], y[1] = 1.0, -1.0
+        w = _series.powf(y, 0.7)
+        assert np.allclose(w, _series.binom_series(0.7, order), rtol=1e-13, atol=1e-15)
+
+
+def test_div_matches_binomial():
+    # (1 - s)^1.1 / (1 - s)^0.4 = (1 - s)^0.7
+    for order in LONG_ORDERS:
+        q = _series.div(_series.binom_series(1.1, order), _series.binom_series(0.4, order))
+        assert np.allclose(q, _series.binom_series(0.7, order), rtol=1e-11, atol=0)
 
 
 def test_powf_integer_power_matches_convolution():
@@ -64,3 +86,140 @@ def test_powf_integer_power_matches_convolution():
 def test_integrate_and_eval():
     I = np.array([0.0, 1.0, 1.0])  # s + s^2
     assert _series.eval_series(I, 0.5) == pytest.approx(0.75)
+
+
+B = _series._BLOCK
+EDGE_ORDERS = (0, 1, B - 1, B, B + 1, 2 * B + 3)
+
+
+def _mp_powf(y, alpha, n):
+    """w = y**alpha by the recurrence at 50 digits, with the majorant of |w|.
+
+    The majorant runs the same recurrence with every coefficient
+    k*(alpha+1) - n replaced by k*|alpha+1| + n, the size of the products it
+    is formed from, so it bounds how far float64 rounding can move each
+    coefficient (at small alpha those products cancel).
+    """
+    with mpmath.workdps(50):
+        yy = [mpmath.mpf(float(v)) for v in y[:n]] + [mpmath.mpf(0)] * max(0, n - len(y))
+        a1 = mpmath.mpf(float(alpha)) + 1
+        w = [yy[0] ** mpmath.mpf(float(alpha))]
+        bound = [w[0]]
+        for m in range(1, n):
+            w.append(
+                mpmath.fsum((k * a1 - m) * yy[k] * w[m - k] for k in range(1, m + 1)) / (m * yy[0])
+            )
+            bound.append(
+                mpmath.fsum((k * abs(a1) + m) * abs(yy[k]) * bound[m - k] for k in range(1, m + 1))
+                / (m * yy[0])
+            )
+        return np.array(w, dtype=float), np.array(bound, dtype=float)
+
+
+def _mp_div(a, b, n):
+    """c = a / b by the recurrence at 50 digits, with the majorant of |c|."""
+    with mpmath.workdps(50):
+        aa = [mpmath.mpf(float(v)) for v in a[:n]] + [mpmath.mpf(0)] * max(0, n - len(a))
+        bb = [mpmath.mpf(float(v)) for v in b[:n]] + [mpmath.mpf(0)] * max(0, n - len(b))
+        c, bound = [], []
+        for m in range(n):
+            c.append((aa[m] - mpmath.fsum(bb[k] * c[m - k] for k in range(1, m + 1))) / bb[0])
+            bound.append(
+                (abs(aa[m]) + mpmath.fsum(abs(bb[k]) * bound[m - k] for k in range(1, m + 1)))
+                / abs(bb[0])
+            )
+        return np.array(c, dtype=float), np.array(bound, dtype=float)
+
+
+@st.composite
+def decaying_series(draw, order):
+    """c[0] in [0.5, 2] and |c[k]| <= c[0] * r**k with r in [0, 0.9].
+
+    Its length lies below, at or above order + 1, so the kernels both
+    truncate and zero-pad it.
+    """
+    length = draw(st.sampled_from(sorted({max(1, order - 3), order + 1, order + 6})))
+    head = draw(st.floats(0.5, 2.0))
+    r = draw(st.floats(0.0, 0.9))
+    seed = draw(st.integers(0, 2**32 - 1))
+    c = head * np.random.default_rng(seed).uniform(-1.0, 1.0, size=length) * r ** np.arange(length)
+    c[0] = head
+    return c
+
+
+def _assert_within_rounding(got, ref, bound):
+    # relative rounding on the majorant, plus an absolute floor for the
+    # subnormal range, where each operation can be off by a subnormal unit
+    n = np.arange(1, len(ref) + 1)
+    fin = np.finfo(float)
+    assert np.all(np.abs(got - ref) <= 8.0 * n * (fin.eps * bound + fin.tiny))
+
+
+@given(order=st.sampled_from(EDGE_ORDERS), alpha=st.floats(-2.0, 3.0), data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_powf_matches_mpmath_recurrence(order, alpha, data):
+    y = data.draw(decaying_series(order))
+    w = _series.powf(y, alpha, order)
+    assert w.shape == (order + 1,)
+    ref, bound = _mp_powf(y, alpha, order + 1)
+    _assert_within_rounding(w, ref, bound)
+
+
+@given(order=st.sampled_from(EDGE_ORDERS), data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_div_matches_mpmath_recurrence(order, data):
+    a = data.draw(decaying_series(order))
+    b = data.draw(decaying_series(order))
+    c = _series.div(a, b, order)
+    assert c.shape == (order + 1,)
+    ref, bound = _mp_div(a, b, order + 1)
+    _assert_within_rounding(c, ref, bound)
+
+
+_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from critlab import _series
+n = 2**15
+y = _series.binom_series(0.5, n) + 0.5 ** np.arange(n + 1)
+a = _series.binom_series(-1.3, n)
+for out in (_series.powf(y, 1.5), _series.div(a, y)):
+    print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+def test_kernels_do_not_depend_on_blas_threads():
+    # OpenBLAS splits a dot product longer than 10000 terms over its threads,
+    # which changes the summation order; order 2**15 reaches that length
+    src = str(Path(_series.__file__).resolve().parents[1])
+    procs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        procs.append(
+            subprocess.Popen(
+                [sys.executable, "-c", _DIGEST_SCRIPT], env=env, stdout=subprocess.PIPE, text=True
+            )
+        )
+    try:
+        outs = [p.communicate(timeout=120)[0] for p in procs]
+    finally:
+        for p in procs:
+            p.kill()
+    assert [p.returncode for p in procs] == [0, 0]
+    assert len(outs[0].split()) == 2
+    assert outs[0] == outs[1]
+
+
+def test_div_memory_is_linear_in_order():
+    # a dense system matrix at order 2**15 would take 8 GB
+    n = 2**15
+    b = _series.binom_series(0.5, n)
+    a = np.ones(n + 1)
+    tracemalloc.start()
+    try:
+        _series.div(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
