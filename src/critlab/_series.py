@@ -19,8 +19,8 @@ from scipy.linalg import solve_triangular, toeplitz
 
 # rows per block of the triangular solves in div and powf
 _BLOCK = 64
-# longest dot product in a history term; OpenBLAS (x86_64) splits a dot
-# product longer than 10000 terms over its threads
+# longest dot product in a product or history term; OpenBLAS (x86_64)
+# splits a dot product longer than 10000 terms over its threads
 _DOT_CHUNK = 8192
 
 
@@ -39,14 +39,20 @@ def binom_series(alpha: float, order: int) -> np.ndarray:
 
 
 def mul(a: np.ndarray, b: np.ndarray, order: int | None = None) -> np.ndarray:
-    """Product of two series truncated to ``order`` (default: shorter input)."""
+    """Product of two series truncated to ``order`` (default: shorter input).
+
+    Summed over column chunks of ``_DOT_CHUNK`` coefficients of b in a fixed
+    order, like ``_history``, so no dot product is long enough for OpenBLAS
+    to thread it and the result does not depend on the BLAS thread count.
+    """
     if order is None:
         order = min(len(a), len(b)) - 1
     n = order + 1
-    full = np.convolve(a, b)
     out = np.zeros(n)
-    m = min(n, len(full))
-    out[:m] = full[:m]
+    for c0 in range(0, min(n, len(b)), _DOT_CHUNK):
+        part = np.convolve(a[: n - c0], b[c0 : c0 + _DOT_CHUNK])
+        m = min(n - c0, len(part))
+        out[c0 : c0 + m] += part[:m]
     return out
 
 

@@ -35,7 +35,7 @@ from scipy.special import gamma as gamma_fn
 
 from . import _series
 from .errors import DomainError, SolverError
-from .kolmogorov_engine import DEFAULT_CFG, SolveConfig, G_of, exact_R, solve_F
+from .kolmogorov_engine import G_of, exact_R
 from .laplace import gaver_stehfest, talbot
 from .sv_kernel import ScaleFunction, nu_t_power, solve_normalizer
 
@@ -314,35 +314,23 @@ def d_limit(nu: float, x_grid) -> tuple[np.ndarray, dict]:
 
 
 # ---------------------------------------------------------------------------
-# finite-variance and regular-variation baselines
+# first-order baseline
 # ---------------------------------------------------------------------------
 
 
-def baseline_checks(
-    sf: ScaleFunction,
-    t_grid,
-    s: float,
-    cfg: SolveConfig = DEFAULT_CFG,
-) -> list[tuple[float, float, float, float]]:
-    """Classical first-order checks as (t, exact, predicted, normalized error)
+def baseline_checks(sf: ScaleFunction, t_grid) -> list[tuple[float, float, float, float]]:
+    """Classical first-order check as (t, exact, predicted, normalized error)
     tuples sorted by t.
 
-    binary_split: 1/R(t;s) - 1/(1-s) - a0*t vanishes identically (quadratic
-    mechanism); recorded with the ODE solution so the residual measures the
-    solver. Slowly varying families: the ratio q(t) / (f(1-q(t)) * nu * t)
-    tends to 1 and is recorded from the exact oracle. A non-finite entry
-    raises DomainError.
+    The ratio q(t) / (f(1-q(t)) * nu * t) tends to 1 for every family (for
+    binary_split it is 1 + 1/(a0*t)) and is recorded from the exact oracle.
+    A non-finite entry raises DomainError.
     """
     records = []
     for t in np.sort(np.atleast_1d(np.asarray(t_grid, dtype=float))):
-        if sf.finite_variance:
-            r_ode = solve_F(sf, s, t, cfg)
-            exact = 1.0 / (1.0 - s) + sf.a0 * t
-            rec = (t, 1.0 / r_ode, exact, 1.0 / r_ode - exact)
-        else:
-            q = exact_R(sf, 0.0, t)
-            ratio = q / (sf.f(1.0 - q) * sf.nu * t)
-            rec = (t, ratio, 1.0, ratio - 1.0)
+        q = exact_R(sf, 0.0, t)
+        ratio = q / (sf.f(1.0 - q) * sf.nu * t)
+        rec = (t, ratio, 1.0, ratio - 1.0)
         if not all(math.isfinite(v) for v in rec):
             raise DomainError(f"non-finite baseline entry at t={t}")
         records.append(tuple(float(v) for v in rec))

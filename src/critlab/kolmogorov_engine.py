@@ -145,16 +145,14 @@ def identity_residual(
     sol = _solve_log_path(sf, s, t, cfg)
     r_end = math.exp(float(sol.y[0, -1]))
     lhs = 1.0 / sf.decay_rate(r_end) - 1.0 / sf.decay_rate(1.0 - s)
-    integral = 0.0
-    if sf.has_drift:
-        integral, _ = quad(
-            lambda u: sf.index_drift(math.exp(float(sol.sol(u)[0]))),
-            0.0,
-            t,
-            epsabs=1e-12,
-            epsrel=1e-11,
-            limit=400,
-        )
+    integral, _ = quad(
+        lambda u: sf.index_drift(math.exp(float(sol.sol(u)[0]))),
+        0.0,
+        t,
+        epsabs=1e-12,
+        epsrel=1e-11,
+        limit=400,
+    )
     return float(lhs - (sf.nu * t + integral))
 
 
@@ -162,12 +160,9 @@ def index_drift_integral(sf: ScaleFunction, s: float, t: float) -> float:
     """Accumulated index drift int_0^t index_drift(R(u;s)) du; any horizon.
 
     Evaluated by the family's exact ``drift_integral``, i.e. through the
-    identity as 1/decay_rate(R) - 1/decay_rate(1-s) - nu*t. Families without
-    drift return 0 exactly.
+    identity as 1/decay_rate(R) - 1/decay_rate(1-s) - nu*t.
     """
     _check_ts(s, t)
-    if t == 0.0 or not sf.has_drift:
-        return 0.0
     return sf.drift_integral(1.0 - s, t)
 
 

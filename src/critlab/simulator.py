@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,7 +108,7 @@ class SimModel:
     sf: ScaleFunction
     coeffs: OffspringCoeffs
     offspring: OffspringDistribution
-    size_biased: OffspringDistribution = field(default=None)
+    size_biased: OffspringDistribution
 
     @property
     def rate(self) -> float:
@@ -124,10 +124,6 @@ def build_sim_model(sf: ScaleFunction, order: int = DEFAULT_SAMPLING_ORDER) -> S
         offspring=build_offspring_distribution(coeffs, sf),
         size_biased=build_size_biased_distribution(coeffs),
     )
-
-
-def _sim_model(sf_or_model: ScaleFunction | SimModel) -> SimModel:
-    return sf_or_model if isinstance(sf_or_model, SimModel) else build_sim_model(sf_or_model)
 
 
 def qprocess_kernel_row(model: SimModel, i: int, kmax: int) -> np.ndarray:
@@ -295,7 +291,7 @@ def _simulate_population_batch(
 
 
 def population_at(
-    sf_or_model: ScaleFunction | SimModel,
+    model: SimModel,
     horizons,
     n: int,
     seed: int,
@@ -316,7 +312,6 @@ def population_at(
     if n < 1:
         raise DomainError(f"population_at needs n >= 1, got {n}")
     _check_start(i0, pop_cap)
-    model = _sim_model(sf_or_model)
     horizons = np.sort(np.atleast_1d(np.asarray(horizons, dtype=float)))
     if horizons.size == 0 or not np.all(horizons >= 0.0):
         raise DomainError("horizons must be nonnegative and nonempty")
@@ -388,7 +383,7 @@ def _simulate_path(model, conditioned, i0, horizon, rng, pop_cap, max_events) ->
     _check_start(i0, pop_cap)
     path = [(0.0, i0)]
     s = _simulate_population_batch(
-        _sim_model(model), conditioned, i0, np.array([horizon]), 1, rng, pop_cap, max_events, path
+        model, conditioned, i0, np.array([horizon]), 1, rng, pop_cap, max_events, path
     )
     times, sizes = zip(*path)
     ext = float(s.extinction_time[0])
@@ -399,7 +394,7 @@ def _simulate_path(model, conditioned, i0, horizon, rng, pop_cap, max_events) ->
 
 
 def simulate_mbp(
-    model: SimModel | ScaleFunction,
+    model: SimModel,
     i0: int,
     horizon: float,
     rng: np.random.Generator,
@@ -411,7 +406,7 @@ def simulate_mbp(
 
 
 def simulate_qprocess(
-    model: SimModel | ScaleFunction,
+    model: SimModel,
     i0: int,
     horizon: float,
     rng: np.random.Generator,
@@ -423,7 +418,7 @@ def simulate_qprocess(
 
 
 def estimate_survival(
-    sf_or_model,
+    model: SimModel,
     t,
     n: int,
     seed: int,
@@ -434,7 +429,7 @@ def estimate_survival(
 ) -> list[MCEstimate]:
     """Survival proportion P{pop(t) > 0 | pop(0) = i0} at each horizon."""
     sample = population_at(
-        sf_or_model, t, n, seed, conditioned=False, i0=i0, pop_cap=pop_cap, threads=threads
+        model, t, n, seed, conditioned=False, i0=i0, pop_cap=pop_cap, threads=threads
     )
     out = []
     for col in range(sample.sizes.shape[1]):
@@ -488,7 +483,7 @@ def ks_distance(ecdf: EmpiricalCDF, cdf, xmax: float | None = None) -> float:
 
 
 def empirical_D(
-    sf_or_model,
+    model: SimModel,
     t: float,
     n: int,
     seed: int,
@@ -501,7 +496,6 @@ def empirical_D(
 
     q(t) comes from the exact engine oracle; W(t) from event simulation.
     """
-    model = _sim_model(sf_or_model)
     q = exact_R(model.sf, 0.0, t)
     sample = population_at(
         model,

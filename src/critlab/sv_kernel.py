@@ -35,13 +35,16 @@ Three built-in families provide independent exact oracles:
 Each family is one ``ScaleFunction`` subclass, and everything that differs
 between families lives on it: the closed forms above, the Taylor
 coefficients of f and f composed with a series, the exact R(t;s) oracle,
-the ``has_drift`` flag and the drift-integral oracle, the series of 1/sv,
-the second-order term of the survival expansion and, where known, the
-exact tail of the jump law. Adding a family means adding one subclass.
+the drift-integral oracle, the series of 1/sv, the normalizer, the
+second-order term of the survival expansion and, where known, the exact
+tail of the jump law. Adding a family means adding one subclass.
 
 The normalizer N(t) used by the survival asymptotics is defined implicitly by
 N**nu * sv((nu*t)**(1/nu) / N) = 1, equivalently N = (nu*t)**(1/nu) * y* with
-decay_rate(y*) = 1/(nu*t), which is how ``solve_normalizer`` computes it.
+decay_rate(y*) = 1/(nu*t). Every family solves this in closed form
+(``ScaleFunction.normalizer``): a0**(-1/nu) for ``constant``, 1/a0 for
+``binary_split`` and ((nu + a0)/(a0*(nu + 1/(nu*t))))**(1/nu) for
+``coupled_drift``, which never forms y* and so holds at any horizon.
 """
 
 from __future__ import annotations
@@ -111,13 +114,14 @@ class ModelParams:
 class ScaleFunction:
     """Evaluable bundle (sv, decay_rate, index_drift, sv_elasticity) for one family.
 
-    Subclasses supply closed forms; the exact-oracle hooks (``decay_inverse``,
-    ``exact_R``, ``drift_integral``, ``invariant_measure_closed``,
-    ``normalizer_closed``) are what the solvers cross-validate against.
+    Every hook that raises NotImplementedError here is required, and each
+    family supplies it in closed form: ``sv``, ``decay_rate``,
+    ``index_drift``, ``mechanism_series``, ``f_series``, the exact oracles
+    ``exact_R`` and ``drift_integral`` that the solvers cross-validate
+    against, ``sv_reciprocal_series``, ``normalizer`` and
+    ``normalizer_defined``. ``sv_elasticity``, ``f`` and ``second_order``
+    derive from them; ``exact_tail`` is the one hook a family may leave out.
     """
-
-    has_drift = True  # False when index_drift vanishes identically
-    finite_variance = False  # True for the quadratic (nu = 1) baseline
 
     def __init__(self, params: ModelParams):
         self.params = params
@@ -150,10 +154,6 @@ class ScaleFunction:
     def sv_elasticity(self, x):
         """x * sv'(x) / sv(x) = -index_drift(1/x) on x >= 1."""
         return -self.index_drift(1.0 / np.asarray(x, dtype=float))
-
-    def decay_inverse(self, z):
-        """Inverse of decay_rate on (0, a0]."""
-        raise NotImplementedError
 
     def f(self, s):
         """Infinitesimal generating function on [0, 1)."""
@@ -198,22 +198,23 @@ class ScaleFunction:
         only its power-law envelope is known."""
         return None
 
-    # optional exact hooks -------------------------------------------------
-    def invariant_measure_closed(self, s: float) -> float | None:
-        return None
+    # normalizer -----------------------------------------------------------
+    def normalizer(self, t: float) -> float:
+        """Closed-form N(t) at t > 0 with ``normalizer_defined(t)`` (unchecked).
 
-    def normalizer_closed(self, t: float) -> float | None:
-        return None
+        Computed in Python floats, so a value past the float range raises
+        OverflowError; ``solve_normalizer`` names it.
+        """
+        raise NotImplementedError
 
     def normalizer_defined(self, t: float) -> bool:
-        """Whether N(t) exists: by closed form, or t >= 1/(nu*a0) (t > 0)."""
-        return self.normalizer_closed(t) is not None or 1.0 / (self.nu * t) <= self.a0
+        """Whether the defining equation of N(t) has a root at t > 0."""
+        raise NotImplementedError
 
 
 class _ConstantSV(ScaleFunction):
-    """sv(x) = a0: no index drift, and 1/sv is the constant 1/a0."""
-
-    has_drift = False
+    """sv(x) = a0: no index drift, 1/sv is the constant 1/a0, and
+    N**nu * a0 = 1 fixes N(t) for every t > 0."""
 
     def sv(self, x):
         x = np.asarray(x, dtype=float)
@@ -230,6 +231,9 @@ class _ConstantSV(ScaleFunction):
         out = np.zeros(order + 1)
         out[0] = 1.0 / self.a0
         return out
+
+    def normalizer_defined(self, t):
+        return True
 
 
 class ConstantScale(_ConstantSV):
@@ -259,19 +263,8 @@ class ConstantScale(_ConstantSV):
         log_abs_gamma = math.log(abs(math.gamma(-1.0 - nu)))
         return a0_over_rate * np.exp(gammaln(k - 1.0 - nu) - gammaln(k + 1.0) - log_abs_gamma)
 
-    def decay_inverse(self, z):
-        return (np.asarray(z, dtype=float) / self.a0) ** (1.0 / self.nu)
-
-    def invariant_measure_closed(self, s):
-        return ((1.0 - s) ** (-self.nu) - 1.0) / (self.nu * self.a0)
-
-    def normalizer_closed(self, t):
-        try:
-            return self.a0 ** (-1.0 / self.nu)
-        except OverflowError:
-            raise SolverError(
-                f"normalizer a0**(-1/nu) overflows at a0={self.a0:g}, nu={self.nu:g}"
-            ) from None
+    def normalizer(self, t):
+        return math.pow(self.a0, -1.0 / self.nu)
 
 
 class CoupledDriftScale(ScaleFunction):
@@ -298,14 +291,11 @@ class CoupledDriftScale(ScaleFunction):
         return self.decay_rate(y)
 
     def decay_inverse(self, z):
+        """Inverse of decay_rate on (0, a0]."""
         z = np.asarray(z, dtype=float)
         ypow = z * (self.nu + self.a0) / (self.a0 * (self.nu + z))
         val = ypow ** (1.0 / self.nu)
         return float(val) if val.ndim == 0 else val
-
-    def invariant_measure_closed(self, s):
-        nu, a0 = self.nu, self.a0
-        return (nu + a0) * ((1.0 - s) ** (-nu) - 1.0) / (nu * nu * a0) + math.log1p(-s) / nu
 
     def mechanism_series(self, J):
         # series division of nu*a0*(1-s)**(1+nu) by nu + a0*(1 - (1-s)**nu)
@@ -371,17 +361,22 @@ class CoupledDriftScale(ScaleFunction):
         # closed form log(a0*nu*t + 1)/nu**3 of the accumulated drift over nu**2
         return math.log(self.a0 * self.nu * t + 1.0), self.nu**3 * t
 
+    def normalizer(self, t):
+        # decay_rate(y*) = 1/(nu*t) gives N**nu = nu*t*(y*)**nu in closed form,
+        # so y*, which underflows at large t, is never formed
+        nu, a0 = self.nu, self.a0
+        return math.pow((nu + a0) / (a0 * (nu + 1.0 / (nu * float(t)))), 1.0 / nu)
+
+    def normalizer_defined(self, t):
+        # sv is evaluated at (nu*t)**(1/nu)/N = 1/y*, which must be >= 1
+        return 1.0 / (self.nu * t) <= self.a0
+
 
 class BinarySplitScale(_ConstantSV):
     """Quadratic mechanism f(s) = a0*(1-s)**2 with finite variance (nu = 1)."""
 
-    finite_variance = True
-
     def decay_rate(self, y):
         return self.a0 * np.asarray(y, dtype=float)
-
-    def decay_inverse(self, z):
-        return np.asarray(z, dtype=float) / self.a0
 
     def mechanism_series(self, J):
         a = np.zeros(J + 1)
@@ -395,10 +390,7 @@ class BinarySplitScale(_ConstantSV):
         # dR/dt = -a0 R**2 gives 1/R = 1/y0 + a0*t
         return 1.0 / (1.0 / y0 + self.a0 * t)
 
-    def invariant_measure_closed(self, s):
-        return s / (self.a0 * (1.0 - s))
-
-    def normalizer_closed(self, t):
+    def normalizer(self, t):
         return 1.0 / self.a0
 
 
@@ -443,31 +435,23 @@ def nu_t_power(nu: float, t: float, power: float, quantity: str) -> float:
 
 
 def solve_normalizer(sf: ScaleFunction, t: float) -> float:
-    """Solve N**nu * sv((nu*t)**(1/nu)/N) = 1 to relative tolerance 1e-12.
+    """N(t), the root of N**nu * sv((nu*t)**(1/nu)/N) = 1, by the family's closed form.
 
-    Equivalent to N = (nu*t)**(1/nu) * y* with decay_rate(y*) = 1/(nu*t),
-    where y* is the family's analytic ``decay_inverse``; the constant family
-    short-circuits to the exact a0**(-1/nu). Requires 1/(nu*t) <= a0, i.e.
-    t >= 1/(nu*a0), otherwise the defining equation has no root with sv
-    evaluated on x >= 1. Raises SolverError when y* misses the defining
-    equation by more than 1e-12.
+    Requires t > 0 and a root (``sf.normalizer_defined(t)``; for
+    ``coupled_drift`` that is t >= 1/(nu*a0), so that sv is evaluated on
+    x >= 1), otherwise raises DomainError or SolverError. A normalizer past
+    the float range raises a SolverError naming it and t.
     """
     if not t > 0.0:
         raise DomainError(f"solve_normalizer requires t > 0, got {t}")
-    closed = sf.normalizer_closed(t)
-    if closed is not None:
-        return float(closed)
-    nu = sf.nu
     if not sf.normalizer_defined(t):
         raise SolverError(
-            f"normalizer undefined for t={t}: needs t >= 1/(nu*a0) = {1.0/(nu*sf.a0):g}"
+            f"normalizer undefined for t={t}: needs t >= 1/(nu*a0) = {1.0/(sf.nu*sf.a0):g}"
         )
-    ystar = float(sf.decay_inverse(1.0 / (nu * t)))
-    resid = sf.decay_rate(ystar) * nu * t - 1.0
-    if not abs(resid) <= 1e-12:
-        # far out, y* underflows and decay_rate(y*) no longer returns 1/(nu*t)
-        raise SolverError(f"normalizer residual {resid:.3g} above 1e-12 at t={t:g}")
-    return float(nu_t_power(nu, t, 1.0 / nu, "normalizer") * ystar)
+    try:
+        return sf.normalizer(t)
+    except OverflowError:
+        raise SolverError(f"normalizer at t={t:g} overflows") from None
 
 
 def invariant_measure_M(sf: ScaleFunction, s: float) -> float:

@@ -169,13 +169,14 @@ def test_verify_failing_band_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def test_solver_failure_exits_3(tmp_path, capsys):
-    # at t = 1e200 the coupled-family root y* of decay_rate(y) = 1/(nu*t) is
-    # about 1e-400, below the smallest double, so the normalizer solve fails:
-    # a numerical failure, not a config error
-    cfg = "family = coupled_drift\nnu = 0.5\na0 = 1.0\nt_min = 1e200\nt_max = 1e200\nt_points = 1\ns_list = 0\n"
+    # at nu = 0.05, a0 = 1e-20 the coupled-family normalizer tends to
+    # ((nu + a0)/(a0*nu))**(1/nu) = 1e400, past the largest double, so the
+    # solve fails by name: a numerical failure, not a config error
+    cfg = "family = coupled_drift\nnu = 0.05\na0 = 1e-20\nt_min = 1e25\nt_max = 1e25\nt_points = 1\ns_list = 0\n"
     path = write_cfg(tmp_path, cfg)
     assert main(["solve", "--config", path, "--out", str(tmp_path / "r")]) == 3
-    assert "normalizer" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "normalizer at t=1e+25" in err and "Traceback" not in err
 
 
 def test_solve_blanks_predictions_where_normalizer_undefined(tmp_path):

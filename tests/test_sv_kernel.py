@@ -5,6 +5,7 @@ for the index relation, quadrature for the exponential representation,
 antiderivatives for the measure integrals) before being asserted.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -16,8 +17,10 @@ from scipy.integrate import quad
 from critlab import (
     DomainError,
     Family,
+    G_of,
     ModelParams,
     ParameterError,
+    ScaleFunction,
     SolveConfig,
     SolverError,
     exact_R,
@@ -138,6 +141,25 @@ def test_normalizer_coupled_satisfies_defining_equation():
         N = solve_normalizer(COUPLED, t)
         resid = N**0.5 * float(COUPLED.sv((0.5 * t) ** 2 / N)) - 1.0
         assert abs(resid) <= 1e-12
+    # out to t = 1e300, against the root of the defining equation itself,
+    # N**nu * sv((nu*t)**(1/nu)/N) = 1, found by mpmath at 50 digits in
+    # log N; N(t) rises from 1 at t = 1/(nu*a0) = 2 toward 9
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        nu, a0 = mpmath.mpf(1) / 2, mpmath.mpf(1)
+
+        def sv(x):
+            return nu * a0 / (nu + a0 * (1 - x**-nu))
+
+        for t in (2.0, 3.0, 10.0, 1e3, 1e8, 1e20, 1e50, 1e100, 1e155, 1e160, 1e200, 1e300):
+            scale = (nu * mpmath.mpf(t)) ** (1 / nu)
+            # sv's argument scale/N must stay >= 1, so N <= scale bounds the bracket
+            log_ref = mpmath.findroot(
+                lambda u: mpmath.exp(nu * u) * sv(scale * mpmath.exp(-u)) - 1,
+                (mpmath.mpf(-1), min(mpmath.mpf(3), mpmath.log(scale))),
+                solver="anderson",
+            )
+            assert abs(solve_normalizer(COUPLED, t) / mpmath.exp(log_ref) - 1) <= 1e-15
 
 
 def test_normalizer_errors():
@@ -166,9 +188,6 @@ def test_invariant_measure_coupled_closed_form():
     for s in (0.1, 0.5, 0.9, 0.99):
         expect = 1.5 * ((1.0 - s) ** -0.5 - 1.0) / 0.25 + math.log1p(-s) / 0.5
         assert invariant_measure_M(COUPLED, s) == pytest.approx(expect, rel=1e-10)
-        assert invariant_measure_M(COUPLED, s) == pytest.approx(
-            COUPLED.invariant_measure_closed(s), rel=1e-10
-        )
 
 
 def test_invariant_measure_increasing():
@@ -281,9 +300,10 @@ def test_sv_reciprocal_series_matches_pointwise(sf, s):
 @given(sf=SCALE_FUNCTIONS, s=st.floats(0.0, 0.99), t=st.floats(0.0, 100.0))
 @example(sf=make_scale_function(ModelParams(0.35, 1.0, Family.COUPLED_DRIFT)), s=0.0, t=5e-324)
 @settings(max_examples=40, deadline=None)
-def test_has_drift_flag_matches_drift_integral(sf, s, t):
+def test_drift_integral_is_zero_exactly_without_drift(sf, s, t):
     oracle = index_drift_integral(sf, s, t)
-    if not sf.has_drift:
+    if sf.family is not Family.COUPLED_DRIFT:
+        # constant sv: the drift and its integral vanish identically
         assert oracle == 0.0
         assert np.all(sf.index_drift(Y_GRID) == 0.0)
     elif t > 0.0:
@@ -294,3 +314,46 @@ def test_has_drift_flag_matches_drift_integral(sf, s, t):
             assert oracle == pytest.approx(t / w0, rel=1e-12, abs=5e-324)
         else:
             assert oracle > 0.0
+
+
+@given(
+    sf=SCALE_FUNCTIONS,
+    s=st.floats(0.0, 0.99),
+    t=st.floats(0.0, 1e3),
+    tau=st.floats(0.0, 1e3),
+)
+@settings(max_examples=60, deadline=None)
+def test_semigroup_property(sf, s, t, tau):
+    # F(t + tau; s) = F(tau; F(t; s)), i.e. R(t + tau; s) = R(tau; 1 - R(t; s)),
+    # with 1 - F(t; s) = R(t; s) carried exactly through one_minus_s
+    r = exact_R(sf, s, t)
+    composed = exact_R(sf, 1.0 - r, tau, one_minus_s=r)
+    assert composed == pytest.approx(exact_R(sf, s, t + tau), rel=1e-12)
+
+
+@given(
+    sf=SCALE_FUNCTIONS,
+    s=st.floats(2.0**-53, 1.0 - 1e-9),
+    t=st.floats(0.0, 1e300),
+)
+@settings(max_examples=60, deadline=None)
+def test_G_of_is_a_nondecreasing_probability(sf, s, t):
+    # G_of takes s with 0 < 1 - s < 1 in double precision, i.e. s >= 2**-53;
+    # there G(t; s) lies in [0, 1], not (0, 1), because for small s at large
+    # t the product s * R * decay_rate(R) underflows to 0
+    g = G_of(sf, s, t)
+    assert 0.0 <= g <= 1.0
+    assert g <= G_of(sf, s + 0.5 * (1.0 - s), t)
+
+
+@pytest.mark.parametrize("fam", list(Family), ids=lambda f: f.value)
+def test_every_family_supplies_every_required_hook(fam):
+    hooks = [
+        name
+        for name, fn in vars(ScaleFunction).items()
+        if inspect.isfunction(fn) and "raise NotImplementedError" in inspect.getsource(fn)
+    ]
+    assert {"normalizer", "normalizer_defined", "exact_R", "drift_integral"} <= set(hooks)
+    cls = type(make_scale_function(ModelParams(0.5, 1.0, fam)))
+    for name in hooks:
+        assert getattr(cls, name) is not getattr(ScaleFunction, name), name
