@@ -9,19 +9,26 @@ triangular in the coefficient index.
 The product is a direct convolution. The quotient and the fractional power
 solve lower-triangular linear systems in the coefficients by blocked forward
 substitution: each block of rows subtracts the columns already solved with a
-compiled convolution, then solves its small diagonal block.
+compiled convolution, then solves its small diagonal block with LAPACK
+``trtrs``, resolved once at import. The unscaled part of the diagonal block
+is built once per solve, so the per-block Python work stays small next to
+the convolutions.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular, toeplitz
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 # rows per block of the triangular solves in div and powf
 _BLOCK = 64
 # longest dot product in a product or history term; OpenBLAS (x86_64)
 # splits a dot product longer than 10000 terms over its threads
 _DOT_CHUNK = 8192
+# lag i - j of entry (i, j) of a diagonal block
+_LAG = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
+# LAPACK's triangular solve for float64, resolved once
+(_trtrs,) = get_lapack_funcs(("trtrs",), (np.empty((1, 1)),))
 
 
 def binom_series(alpha: float, order: int) -> np.ndarray:
@@ -75,7 +82,7 @@ def div(a: np.ndarray, b: np.ndarray, order: int | None = None) -> np.ndarray:
     bb = _padded(b, n)
     c = np.empty(n)
     c[0] = aa[0] / bb[0]
-    return _lower_triangular_solve(c, aa, [(np.ones(n), bb)])
+    return _lower_triangular_solve(c, aa, [(None, bb)])
 
 
 def powf(y: np.ndarray, alpha: float, order: int | None = None) -> np.ndarray:
@@ -99,7 +106,7 @@ def powf(y: np.ndarray, alpha: float, order: int | None = None) -> np.ndarray:
     k = np.arange(n, dtype=float)
     w = np.empty(n)
     w[0] = y[0] ** alpha
-    terms = [(k, yy), (np.ones(n), -(alpha + 1.0) * k * yy)]
+    terms = [(k, yy), (None, -(alpha + 1.0) * k * yy)]
     return _lower_triangular_solve(w, np.zeros(n), terms)
 
 
@@ -114,24 +121,46 @@ def _padded(c: np.ndarray, n: int) -> np.ndarray:
 def _lower_triangular_solve(x, r, terms):
     """Fill x[1:] from x[0] so that sum_{m<=i} A[i, m] * x[m] = r[i] for i >= 1.
 
-    A[i, m] = sum over (d, p) in ``terms`` of d[i] * p[i-m], a sum of
-    row-scaled lower-triangular Toeplitz matrices, and is never formed. Rows
-    are solved ``_BLOCK`` at a time: the block's history term (the columns
-    already solved) is a 'valid' convolution per term, and its diagonal block
-    is the same Toeplitz blocks with rows scaled by d. Memory is
-    O(n + _BLOCK**2).
+    A[i, m] = sum over (d, p) in ``terms`` of d[i] * p[i-m] (or p[i-m] when
+    d is None), a sum of row-scaled lower-triangular Toeplitz matrices, and
+    is never formed. Rows are solved ``_BLOCK`` at a time: the block's history
+    term (the columns already solved) is a 'valid' convolution per term, and
+    its diagonal block is the same Toeplitz blocks with rows scaled by d. The
+    unscaled blocks are summed once per call, so a full block of the quotient
+    builds nothing, and each diagonal block goes straight to LAPACK ``trtrs``.
+    Memory is O(n + _BLOCK**2).
     """
     n = len(x)
     B = min(_BLOCK, n)
-    blocks = [(d, p, toeplitz(p[:B], np.zeros(B))) for d, p in terms]
+    shared = np.zeros((B, B))
+    scaled = []
+    for d, p in terms:
+        # T[i, j] = p[i-j]; a negative lag i - j reads the zero tail of v
+        v = np.zeros(2 * B - 1)
+        v[:B] = p[:B]
+        T = v[_LAG[:B, :B]]
+        if d is None:
+            shared += T
+        else:
+            scaled.append((d, T))
     for s in range(1, n, B):
         e = min(s + B, n)
+        m = e - s
         rhs = r[s:e].copy()
-        A = np.zeros((e - s, e - s))
-        for d, p, T in blocks:
-            rhs -= d[s:e] * _history(p, x, s, e)
-            A += d[s:e, None] * T[: e - s, : e - s]
-        x[s:e] = solve_triangular(A, rhs, lower=True, check_finite=False)
+        for d, p in terms:
+            h = _history(p, x, s, e)
+            rhs -= h if d is None else d[s:e] * h
+        A = shared[:m, :m]
+        for d, T in scaled:
+            A = d[s:e, None] * T[:m, :m] + A
+        # the arguments solve_triangular(A, rhs, lower=True) passes for a
+        # C-ordered A: the transposed upper-triangular system
+        sol, info = _trtrs(A.T, rhs, lower=0, trans=1, overwrite_b=1)
+        if info > 0:
+            raise LinAlgError(f"singular matrix: resolution failed at diagonal {s + info - 1}")
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+        x[s:e] = sol
     return x
 
 

@@ -329,7 +329,9 @@ def baseline_checks(sf: ScaleFunction, t_grid) -> list[tuple[float, float, float
     records = []
     for t in np.sort(np.atleast_1d(np.asarray(t_grid, dtype=float))):
         q = exact_R(sf, 0.0, t)
-        ratio = q / (sf.f(1.0 - q) * sf.nu * t)
+        # f(1 - q) as q * decay_rate(q): forming 1 - q would round q away
+        with np.errstate(all="ignore"):
+            ratio = q / (q * sf.decay_rate(q) * sf.nu * t)
         rec = (t, ratio, 1.0, ratio - 1.0)
         if not all(math.isfinite(v) for v in rec):
             raise DomainError(f"non-finite baseline entry at t={t}")

@@ -359,14 +359,38 @@ def test_baseline_first_order_ratio():
     for sf, tol in ((CONST, 0.01), (COUPLED, 0.02)):
         assert baseline_checks(sf, [1e6])[0][1] == pytest.approx(1.0, abs=tol)
     # binary_split: q = 1/(1 + a0*t) and f(1-q) = a0*q**2, so the ratio is
-    # 1 + 1/(a0*t), up to the rounding of q through f's argument 1 - q; the
-    # records come back sorted by t
+    # 1 + 1/(a0*t); the records come back sorted by t
     bs = make_scale_function(ModelParams(1.0, 2.0, Family.BINARY_SPLIT))
     records = baseline_checks(bs, [1e4, 10.0, 1e6, 100.0])
     assert [r[0] for r in records] == [10.0, 100.0, 1e4, 1e6]
     for t, ratio, pred, err in records:
         assert (pred, err) == (1.0, ratio - 1.0)
         assert ratio == pytest.approx(1.0 + 1.0 / (2.0 * t), rel=1e-9)
+
+
+def test_baseline_ratio_matches_mpmath():
+    # q(t) at 40 digits from the integrated backward equations in z = q**-nu:
+    # z = 1 + nu*a0*t for constant, and (nu+a0)(z - 1) - a0 log z = nu**2 a0 t
+    # for coupled_drift. A ratio that forms f(1 - q) in double precision
+    # rounds q away: at t = 1e6 it reads 0.9999875 for constant, against
+    # 1.0000020 here, and from t = 1e9 the argument 1 - q rounds to 1.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        nu, a0 = mpmath.mpf(1) / 2, mpmath.mpf(1)
+        for t in (1e6, 1e10):
+            tt = mpmath.mpf(t)
+            z_coupled = mpmath.findroot(
+                lambda z: (nu + a0) * (z - 1) - a0 * mpmath.log(z) - nu**2 * a0 * tt,
+                1 + nu**2 * a0 * tt / (nu + a0),
+            )
+            cases = (
+                (CONST, 1 + nu * a0 * tt, lambda y: a0 * y**nu),
+                (COUPLED, z_coupled, lambda y: nu * a0 * y**nu / (nu + a0 * (1 - y**nu))),
+            )
+            for sf, z, decay in cases:
+                q = z ** (-1 / nu)
+                expect = float(q / (q * decay(q) * nu * tt))
+                assert baseline_checks(sf, [t])[0][1] == pytest.approx(expect, rel=1e-12)
 
 
 def test_fit_rate_synthetic_slope():

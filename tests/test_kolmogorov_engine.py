@@ -5,6 +5,7 @@ as oracles for the adaptive solver; the implicit-equation route and the ODE
 route cross-validate each other everywhere both are defined.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -234,6 +235,31 @@ def test_series_pointwise_matches_solver():
         val = float(np.polynomial.polynomial.polyval(s, st.coeffs))
         expect = 1.0 - solve_F(COUPLED, s, 0.7, TIGHT)
         assert val == pytest.approx(expect, abs=1e-9)
+
+
+# sha256 of the C8 computation's float64 bytes: (evolved coefficients,
+# transition_matrix) at J = 1024, t = 1, recorded with numpy 2.4.6, scipy
+# 1.17.1 and OpenBLAS 0.3.31 on x86_64; C8 and C10 read these states, so a
+# change to the series kernels that moves any bit moves a digest
+SERIES_DIGESTS = {
+    Family.CONSTANT: (
+        "3120743c8781a8d1250e6bab73b7d692d8c76844a17314b0467217890617529b",
+        "dc6ae5870bae81c28f3e9b7ec667a1005960b875a5e4a95b84423870eaa4e57c",
+    ),
+    Family.COUPLED_DRIFT: (
+        "785dd59fadff858a107f38835eb3ccdfedc465a1c646fba5c684d125151e9ebd",
+        "a669bab6264b32e38f7147ae7a25b04dbd2ce27fe7a1b066e0f22b6d3d731fb1",
+    ),
+}
+
+
+@pytest.mark.parametrize("sf", [CONST, COUPLED], ids=lambda sf: sf.family.value)
+def test_series_engine_matches_frozen_digests(sf):
+    st = evolve_series(sf, 1024, 1.0, SolveConfig(rel_tol=1e-11, abs_tol=1e-13))
+    got = tuple(
+        hashlib.sha256(a.tobytes()).hexdigest() for a in (st.coeffs, transition_matrix(st))
+    )
+    assert got == SERIES_DIGESTS[sf.family]
 
 
 def test_series_guards():

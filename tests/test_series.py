@@ -1,6 +1,7 @@
 """Power-series utilities checked against direct polynomial arithmetic,
 closed forms and a 50-digit mpmath recurrence."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgError
 from scipy.special import binom
 
 from critlab import _series
@@ -180,17 +182,23 @@ _DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
 from critlab import _series
+from critlab.kolmogorov_engine import SeriesState, transition_matrix
 n = 2**15
 y = _series.binom_series(0.5, n) + 0.5 ** np.arange(n + 1)
 a = _series.binom_series(-1.3, n)
 for out in (_series.powf(y, 1.5), _series.div(a, y), _series.mul(y, y)):
     print(hashlib.sha256(out.tobytes()).hexdigest())
+# a synthetic state: F(s) = 1 - (1 - s)**0.5 at J = 1024
+F = -_series.binom_series(0.5, 1024)
+F[0] = 0.0
+print(hashlib.sha256(transition_matrix(SeriesState(1.0, F)).tobytes()).hexdigest())
 """
 
 
 def test_kernels_do_not_depend_on_blas_threads():
     # OpenBLAS splits a dot product longer than 10000 terms over its threads,
-    # which changes the summation order; order 2**15 reaches that length
+    # which changes the summation order; order 2**15 reaches that length.
+    # transition_matrix at J = 1024 runs a thousand products per call.
     src = str(Path(_series.__file__).resolve().parents[1])
     procs = []
     for threads in ("1", "2"):
@@ -207,7 +215,7 @@ def test_kernels_do_not_depend_on_blas_threads():
         for p in procs:
             p.kill()
     assert [p.returncode for p in procs] == [0, 0]
-    assert len(outs[0].split()) == 3
+    assert len(outs[0].split()) == 4
     assert outs[0] == outs[1]
 
 
@@ -223,3 +231,40 @@ def test_div_memory_is_linear_in_order():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+# sha256 of the kernels' float64 output bytes, recorded with numpy 2.4.6,
+# scipy 1.17.1 and OpenBLAS 0.3.31 on x86_64; a change to the solves that
+# moves any bit moves a digest
+KERNEL_DIGESTS = {
+    ("powf", 1024): "2b4624c1a47a068b86cb3e1f7addae114602f6b822224a62d1171b55434c20a5",
+    ("div", 1024): "3d4ee2a906d41db09694041ab1bc6ed21b993bb952a96cdf054071620978d352",
+    ("powf", 4096): "fbe800eb91e7fa8d2db8b7c308e4a5cd267a73440abb71c78218ad220a9cc732",
+    ("div", 4096): "0b4dbddfc3397a22ea36f7d0139646fe0727385960ff846a31a619d5305ff7f8",
+}
+
+
+@pytest.mark.parametrize("kernel, n", sorted(KERNEL_DIGESTS))
+def test_kernels_match_frozen_digests(kernel, n):
+    y = _series.binom_series(0.5, n) + 0.5 ** np.arange(n + 1)
+    if kernel == "powf":
+        out = _series.powf(y, 1.5)
+    else:
+        out = _series.div(_series.binom_series(-1.3, n), y)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == KERNEL_DIGESTS[kernel, n]
+
+
+def test_singular_diagonal_block_raises():
+    # the public kernels check their unit, so a zero pivot only reaches the
+    # solve directly: row 100 (in the second block) has a zero row scale
+    n = 3 * _series._BLOCK
+    d = np.ones(n)
+    d[100] = 0.0
+    x = np.zeros(n)
+    x[0] = 1.0
+    with pytest.raises(LinAlgError, match="diagonal 100"):
+        _series._lower_triangular_solve(x, np.ones(n), [(d, 0.5 ** np.arange(n))])
+    # an unscaled term with a zero leading coefficient is singular in the
+    # first block
+    with pytest.raises(LinAlgError, match="diagonal 1$"):
+        _series._lower_triangular_solve(x, np.ones(n), [(None, np.arange(n, dtype=float))])
