@@ -366,6 +366,10 @@ def test_baseline_first_order_ratio():
     for t, ratio, pred, err in records:
         assert (pred, err) == (1.0, ratio - 1.0)
         assert ratio == pytest.approx(1.0 + 1.0 / (2.0 * t), rel=1e-9)
+    # q(1e300) underflows to 0, and the 0/0 ratio is refused by name
+    for sf in (CONST, COUPLED):
+        with pytest.raises(DomainError, match="non-finite baseline entry"):
+            baseline_checks(sf, [1e300])
 
 
 def test_baseline_ratio_matches_mpmath():
