@@ -24,7 +24,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+
+# scipy.interpolate is imported where it is used (C11's limit law): it costs
+# start-up time that every other command would pay.
 
 from .asymptotics import (
     baseline_checks,
@@ -315,6 +317,8 @@ def _limit_cdf(nu: float):
     dv, meta = d_limit(nu, xs)
     if meta["flagged_indices"]:
         raise SolverError(f"limit-law inversion disagrees at x={xs[meta['flagged_indices']]}")
+    from scipy.interpolate import PchipInterpolator
+
     interp = PchipInterpolator(np.log(xs), dv)
     lo, hi = math.log(xs[0]), math.log(xs[-1])
     return lambda x: interp(np.clip(np.log(x), lo, hi))

@@ -58,6 +58,13 @@ class OffspringCoeffs:
 
 
 def _validate_coeffs(a: np.ndarray, family: Family) -> None:
+    nonfinite = np.flatnonzero(~np.isfinite(a))
+    if nonfinite.size:
+        j = int(nonfinite[0])
+        raise ParameterError(
+            f"intensity coefficient a[{j}] = {a[j]} is not finite; "
+            f"the {family.value!r} parameters do not define a valid mechanism"
+        )
     if not a[0] > 0.0:
         raise ParameterError(f"a0 must be positive, got {a[0]}")
     if not a[1] < 0.0:
@@ -102,24 +109,33 @@ def expand_coeffs(sf: ScaleFunction, J: int) -> OffspringCoeffs:
 
 
 class AliasTable:
-    """Vose alias table for O(1) draws from a finite weighted law."""
+    """Vose alias table for O(1) draws from a finite weighted law.
+
+    Vose's loop runs on Python floats and lists: they are IEEE doubles like
+    numpy's, so the table has the same bits, built in about half the time
+    that indexing numpy scalars takes.
+    """
 
     def __init__(self, weights: np.ndarray):
         w = np.asarray(weights, dtype=float)
+        if not np.all(np.isfinite(w)):
+            raise ParameterError("alias table needs finite weights")
         if np.any(w < 0.0) or not np.any(w > 0.0):
             raise ParameterError("alias table needs nonnegative weights, not all zero")
         n = len(w)
-        p = w * (n / w.sum())
-        self.prob = np.ones(n)
-        self.alias = np.arange(n)
-        small = [i for i in range(n) if p[i] < 1.0]
-        large = [i for i in range(n) if p[i] >= 1.0]
+        p = (w * (n / w.sum())).tolist()
+        prob = [1.0] * n
+        alias = list(range(n))
+        small = [i for i, pi in enumerate(p) if pi < 1.0]
+        large = [i for i, pi in enumerate(p) if pi >= 1.0]
         while small and large:
             s, g = small.pop(), large.pop()
-            self.prob[s] = p[s]
-            self.alias[s] = g
+            prob[s] = p[s]
+            alias[s] = g
             p[g] = (p[g] + p[s]) - 1.0
             (small if p[g] < 1.0 else large).append(g)
+        self.prob = np.array(prob)
+        self.alias = np.array(alias, dtype=np.int64)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         n = len(self.prob)
@@ -154,7 +170,7 @@ class OffspringDistribution:
         if np.any(self.probs < 0.0):
             raise ParameterError("offspring probabilities must be nonnegative")
         table_mass = float(self.probs.sum())
-        if abs(table_mass + self.tail_mass - 1.0) > 1e-9:
+        if not abs(table_mass + self.tail_mass - 1.0) <= 1e-9:  # also refuses nan
             raise ParameterError(
                 f"table + tail mass = {table_mass + self.tail_mass} != 1"
             )

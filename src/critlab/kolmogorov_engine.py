@@ -37,7 +37,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+
+# scipy.integrate is imported where it is used: it costs about 0.2 s at start-up,
+# and the Monte Carlo commands never integrate.
 
 from . import _series
 from .errors import DomainError, SolverError, TruncationError
@@ -88,6 +90,8 @@ def _solve_log_path(sf: ScaleFunction, s: float, t: float, cfg: SolveConfig):
 
     def rhs(u, x):
         return [-sf.decay_rate(math.exp(x[0]))]
+
+    from scipy.integrate import solve_ivp
 
     try:
         sol = solve_ivp(
@@ -145,6 +149,8 @@ def identity_residual(
     sol = _solve_log_path(sf, s, t, cfg)
     r_end = math.exp(float(sol.y[0, -1]))
     lhs = 1.0 / sf.decay_rate(r_end) - 1.0 / sf.decay_rate(1.0 - s)
+    from scipy.integrate import quad
+
     integral, _ = quad(
         lambda u: sf.index_drift(math.exp(float(sol.sol(u)[0]))),
         0.0,
@@ -215,6 +221,8 @@ def evolve_series(
         y = -np.asarray(c)
         y[0] += 1.0
         return sf.f_series(y, J)
+
+    from scipy.integrate import solve_ivp
 
     sol = solve_ivp(
         rhs,

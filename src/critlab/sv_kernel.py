@@ -56,9 +56,10 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.special import gammaln
+
+# scipy.integrate and scipy.optimize are imported where they are used: they
+# cost about 0.2 s at start-up, and a closed-form family never needs them.
 
 from . import _series
 from .errors import DomainError, ParameterError, SolverError
@@ -340,6 +341,8 @@ class CoupledDriftScale(ScaleFunction):
             raise SolverError(f"w bracket failed at t={t}, w0={w0}")
         if hlo == 0.0 or hhi == 0.0:
             return t * (lo if hlo == 0.0 else hi)
+        from scipy.optimize import brentq
+
         return t * float(brentq(h, lo, hi, xtol=5e-324, rtol=8.9e-16, maxiter=200))
 
     def exact_R(self, y0, t):
@@ -471,6 +474,8 @@ def invariant_measure_M(sf: ScaleFunction, s: float) -> float:
         x = math.exp(v)
         return x**nu / sf.sv(x)
 
+    from scipy.integrate import quad
+
     val, err = quad(integrand, 0.0, vmax, epsabs=1e-15, epsrel=1e-10, limit=200)
     if not math.isfinite(val):
         raise SolverError(f"invariant measure quadrature failed at s={s}")
@@ -502,6 +507,8 @@ def level_at_time(sf: ScaleFunction, y: float) -> float:
         hi *= 4.0
     else:
         raise SolverError(f"level_at_time could not bracket y={y}")
+    from scipy.optimize import brentq
+
     return float(brentq(lambda x: time_to_level(sf, x) - y, 1.0, hi, rtol=8.9e-16, maxiter=200))
 
 

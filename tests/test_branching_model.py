@@ -5,10 +5,13 @@ recurrence (asserted values) and Cauchy-integral extraction on a complex
 circle (cross-check oracle).
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from critlab import (
     DomainError,
@@ -22,7 +25,8 @@ from critlab import (
     make_scale_function,
     mechanism_series,
 )
-from critlab.branching_model import AliasTable
+from critlab.branching_model import AliasTable, _validate_coeffs
+from critlab.simulator import DEFAULT_SAMPLING_ORDER, build_sim_model
 
 CONST = make_scale_function(ModelParams(0.5, 1.0, Family.CONSTANT))
 COUPLED_OK = make_scale_function(ModelParams(0.5, 0.1, Family.COUPLED_DRIFT))
@@ -125,6 +129,78 @@ def test_alias_table_distribution():
     assert np.allclose(freq, w, atol=4 * np.sqrt(0.25 / 200_000))
 
 
+def _vose_numpy_scalars(w):
+    """Reference: Vose's loop indexing numpy scalars, as AliasTable once ran it."""
+    n = len(w)
+    p = w * (n / w.sum())
+    prob = np.ones(n)
+    alias = np.arange(n)
+    small = [i for i in range(n) if p[i] < 1.0]
+    large = [i for i in range(n) if p[i] >= 1.0]
+    while small and large:
+        s, g = small.pop(), large.pop()
+        prob[s] = p[s]
+        alias[s] = g
+        p[g] = (p[g] + p[s]) - 1.0
+        (small if p[g] < 1.0 else large).append(g)
+    return prob, alias
+
+
+WEIGHTS = st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-300, 1e300, allow_subnormal=False)),
+    min_size=1,
+    max_size=300,
+).filter(lambda ws: any(ws))
+
+
+@given(weights=WEIGHTS)
+@example(weights=[2.5])  # n = 1
+@example(weights=[0.0, 0.0, 3.0, 0.0])  # a single positive weight
+@example(weights=[0.25, 0.25, 0.25, 0.25])  # every weight normalizes to exactly 1.0
+@example(weights=[0.5, 1.0, 1.5])  # one weight normalizes to exactly 1.0
+@settings(max_examples=200, deadline=None)
+def test_alias_table_matches_numpy_scalar_loop(weights):
+    w = np.array(weights)
+    tab = AliasTable(w)
+    prob, alias = _vose_numpy_scalars(w)
+    assert tab.prob.dtype == prob.dtype and tab.alias.dtype == alias.dtype
+    assert tab.prob.tobytes() == prob.tobytes()
+    assert tab.alias.tobytes() == alias.tobytes()
+
+
+# sha256 of prob.tobytes() + alias.tobytes() of both sampling tables at
+# DEFAULT_SAMPLING_ORDER; the tables are part of the seed-to-sample map
+ALIAS_DIGESTS = {
+    (Family.CONSTANT, 1.0): (
+        "ab709d67ba8c8b3c6de5452113675e05dea2228c4376ff59a83c65d332c8cd2a",
+        "fb50ea83c8e78ef4aa50ec5567d42a5aee07a5f9d3af724ac5a48b13632a1f57",
+    ),
+    (Family.COUPLED_DRIFT, 0.05): (
+        "92cf64fdf5e01824d009e48c9cc25d2124a43167171c9daa0952994f33b4c41c",
+        "98347cc38feb32f80bbb088951b5825ad5fd6413987e13336afd1d305553d841",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(ALIAS_DIGESTS), ids=lambda k: f"{k[0].value}-a0={k[1]}")
+def test_sampling_tables_are_frozen(key):
+    model = build_sim_model(make_scale_function(ModelParams(0.5, key[1], key[0])))
+    digests = tuple(
+        hashlib.sha256(d._alias.prob.tobytes() + d._alias.alias.tobytes()).hexdigest()
+        for d in (model.offspring, model.size_biased)
+    )
+    assert len(model.offspring.probs) == DEFAULT_SAMPLING_ORDER + 1
+    assert digests == ALIAS_DIGESTS[key]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_alias_table_rejects_non_finite_weights(bad):
+    # nan < 0 and nan > 0 are both False, so a nan weight would land in
+    # neither of Vose's stacks and its symbol would keep probability 1
+    with pytest.raises(ParameterError, match="finite"):
+        AliasTable(np.array([bad, 1.0]))
+
+
 def test_binary_sampling_half_half():
     model = build_offspring_distribution(expand_coeffs(BINARY, 4), BINARY)
     rng = np.random.default_rng(5)
@@ -188,3 +264,19 @@ def test_distribution_validation():
             probs=np.array([0.5, 0.0, 0.4]), tail_cutoff=2, tail_exponent=2.5,
             tail_mass=0.5, total_rate=1.0,
         )
+
+
+def test_distribution_rejects_nan_mass():
+    # abs(nan) > 1e-9 is False, so a nan probability once passed the mass check
+    with pytest.raises(ParameterError, match="mass"):
+        OffspringDistribution(
+            probs=np.array([0.5, 0.0, np.nan]), tail_cutoff=2, tail_exponent=2.5,
+            tail_mass=0.0, total_rate=1.0,
+        )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_coeffs_rejects_non_finite(bad):
+    a = np.array([1.0, -1.5, 0.375, bad, 0.0625])
+    with pytest.raises(ParameterError, match=r"a\[3\] = .* is not finite"):
+        _validate_coeffs(a, Family.CONSTANT)

@@ -1,6 +1,9 @@
 """Experiment driver: config parsing, report emission, exit codes."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -307,6 +310,29 @@ def test_simulate_small_config_is_frozen(tmp_path):
     frozen = Path(__file__).parent / "data" / "simulate_small"
     for name in ("simulate.csv", "trajectories.txt"):
         assert (out / name).read_bytes() == (frozen / name).read_bytes()
+
+
+_SIMULATE_IMPORTS_SCRIPT = """
+import sys
+from critlab.cli import main
+code = main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(code, [m for m in ("scipy.integrate", "scipy.optimize", "scipy.interpolate") if m in sys.modules])
+"""
+
+
+def test_simulate_loads_no_ode_root_or_interpolation_scipy(tmp_path):
+    # These subpackages are imported where they are used, so `critlab
+    # simulate` on a closed-form family starts without paying for them.
+    path = write_cfg(tmp_path, SIMULATE_SMALL_CFG)
+    src = str(Path(acceptance.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SIMULATE_IMPORTS_SCRIPT, path, str(tmp_path / "r")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_solve_readme_config_is_frozen(tmp_path):
