@@ -10,15 +10,17 @@ The product is a direct convolution. The quotient and the fractional power
 solve lower-triangular linear systems in the coefficients by blocked forward
 substitution: each block of rows subtracts the columns already solved with a
 compiled convolution, then solves its small diagonal block with LAPACK
-``trtrs``, resolved once at import. The unscaled part of the diagonal block
-is built once per solve, so the per-block Python work stays small next to
-the convolutions.
+``trtrs``, resolved on the first solve: ``scipy.linalg`` costs about 0.05 s
+to import, and the Monte Carlo commands on a closed-form family never solve.
+The unscaled part of the diagonal block is built once per solve, so the
+per-block Python work stays small next to the convolutions.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
 
 # rows per block of the triangular solves in div and powf
 _BLOCK = 64
@@ -27,8 +29,15 @@ _BLOCK = 64
 _DOT_CHUNK = 8192
 # lag i - j of entry (i, j) of a diagonal block
 _LAG = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
-# LAPACK's triangular solve for float64, resolved once
-(_trtrs,) = get_lapack_funcs(("trtrs",), (np.empty((1, 1)),))
+
+
+@cache
+def _trtrs():
+    """LAPACK's triangular solve for float64, resolved once."""
+    from scipy.linalg import get_lapack_funcs
+
+    (trtrs,) = get_lapack_funcs(("trtrs",), (np.empty((1, 1)),))
+    return trtrs
 
 
 def binom_series(alpha: float, order: int) -> np.ndarray:
@@ -38,11 +47,12 @@ def binom_series(alpha: float, order: int) -> np.ndarray:
     coefficients alternate against the binomial sign so every entry is the
     signed coefficient of s**j.
     """
-    c = np.empty(order + 1)
-    c[0] = 1.0
+    # Python floats are IEEE doubles, so the list gives the bits numpy
+    # scalars would, without their per-element indexing cost
+    c = [1.0] * (order + 1)
     for j in range(order):
         c[j + 1] = c[j] * (j - alpha) / (j + 1)
-    return c
+    return np.array(c)
 
 
 def mul(a: np.ndarray, b: np.ndarray, order: int | None = None) -> np.ndarray:
@@ -132,6 +142,7 @@ def _lower_triangular_solve(x, r, terms):
     """
     n = len(x)
     B = min(_BLOCK, n)
+    trtrs = _trtrs()
     shared = np.zeros((B, B))
     scaled = []
     for d, p in terms:
@@ -155,9 +166,11 @@ def _lower_triangular_solve(x, r, terms):
             A = d[s:e, None] * T[:m, :m] + A
         # the arguments solve_triangular(A, rhs, lower=True) passes for a
         # C-ordered A: the transposed upper-triangular system
-        sol, info = _trtrs(A.T, rhs, lower=0, trans=1, overwrite_b=1)
+        sol, info = trtrs(A.T, rhs, lower=0, trans=1, overwrite_b=1)
         if info > 0:
-            raise LinAlgError(f"singular matrix: resolution failed at diagonal {s + info - 1}")
+            raise np.linalg.LinAlgError(
+                f"singular matrix: resolution failed at diagonal {s + info - 1}"
+            )
         if info < 0:
             raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
         x[s:e] = sol

@@ -22,7 +22,9 @@ here validate and dispatch, and ``identity_residual`` checks the identity
 by quadrature along the ODE path.
 Each quantity has one route: q(t) is ``exact_R(sf, 0.0, t)`` (any horizon),
 and ``solve_F`` is the independent ODE route, which integrates to whatever
-horizon it is given, so callers can compare the two there.
+horizon it is given, so callers can compare the two there; it reads only the
+end point and skips the dense interpolant, which ``identity_residual`` keeps
+for its quadrature along the path.
 
 Transition probabilities P_1j(t) are the coefficients of F(t;s); their
 coupled coefficient ODE is triangular (coefficient j only involves
@@ -85,8 +87,15 @@ def _check_ts(s: float, t: float) -> None:
         raise DomainError(f"requires t >= 0, got t={t}")
 
 
-def _solve_log_path(sf: ScaleFunction, s: float, t: float, cfg: SolveConfig):
-    """Dense solution of x(u) = log R(u;s) on [0, t]."""
+def _solve_log_path(
+    sf: ScaleFunction, s: float, t: float, cfg: SolveConfig, *, dense: bool = True
+):
+    """Solution of x(u) = log R(u;s) on [0, t], with its interpolant when ``dense``.
+
+    The interpolant costs DOP853 3 more right-hand sides on each 12-stage
+    step. It is built after each step and never steers the next, so
+    ``sol.y`` has the same bits either way.
+    """
 
     def rhs(u, x):
         return [-sf.decay_rate(math.exp(x[0]))]
@@ -101,7 +110,7 @@ def _solve_log_path(sf: ScaleFunction, s: float, t: float, cfg: SolveConfig):
             method=_ODE_METHOD,
             rtol=cfg.rel_tol,
             atol=cfg.abs_tol,
-            dense_output=True,
+            dense_output=dense,
         )
     except OverflowError as exc:
         # a trial step past log R = 709 overflows exp in the right-hand side
@@ -116,7 +125,7 @@ def solve_F(sf: ScaleFunction, s: float, t: float, cfg: SolveConfig = DEFAULT_CF
     _check_ts(s, t)
     if t == 0.0:
         return 1.0 - s
-    sol = _solve_log_path(sf, s, t, cfg)
+    sol = _solve_log_path(sf, s, t, cfg, dense=False)
     return math.exp(float(sol.y[0, -1]))
 
 
@@ -125,12 +134,15 @@ def exact_R(
 ) -> float:
     """Exact R(t;s) from the family's closed form or implicit equation; any horizon.
 
-    ``one_minus_s`` may carry 1 - s when s is within roundoff of 1.
+    ``one_minus_s`` may carry 1 - s when s is within roundoff of 1. R is
+    nonincreasing from R(0;s) = 1 - s, but the closed forms and the implicit
+    equation can round a few ulps above 1 - s at tiny t, so the result is
+    capped there; it can then be passed back as ``one_minus_s``.
     """
     y0 = 1.0 - s if one_minus_s is None else one_minus_s
     if not (0.0 < y0 <= 1.0) or not t >= 0.0:
         raise DomainError(f"invalid (s, t) = ({s}, {t})")
-    return sf.exact_R(y0, t)
+    return min(sf.exact_R(y0, t), y0)
 
 
 def identity_residual(

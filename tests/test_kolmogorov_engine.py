@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from critlab import (
@@ -156,6 +158,43 @@ def test_drift_integral_routes_agree():
         b = index_drift_integral(COUPLED, 0.3, t)
         assert a == pytest.approx(b, rel=1e-7, abs=1e-9)
     assert index_drift_integral(CONST, 0.0, 50.0) == 0.0
+
+
+@given(
+    fam=st.sampled_from(list(Family)),
+    nu=st.floats(0.05, 0.95),
+    a0=st.floats(0.05, 5.0),
+    s=st.floats(0.0, 0.99),
+    log10_t=st.floats(-6.0, 6.0),
+    cfg=st.sampled_from([DEFAULT_CFG, TIGHT]),
+)
+@settings(max_examples=40, deadline=None)
+def test_solve_F_matches_the_dense_route_bit_for_bit(fam, nu, a0, s, log10_t, cfg):
+    # DOP853 builds its interpolant after each accepted step, and it never
+    # feeds back into the steps, so leaving it out keeps every bit of R
+    sf = make_scale_function(ModelParams(nu, a0, fam))
+    t = 10.0**log10_t
+    dense = _solve_log_path(sf, s, t, cfg)
+    assert dense.sol is not None
+    assert solve_F(sf, s, t, cfg) == math.exp(dense.y[0, -1])
+
+
+def test_solve_F_skips_the_dense_interpolant():
+    calls = [0]
+
+    class CountingScale(type(COUPLED)):
+        def decay_rate(self, y):
+            calls[0] += 1
+            return super().decay_rate(y)
+
+    sf = CountingScale(COUPLED.params)
+    solve_F(sf, 0.5, 1e3, TIGHT)
+    end_only = calls[0]
+    calls[0] = 0
+    dense = _solve_log_path(sf, 0.5, 1e3, TIGHT)
+    # the interpolant costs DOP853 3 extra right-hand sides per accepted step
+    assert end_only < calls[0]
+    assert calls[0] - end_only == 3 * (len(dense.t) - 1)
 
 
 def test_drift_integral_log_asymptotics():

@@ -26,6 +26,20 @@ def test_binom_series_matches_scipy():
     assert np.allclose(c, expect, rtol=1e-14, atol=0)
 
 
+@given(alpha=st.floats(-3.0, 3.0), order=st.integers(0, 300))
+@settings(max_examples=40, deadline=None)
+def test_binom_series_matches_the_numpy_scalar_recurrence(alpha, order):
+    # the recurrence runs on Python floats; numpy float64 scalars give the
+    # same IEEE doubles
+    c = np.empty(order + 1)
+    c[0] = 1.0
+    for j in range(order):
+        c[j + 1] = c[j] * (j - alpha) / (j + 1)
+    out = _series.binom_series(alpha, order)
+    assert out.dtype == np.float64
+    assert out.tobytes() == c.tobytes()
+
+
 def test_mul_truncates_exactly():
     a = np.array([1.0, 2.0, 3.0])
     b = np.array([4.0, 5.0])

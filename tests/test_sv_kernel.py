@@ -322,6 +322,14 @@ def test_drift_integral_is_zero_exactly_without_drift(sf, s, t):
     t=st.floats(0.0, 1e3),
     tau=st.floats(0.0, 1e3),
 )
+# the implicit equation once returned R(0; 0) = 1.0000000000000007 here,
+# which is not a valid one_minus_s
+@example(
+    sf=make_scale_function(ModelParams(0.375, 0.05, Family.COUPLED_DRIFT)),
+    s=0.0,
+    t=0.0,
+    tau=0.0,
+)
 @settings(max_examples=60, deadline=None)
 def test_semigroup_property(sf, s, t, tau):
     # F(t + tau; s) = F(tau; F(t; s)), i.e. R(t + tau; s) = R(tau; 1 - R(t; s)),
@@ -329,6 +337,22 @@ def test_semigroup_property(sf, s, t, tau):
     r = exact_R(sf, s, t)
     composed = exact_R(sf, 1.0 - r, tau, one_minus_s=r)
     assert composed == pytest.approx(exact_R(sf, s, t + tau), rel=1e-12)
+
+
+@pytest.mark.parametrize("fam", [Family.CONSTANT, Family.COUPLED_DRIFT], ids=lambda f: f.value)
+@pytest.mark.parametrize("t", [0.0, 5e-324, 1e-300])
+def test_exact_R_never_exceeds_its_start(fam, t):
+    # R(t; s) is nonincreasing from R(0; s) = 1 - s; rounded closed forms and
+    # the implicit equation overshoot 1 - s by a few ulps at tiny t (R > 1 at
+    # s = 0 for coupled_drift), so exact_R caps the result there
+    for nu in np.linspace(0.05, 0.95, 13):
+        for a0 in (0.05, 0.5, 1.0, 5.0):
+            sf = make_scale_function(ModelParams(float(nu), a0, fam))
+            for s in np.linspace(0.0, 0.99, 12):
+                y0 = 1.0 - float(s)
+                r = exact_R(sf, float(s), t)
+                assert 0.0 < r <= y0
+                assert r == pytest.approx(y0, rel=1e-14)
 
 
 @given(
