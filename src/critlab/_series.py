@@ -184,6 +184,12 @@ def _history(p, x, s, e):
     dot product stays shorter than the length at which OpenBLAS splits it
     over threads, and the result does not depend on the BLAS thread count.
     """
+    if s <= _DOT_CHUNK:
+        # one chunk, so its convolution is the sum. Adding it to a zero vector
+        # would only turn a -0.0 entry into +0.0, and there is none: numpy's
+        # dot loop, which forms each output of np.convolve, starts its sum at
+        # +0.0, and +0.0 + (-0.0) is +0.0. So the bits are the same.
+        return np.convolve(p[1:e], x[:s], "valid")
     h = np.zeros(e - s)
     for c0 in range(0, s, _DOT_CHUNK):
         c1 = min(c0 + _DOT_CHUNK, s)

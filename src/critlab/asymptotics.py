@@ -31,7 +31,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
+
+# scipy.special is imported where it is used (tauberian_ratio): it costs
+# about 0.2 s at start-up, and the Monte Carlo commands never need it.
 
 from . import _series
 from .errors import DomainError, SolverError
@@ -183,6 +185,8 @@ def tauberian_ratio(sf: ScaleFunction, n: int) -> float:
 
     Tends to 1 as n grows; evaluated with the series coefficients.
     """
+    from scipy.special import gamma as gamma_fn
+
     pm = pi_coeffs(sf, n)
     nu = sf.nu
     lpi_n = 1.0 / sf.sv(float(n))

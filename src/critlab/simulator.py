@@ -30,7 +30,6 @@ engine stays the independent check of that sampler.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +68,17 @@ DEFAULT_POP_CAP = 10**9
 DEFAULT_SAMPLING_ORDER = 2**16
 _BATCHES = 16  # seed-split batches per population_at call; part of the seed-to-sample map
 _BLOCK_DRAWS = 4096  # draws per engine round, shared by the live lanes; part of the same map
+
+
+def __getattr__(name):
+    # concurrent.futures.ProcessPoolExecutor loads multiprocessing, which a
+    # one-thread run never uses, so the module attribute is set at its first
+    # use; a value already set (a test's stand-in) is returned as it is
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return globals().setdefault(name, ProcessPoolExecutor)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -326,7 +336,7 @@ def population_at(
     if threads <= 1:
         parts = [_simulate_population_batch(*a) for a in args]
     else:
-        with ProcessPoolExecutor(max_workers=min(threads, batches)) as pool:
+        with __getattr__("ProcessPoolExecutor")(max_workers=min(threads, batches)) as pool:
             parts = list(pool.map(_simulate_population_batch, *zip(*args)))
     return PopulationSample(
         horizons,

@@ -56,10 +56,10 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 # scipy.integrate and scipy.optimize are imported where they are used: they
-# cost about 0.2 s at start-up, and a closed-form family never needs them.
+# cost about 0.2 s at start-up, and a closed-form family never needs them;
+# the exact binomial tail takes its log-gamma values from ``math.lgamma``.
 
 from . import _series
 from .errors import DomainError, ParameterError, SolverError
@@ -262,7 +262,11 @@ class ConstantScale(_ConstantSV):
         # |C(1+nu, k)| = Gamma(k-1-nu) / (Gamma(k+1) * |Gamma(-1-nu)|)
         nu = self.nu
         log_abs_gamma = math.log(abs(math.gamma(-1.0 - nu)))
-        return a0_over_rate * np.exp(gammaln(k - 1.0 - nu) - gammaln(k + 1.0) - log_abs_gamma)
+        lg = [
+            math.lgamma(kk - 1.0 - nu) - math.lgamma(kk + 1.0) - log_abs_gamma
+            for kk in np.ravel(k).tolist()
+        ]
+        return a0_over_rate * np.exp(np.reshape(lg, np.shape(k)))
 
     def normalizer(self, t):
         return math.pow(self.a0, -1.0 / self.nu)

@@ -11,6 +11,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from critlab import (
@@ -41,6 +43,7 @@ from critlab import (
 )
 from critlab.asymptotics import default_theta_grid, laplace_sup_profile_max
 from critlab.kolmogorov_engine import SolveConfig
+from critlab.laplace import talbot
 
 CONST = make_scale_function(ModelParams(0.5, 1.0, Family.CONSTANT))
 COUPLED = make_scale_function(ModelParams(0.5, 1.0, Family.COUPLED_DRIFT))
@@ -288,6 +291,36 @@ def test_d_limit_flags_non_finite_disagreement():
     with np.errstate(all="ignore"):
         _, meta = d_limit(0.5, [1.0, 1e300])
     assert meta["flagged_indices"] == [1]
+
+
+def _talbot_numpy_exp(F, x, M=48):
+    # the node sum with numpy's complex exp, which talbot replaced by cmath.exp
+    r = 2.0 * M / (5.0 * x)
+    acc = 0.5 * complex(F(r)).real * math.exp(r * x)
+    for k in range(1, M):
+        phi = k * math.pi / M
+        cot = 1.0 / math.tan(phi)
+        p = r * phi * complex(cot, 1.0)
+        sigma = phi + (phi * cot - 1.0) * cot
+        acc += (np.exp(x * p) * complex(F(p)) * complex(1.0, sigma)).real
+    return acc * r / M
+
+
+@given(nu=st.floats(0.02, 0.98), log10_x=st.floats(-6.0, 14.0))
+@example(nu=0.5, log10_x=-4.0)
+@example(nu=0.5, log10_x=6.0)
+@settings(max_examples=200, deadline=None)
+def test_talbot_node_sum_is_bit_for_bit_numpy_exp(nu, log10_x):
+    # cmath.exp and numpy's exp of a complex give the same bits here, so
+    # d_limit (C11's limit law) is unchanged by keeping the sum in Python
+    x = 10.0**log10_x
+
+    def cdf_transform(p):
+        return (1.0 + p**nu) ** (-(1.0 + 1.0 / nu)) / p
+
+    got = talbot(cdf_transform, x)
+    want = _talbot_numpy_exp(cdf_transform, x)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,8 @@ from critlab import (
     make_scale_function,
     mechanism_series,
 )
-from critlab.branching_model import AliasTable, _validate_coeffs
+from critlab import branching_model
+from critlab.branching_model import AliasTable, _hurwitz_zeta, _validate_coeffs
 from critlab.simulator import DEFAULT_SAMPLING_ORDER, build_sim_model
 
 CONST = make_scale_function(ModelParams(0.5, 1.0, Family.CONSTANT))
@@ -280,3 +281,85 @@ def test_validate_coeffs_rejects_non_finite(bad):
     a = np.array([1.0, -1.5, 0.375, bad, 0.0625])
     with pytest.raises(ParameterError, match=r"a\[3\] = .* is not finite"):
         _validate_coeffs(a, Family.CONSTANT)
+
+
+# ---------------------------------------------------------------------------
+# stdlib tail normalizers against scipy.special and mpmath
+# ---------------------------------------------------------------------------
+
+HURWITZ_STARTS = [1, 2, 5, 17, 65, 2**14 + 1, 2**16 + 1, 2**20 + 1]  # 5: the order-4 model
+
+
+@given(beta=st.floats(1.0, 3.5, exclude_min=True), n=st.sampled_from(HURWITZ_STARTS))
+@example(beta=math.nextafter(1.0, 2.0), n=1)
+@example(beta=2.5, n=2**16 + 1)  # the ordinary law's envelope at the default order
+@example(beta=1.5, n=2**16 + 1)  # the size-biased law's
+@example(beta=3.5, n=1)
+@settings(max_examples=300, deadline=None)
+def test_hurwitz_zeta_within_four_ulp_of_mpmath(beta, n):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(120):
+        ref = mpmath.zeta(beta, n)
+        err = abs(mpmath.mpf(_hurwitz_zeta(beta, n)) - ref)
+    assert err <= 4 * math.ulp(float(ref))
+
+
+def _binomial_tail_gammaln(sf, a0_over_rate, k):
+    # the scipy.special route the stdlib one replaces
+    from scipy.special import gammaln
+
+    log_abs_gamma = math.log(abs(math.gamma(-1.0 - sf.nu)))
+    return a0_over_rate * np.exp(
+        gammaln(k - 1.0 - sf.nu) - gammaln(k + 1.0) - log_abs_gamma
+    )
+
+
+@pytest.mark.parametrize("nu", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("J", [4, 2**16])
+def test_binomial_tail_matches_gammaln_and_mpmath(nu, J):
+    # Both routes exponentiate lgamma(k-1-nu) - lgamma(k+1), a difference of
+    # two values near L = lgamma(k+1) whose rounding (an ulp of L each) the
+    # subtraction keeps, so neither is closer to the truth than a few eps*L
+    # relative: about 1e-10 at k = 2**16 and 1e-6 at k = 1e9.
+    mpmath = pytest.importorskip("mpmath")
+    sf = make_scale_function(ModelParams(nu, 1.0, Family.CONSTANT))
+    scattered = [1e5, 3.3e6, 1.7e7, 123456789.0, 5e8, 1e9]
+    k = np.concatenate([np.arange(J + 1, J + 4001, dtype=float), scattered])
+    got = sf._binomial_tail(0.75, k)
+    scale = np.array([math.lgamma(v + 1.0) for v in k]) * 2.0**-52
+    ref = _binomial_tail_gammaln(sf, 0.75, k)
+    assert np.all(np.abs(got / ref - 1.0) <= 1e-14 + 8.0 * scale)
+    c = 0.75 / abs(math.gamma(-1.0 - nu))
+    with mpmath.workprec(120):
+        for i in list(range(0, 4000, 97)) + list(range(4000, len(k))):
+            exact = c * mpmath.exp(mpmath.loggamma(k[i] - 1.0 - nu) - mpmath.loggamma(k[i] + 1.0))
+            assert abs(float(got[i] / exact) - 1.0) <= 1e-14 + 4.0 * scale[i]
+
+
+@pytest.mark.parametrize("order", [4, 2**16])
+def test_tail_draws_do_not_depend_on_the_normalizer_route(order, monkeypatch):
+    # The envelope normalizer (size-biased and coupled_drift laws) and the
+    # exact binomial tail (constant ordinary law) differ from scipy.special's
+    # values in the last bits; the rejection step must still make every
+    # decision the same way, so the seed-to-sample map does not move.
+    from scipy.special import zeta
+
+    coeffs = [(sf, expand_coeffs(sf, order)) for sf in (CONST, COUPLED_OK)]
+
+    def build():
+        out = []
+        for sf, c in coeffs:
+            out += [build_offspring_distribution(c, sf), build_size_biased_distribution(c)]
+        return out
+
+    stdlib = build()
+    monkeypatch.setattr(branching_model, "_hurwitz_zeta", lambda b, n: float(zeta(b, n)))
+    monkeypatch.setattr(
+        type(CONST), "_binomial_tail", lambda sf, c, k: _binomial_tail_gammaln(sf, c, k)
+    )
+    with_scipy = build()
+    assert stdlib[0]._exact_tail is not None and stdlib[0]._tail_norm == 0.0
+    for a, b in zip(stdlib, with_scipy):
+        assert a._tail_accept_scale == pytest.approx(b._tail_accept_scale, rel=1e-9)
+        draws = [d._sample_tail(np.random.default_rng(20260), 2**18) for d in (a, b)]
+        assert np.array_equal(draws[0], draws[1])
