@@ -44,6 +44,7 @@ from .asymptotics import (
 from .branching_model import mechanism_series
 from .errors import SolverError
 from .kolmogorov_engine import (
+    SeriesState,
     SolveConfig,
     evolve_series,
     exact_R,
@@ -227,7 +228,8 @@ def c7_laplace_sup_rate() -> CriterionResult:
 def _invariance_residuals(fam: Family, J: int = 1024, jmax: int = 50):
     sf = _sf(fam)
     state = evolve_series(sf, J, 1.0, _SERIES_CFG)
-    P = transition_matrix(state)
+    # rows 0..J, columns 0..jmax: column j of row i needs only F_0..F_j
+    P = transition_matrix(SeriesState(state.t, state.coeffs[: jmax + 1]), imax=J)
     one = np.zeros(J + 1)
     one[0] = 1.0
     inv_f = _series.div(one, mechanism_series(sf, J))

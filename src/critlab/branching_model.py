@@ -150,12 +150,41 @@ def expand_coeffs(sf: ScaleFunction, J: int) -> OffspringCoeffs:
     return OffspringCoeffs(a, 2.0 + sf.nu, mass, crit)
 
 
+# Python steps of Vose's loop run after the first mis-speculated merge step
+_VOSE_REPAIR_STEPS = 64
+
+
 class AliasTable:
     """Vose alias table for O(1) draws from a finite weighted law.
 
-    Vose's loop runs on Python floats and lists: they are IEEE doubles like
-    numpy's, so the table has the same bits, built in about half the time
-    that indexing numpy scalars takes.
+    The table is the one Vose's loop builds (Vose 1991), bit for bit, from
+    p = w * (n / sum(w)). The loop pops the smalls (p < 1) and the larges
+    (p >= 1), each in descending index order, and runs one floating-point
+    chain r <- (r + v) - 1 over a merge of the two: r starts at the first
+    large's p; v is the next small while r >= 1, which is aliased to the
+    current large, and the next large once r < 1, when the current large
+    is demoted with prob r and aliased to that next large. The loop stops
+    when the stack it needs is empty, so a large left below 1 with no large
+    after it keeps prob 1 and its own index, as do the unpopped entries.
+
+    The build speculates the merge instead of looping. In exact arithmetic
+    a large follows the smalls whose deficits 1 - p sum to at most r - 1
+    plus the surpluses p - 1 of the larges before it, which
+    ``np.searchsorted`` reads off the two cumulative sums. One
+    ``np.add.accumulate`` over [r, v0, -1, v1, -1, ...] then computes the
+    chain in that order exactly as the loop rounds it: accumulate adds left
+    to right, one rounding per entry, and x + (-1) is x - 1. Every step
+    before the first one whose exact r contradicts the speculated choice
+    is accepted and scattered with fancy indexing.
+
+    A miss happens where the exact r lands within rounding of 1, so it
+    tends to repeat: weights within a few ulp of their mean miss every few
+    steps. After a miss the loop's own step runs on Python floats for a
+    stretch of ``_VOSE_REPAIR_STEPS``, doubled at every further miss, and
+    the next speculation covers a window of the last stretch's length,
+    doubled each time it is used up without a miss. So the repairs' Python
+    steps never add up to more than the loop's and the vectorized work
+    stays linear in n; the production tables build in one speculation.
     """
 
     def __init__(self, weights: np.ndarray):
@@ -164,20 +193,7 @@ class AliasTable:
             raise ParameterError("alias table needs finite weights")
         if np.any(w < 0.0) or not np.any(w > 0.0):
             raise ParameterError("alias table needs nonnegative weights, not all zero")
-        n = len(w)
-        p = (w * (n / w.sum())).tolist()
-        prob = [1.0] * n
-        alias = list(range(n))
-        small = [i for i, pi in enumerate(p) if pi < 1.0]
-        large = [i for i, pi in enumerate(p) if pi >= 1.0]
-        while small and large:
-            s, g = small.pop(), large.pop()
-            prob[s] = p[s]
-            alias[s] = g
-            p[g] = (p[g] + p[s]) - 1.0
-            (small if p[g] < 1.0 else large).append(g)
-        self.prob = np.array(prob)
-        self.alias = np.array(alias, dtype=np.int64)
+        self.prob, self.alias = _vose_tables(w * (len(w) / w.sum()))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         n = len(self.prob)
@@ -185,6 +201,86 @@ class AliasTable:
         idx = x.astype(np.int64)
         frac = x - idx
         return np.where(frac < self.prob[idx], idx, self.alias[idx])
+
+
+def _vose_tables(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``prob`` and ``alias`` of Vose's loop on normalized weights p (see AliasTable)."""
+    n = len(p)
+    prob = np.ones(n)
+    alias = np.arange(n, dtype=np.int64)
+    small = np.flatnonzero(p < 1.0)[::-1]  # the stacks' pop order
+    large = np.flatnonzero(p >= 1.0)[::-1]
+    n_small, n_large = len(small), len(large)
+    if not n_large:
+        return prob, alias
+    s_val, l_val = p[small], p[large]
+    # the loop's state: i smalls and j larges popped, r the remainder of the
+    # current large large[j - 1]
+    i, j, r = 0, 1, float(l_val[0])
+    span, stretch = n, _VOSE_REPAIR_STEPS
+    lists = None
+    while (i < n_small) if r >= 1.0 else (j < n_large):
+        i0, j0 = i, j
+        sv, lv = s_val[i : i + span], l_val[j : j + span]
+        ms, ml = len(sv), len(lv)
+        deficit = np.zeros(ms + 1)
+        np.cumsum(1.0 - sv, out=deficit[1:])
+        surplus = np.cumsum(np.concatenate(([r - 1.0], lv[:-1] - 1.0)))[:ml]
+        # smalls popped before each large, and the large's step in the merge
+        before = np.minimum(np.searchsorted(deficit, surplus, side="right"), ms)
+        at = np.arange(ml) + before
+        steps = ms + ml
+        is_large = np.zeros(steps, dtype=bool)
+        is_large[at] = True
+        chain = np.empty(2 * steps + 1)
+        chain[0] = r
+        chain[1::2][at] = lv
+        chain[1::2][~is_large] = sv
+        chain[2::2] = -1.0
+        np.add.accumulate(chain, out=chain)
+        r_at = chain[: 2 * steps : 2]  # r before each step
+        miss = np.flatnonzero((r_at >= 1.0) == is_large)
+        k = int(miss[0]) if len(miss) else steps
+        kl = int(np.searchsorted(at, k))
+        ks = k - kl
+        current = large[j - 1 : j + kl]
+        alias[small[i : i + ks]] = np.repeat(current, np.diff(before[:kl], prepend=0, append=ks))
+        prob[current[:-1]] = r_at[at[:kl]]
+        alias[current[:-1]] = current[1:]
+        i, j, r = i + ks, j + kl, float(chain[2 * k])
+        if not ((i < i0 + ms) if r >= 1.0 else (j < j0 + ml)):
+            span *= 2  # the window ran out, or the loop's end was reached
+            continue
+        # a miss: the loop's own steps, on Python floats
+        if lists is None:
+            lists = small.tolist(), s_val.tolist(), large.tolist(), l_val.tolist()
+        small_l, s_l, large_l, l_l = lists
+        cur = large_l[j - 1]
+        a_idx, a_val, p_idx, p_val = [], [], [], []
+        for _ in range(stretch):
+            if r >= 1.0:
+                if i == n_small:
+                    break
+                a_idx.append(small_l[i])
+                a_val.append(cur)
+                r = (r + s_l[i]) - 1.0
+                i += 1
+            else:
+                if j == n_large:
+                    break
+                p_idx.append(cur)
+                p_val.append(r)
+                a_idx.append(cur)
+                cur = large_l[j]
+                a_val.append(cur)
+                r = (r + l_l[j]) - 1.0
+                j += 1
+        alias[a_idx] = a_val
+        prob[p_idx] = p_val
+        span = stretch
+        stretch *= 2
+    prob[small[:i]] = s_val[:i]
+    return prob, alias
 
 
 @dataclass

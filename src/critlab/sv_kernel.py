@@ -287,9 +287,12 @@ class CoupledDriftScale(ScaleFunction):
         return float(val) if val.ndim == 0 else val
 
     def decay_rate(self, y):
-        y = np.asarray(y, dtype=float)
-        ypow = y**self.nu
-        val = self.nu * self.a0 * ypow / (self.nu + self.a0 * (1.0 - ypow))
+        # the ODE right-hand side calls this on one float: np.power on it gives
+        # the bits of the 0-d array route without the array (math.pow and **
+        # would not)
+        nu, a0 = self.params.nu, self.params.a0
+        ypow = np.power(y, nu)
+        val = nu * a0 * ypow / (nu + a0 * (1.0 - ypow))
         return float(val) if val.ndim == 0 else val
 
     def index_drift(self, y):

@@ -253,6 +253,31 @@ def test_decay_identity_property(nu, a0, y):
         assert abs(lhs - y**sf.nu * sf.sv(1.0 / y)) <= 1e-13 * max(lhs, 1e-300)
 
 
+def _decay_rate_via_float_array(sf, y):
+    """Reference: CoupledDriftScale.decay_rate through a float array, as it once ran."""
+    y = np.asarray(y, dtype=float)
+    ypow = y**sf.nu
+    val = sf.nu * sf.a0 * ypow / (sf.nu + sf.a0 * (1.0 - ypow))
+    return float(val) if val.ndim == 0 else val
+
+
+@given(
+    nu=st.floats(0.05, 0.95),
+    a0=st.floats(0.05, 5.0),
+    ys=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+)
+@example(nu=0.5, a0=0.05, ys=[0.0, 5e-324, 1e-300, 0.3712, 1.0])  # ** 0.5 on an array is sqrt
+@settings(max_examples=200, deadline=None)
+def test_coupled_decay_rate_is_bit_for_bit_the_array_route(nu, a0, ys):
+    sf = make_scale_function(ModelParams(nu, a0, Family.COUPLED_DRIFT))
+    for y in ys:
+        got = sf.decay_rate(y)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(_decay_rate_via_float_array(sf, y)).tobytes()
+    arr = np.array(ys)
+    assert sf.decay_rate(arr).tobytes() == _decay_rate_via_float_array(sf, arr).tobytes()
+
+
 @given(t=st.floats(1.0, 1e6))
 @settings(max_examples=30, deadline=None)
 def test_survival_decreasing_property(t):
