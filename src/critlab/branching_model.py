@@ -10,15 +10,10 @@ are exact up to the documented tail approximation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-
-# The envelope normalizer, the Monte Carlo path's one use of scipy.special,
-# is a Hurwitz zeta value summed here with the standard library: importing
-# scipy.special costs about 0.2 s at start-up.
 
 from .errors import DomainError, ParameterError
 from .sv_kernel import Family, ScaleFunction
@@ -35,44 +30,6 @@ __all__ = [
 
 _NEG_COEFF_SLACK = 1e-12  # absolute roundoff slack for series-division output
 EXACT_POP_CAP = 2**62  # tail draws are clipped at it, so a population cap may not exceed it
-
-# _hurwitz_zeta sums the terms below this index directly
-_EM_START = 16
-# B_2j / (2j)! for j = 1..8, the Euler-Maclaurin correction coefficients
-_EM_COEFFS = (
-    1 / 12,
-    -1 / 720,
-    1 / 30240,
-    -1 / 1209600,
-    1 / 47900160,
-    -691 / 1307674368000,
-    1 / 74724249600,
-    -3617 / 10670622842880000,
-)
-
-
-def _hurwitz_zeta(beta: float, n: int) -> float:
-    """zeta(beta, n) = sum_{k >= n} k**-beta for beta > 1 and an integer n >= 1.
-
-    Terms below max(n, _EM_START) are summed directly and the rest by
-    Euler-Maclaurin at N = max(n, _EM_START) (DLMF 25.11(iii)):
-    N**(1-beta)/(beta-1) + N**-beta/2 + sum_j B_2j/(2j)! * beta(beta+1)...
-    (beta+2j-2) * N**(1-beta-2j). At N >= 16 and beta <= 3.5 the first
-    dropped correction is below 1e-18 of the sum, and ``math.fsum`` adds the
-    terms with one rounding, so the value is within a few ulp.
-    """
-    start = max(n, _EM_START)
-    terms = [float(k) ** -beta for k in range(n, start)]
-    x = float(start)
-    terms.append(x ** (1.0 - beta) / (beta - 1.0))
-    terms.append(0.5 * x**-beta)
-    rising = beta  # beta (beta+1) ... (beta+2j-2)
-    power = x ** (-beta - 1.0)  # x**(1-beta-2j)
-    for j, coeff in enumerate(_EM_COEFFS, start=1):
-        terms.append(coeff * rising * power)
-        rising *= (beta + 2 * j - 1) * (beta + 2 * j)
-        power /= x * x
-    return math.fsum(terms)
 
 
 @dataclass(frozen=True)
@@ -150,10 +107,6 @@ def expand_coeffs(sf: ScaleFunction, J: int) -> OffspringCoeffs:
     return OffspringCoeffs(a, 2.0 + sf.nu, mass, crit)
 
 
-# Python steps of Vose's loop run after the first mis-speculated merge step
-_VOSE_REPAIR_STEPS = 64
-
-
 class AliasTable:
     """Vose alias table for O(1) draws from a finite weighted law.
 
@@ -177,14 +130,11 @@ class AliasTable:
     before the first one whose exact r contradicts the speculated choice
     is accepted and scattered with fancy indexing.
 
-    A miss happens where the exact r lands within rounding of 1, so it
-    tends to repeat: weights within a few ulp of their mean miss every few
-    steps. After a miss the loop's own step runs on Python floats for a
-    stretch of ``_VOSE_REPAIR_STEPS``, doubled at every further miss, and
-    the next speculation covers a window of the last stretch's length,
-    doubled each time it is used up without a miss. So the repairs' Python
-    steps never add up to more than the loop's and the vectorized work
-    stays linear in n; the production tables build in one speculation.
+    A miss happens where the exact r lands within rounding of 1, which
+    weights within a few ulp of their mean do every few steps. From the
+    first miss, if there is one, the loop's own steps finish the table on
+    Python lists of the remaining entries, so a build never costs much more
+    than the loop; the production tables build without a miss.
     """
 
     def __init__(self, weights: np.ndarray):
@@ -214,71 +164,53 @@ def _vose_tables(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not n_large:
         return prob, alias
     s_val, l_val = p[small], p[large]
-    # the loop's state: i smalls and j larges popped, r the remainder of the
-    # current large large[j - 1]
-    i, j, r = 0, 1, float(l_val[0])
-    span, stretch = n, _VOSE_REPAIR_STEPS
-    lists = None
-    while (i < n_small) if r >= 1.0 else (j < n_large):
-        i0, j0 = i, j
-        sv, lv = s_val[i : i + span], l_val[j : j + span]
-        ms, ml = len(sv), len(lv)
-        deficit = np.zeros(ms + 1)
-        np.cumsum(1.0 - sv, out=deficit[1:])
-        surplus = np.cumsum(np.concatenate(([r - 1.0], lv[:-1] - 1.0)))[:ml]
-        # smalls popped before each large, and the large's step in the merge
-        before = np.minimum(np.searchsorted(deficit, surplus, side="right"), ms)
-        at = np.arange(ml) + before
-        steps = ms + ml
-        is_large = np.zeros(steps, dtype=bool)
-        is_large[at] = True
-        chain = np.empty(2 * steps + 1)
-        chain[0] = r
-        chain[1::2][at] = lv
-        chain[1::2][~is_large] = sv
-        chain[2::2] = -1.0
-        np.add.accumulate(chain, out=chain)
-        r_at = chain[: 2 * steps : 2]  # r before each step
-        miss = np.flatnonzero((r_at >= 1.0) == is_large)
-        k = int(miss[0]) if len(miss) else steps
-        kl = int(np.searchsorted(at, k))
-        ks = k - kl
-        current = large[j - 1 : j + kl]
-        alias[small[i : i + ks]] = np.repeat(current, np.diff(before[:kl], prepend=0, append=ks))
-        prob[current[:-1]] = r_at[at[:kl]]
-        alias[current[:-1]] = current[1:]
-        i, j, r = i + ks, j + kl, float(chain[2 * k])
-        if not ((i < i0 + ms) if r >= 1.0 else (j < j0 + ml)):
-            span *= 2  # the window ran out, or the loop's end was reached
-            continue
-        # a miss: the loop's own steps, on Python floats
-        if lists is None:
-            lists = small.tolist(), s_val.tolist(), large.tolist(), l_val.tolist()
-        small_l, s_l, large_l, l_l = lists
-        cur = large_l[j - 1]
-        a_idx, a_val, p_idx, p_val = [], [], [], []
-        for _ in range(stretch):
-            if r >= 1.0:
-                if i == n_small:
-                    break
-                a_idx.append(small_l[i])
-                a_val.append(cur)
-                r = (r + s_l[i]) - 1.0
-                i += 1
-            else:
-                if j == n_large:
-                    break
-                p_idx.append(cur)
-                p_val.append(r)
-                a_idx.append(cur)
-                cur = large_l[j]
-                a_val.append(cur)
-                r = (r + l_l[j]) - 1.0
-                j += 1
-        alias[a_idx] = a_val
-        prob[p_idx] = p_val
-        span = stretch
-        stretch *= 2
+    r = float(l_val[0])  # the remainder of the current large
+    deficit = np.zeros(n_small + 1)
+    np.cumsum(1.0 - s_val, out=deficit[1:])
+    surplus = np.cumsum(l_val[:-1] - 1.0)
+    # smalls popped before each later large, and the large's step in the merge
+    before = np.minimum(np.searchsorted(deficit, surplus, side="right"), n_small)
+    at = np.arange(n_large - 1) + before
+    steps = n_small + n_large - 1
+    is_large = np.zeros(steps, dtype=bool)
+    is_large[at] = True
+    chain = np.empty(2 * steps + 1)
+    chain[0] = r
+    chain[1::2][at] = l_val[1:]
+    chain[1::2][~is_large] = s_val
+    chain[2::2] = -1.0
+    np.add.accumulate(chain, out=chain)
+    r_at = chain[: 2 * steps : 2]  # r before each step
+    miss = np.flatnonzero((r_at >= 1.0) == is_large)
+    k = int(miss[0]) if len(miss) else steps
+    kl = int(np.searchsorted(at, k))
+    i, j, r = k - kl, kl + 1, float(chain[2 * k])  # smalls and larges popped
+    # from the first miss, the loop's own steps on the remaining entries, on
+    # Python floats; each demoted large records the smalls popped before it
+    # and its prob, as the speculation's accepted steps do
+    s_p, l_p = s_val[i:].tolist(), l_val[j:].tolist()
+    cuts, demoted = [], []
+    a = b = 0
+    ns, nl = len(s_p), len(l_p)
+    while True:
+        if r >= 1.0:
+            if a == ns:
+                break
+            r = (r + s_p[a]) - 1.0
+            a += 1
+        elif b < nl:
+            cuts.append(i + a)
+            demoted.append(r)
+            r = (r + l_p[b]) - 1.0
+            b += 1
+        else:
+            break
+    i, j = i + a, j + b
+    before = np.concatenate((before[:kl], np.array(cuts, dtype=before.dtype)))
+    current = large[:j]
+    alias[small[:i]] = np.repeat(current, np.diff(before, prepend=0, append=i))
+    prob[current[:-1]] = np.concatenate((r_at[at[:kl]], demoted))
+    alias[current[:-1]] = current[1:]
     prob[small[:i]] = s_val[:i]
     return prob, alias
 
@@ -289,8 +221,10 @@ class OffspringDistribution:
 
     The table covers k <= tail_cutoff; beyond that a Pareto envelope with
     the analytic tail exponent is inverted and corrected by one rejection
-    step against the power-law target mass, or against the family's exact
-    tail pmf where it has one.
+    step against the power law k**-tail_exponent, or against the family's
+    exact tail where it has one. The target need not be normalized: the
+    accept test u * scale * m(k) < target(k) takes its scale from the
+    target, so a constant factor in the target cancels.
     """
 
     probs: np.ndarray
@@ -299,9 +233,8 @@ class OffspringDistribution:
     tail_mass: float
     total_rate: float
     _alias: AliasTable = field(repr=False, default=None)
-    _tail_norm: float = field(repr=False, default=0.0)
     _tail_accept_scale: float = field(repr=False, default=1.0)
-    # exact tail pmf k -> a_k/|a1| where the family has one (ScaleFunction.exact_tail)
+    # k -> c * a_k for some c > 0 where the family has it (ScaleFunction.exact_tail)
     _exact_tail: Callable | None = field(repr=False, default=None)
 
     def __post_init__(self):
@@ -315,23 +248,20 @@ class OffspringDistribution:
         weights = np.append(self.probs, self.tail_mass)  # last symbol = tail escape
         self._alias = AliasTable(weights)
         if self.tail_mass > 0.0:
-            J = self.tail_cutoff
-            beta = self.tail_exponent
-            if self._exact_tail is None:
-                self._tail_norm = _hurwitz_zeta(beta, J + 1)
-            # envelope mass of integer k under Pareto(index beta-1) on [J+1/2, inf)
-            # is m(k) = (J+1/2)**(beta-1) * ((k-1/2)**(1-beta) - (k+1/2)**(1-beta));
-            # the accept ratio target/(scale*m) needs scale >= max_k target/m.
-            ks = np.arange(J + 1, J + 4000, dtype=float)
-            m = (J + 0.5) ** (beta - 1.0) * ((ks - 0.5) ** (1.0 - beta) - (ks + 0.5) ** (1.0 - beta))
-            self._tail_accept_scale = float(np.max(self._tail_pmf(ks) / m)) * (1.0 + 1e-9)
+            # the accept ratio target/(scale*m) needs scale >= max_k target/m
+            ks = np.arange(self.tail_cutoff + 1, self.tail_cutoff + 4000, dtype=float)
+            ratio = self._tail_target(ks) / self._envelope_mass(ks)
+            self._tail_accept_scale = float(np.max(ratio)) * (1.0 + 1e-9)
 
-    def _tail_pmf(self, k: np.ndarray) -> np.ndarray:
-        """Normalized tail pmf p(k | k > cutoff) used as rejection target."""
+    def _tail_target(self, k: np.ndarray) -> np.ndarray:
         if self._exact_tail is not None:
-            return self._exact_tail(k) / self.tail_mass
-        beta = self.tail_exponent
-        return k ** (-beta) / self._tail_norm
+            return self._exact_tail(k)
+        return k ** (-self.tail_exponent)
+
+    def _envelope_mass(self, k: np.ndarray) -> np.ndarray:
+        """Mass m(k) of integer k > J under Pareto(index beta-1) on [J+1/2, inf)."""
+        J, beta = self.tail_cutoff, self.tail_exponent
+        return (J + 0.5) ** (beta - 1.0) * ((k - 0.5) ** (1.0 - beta) - (k + 0.5) ** (1.0 - beta))
 
     def _sample_tail(self, rng: np.random.Generator, size: int) -> np.ndarray:
         J = self.tail_cutoff
@@ -344,10 +274,8 @@ class OffspringDistribution:
             k = np.minimum(np.floor(x + 0.5), float(EXACT_POP_CAP)).astype(np.int64)
             k = np.maximum(k, J + 1)
             kf = k.astype(float)
-            m = (J + 0.5) ** (beta - 1.0) * (
-                (kf - 0.5) ** (1.0 - beta) - (kf + 0.5) ** (1.0 - beta)
-            )
-            accept = rng.random(todo) * self._tail_accept_scale * m < self._tail_pmf(kf)
+            m = self._envelope_mass(kf)
+            accept = rng.random(todo) * self._tail_accept_scale * m < self._tail_target(kf)
             got = k[accept]
             out[size - todo : size - todo + len(got)] = got
             todo -= len(got)
@@ -372,14 +300,13 @@ def build_offspring_distribution(
     p[1] = 0.0
     # the dropped tail carries exactly the mass missing from the table
     tail_mass = max(0.0, 1.0 - float(p.sum()))
-    exact_tail = sf.exact_tail(rate) if tail_mass > 0.0 else None
     return OffspringDistribution(
         probs=p,
         tail_cutoff=coeffs.order,
         tail_exponent=coeffs.tail_exponent,
         tail_mass=tail_mass,
         total_rate=rate,
-        _exact_tail=exact_tail,
+        _exact_tail=sf.exact_tail(),
     )
 
 

@@ -70,17 +70,6 @@ _BATCHES = 16  # seed-split batches per population_at call; part of the seed-to-
 _BLOCK_DRAWS = 4096  # draws per engine round, shared by the live lanes; part of the same map
 
 
-def __getattr__(name):
-    # concurrent.futures.ProcessPoolExecutor loads multiprocessing, which a
-    # one-thread run never uses, so the module attribute is set at its first
-    # use; a value already set (a test's stand-in) is returned as it is
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-
-        return globals().setdefault(name, ProcessPoolExecutor)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """One event-by-event path: state held on [times[k], times[k+1])."""
@@ -164,6 +153,9 @@ def _check_start(i0: int, pop_cap: int) -> None:
         # tail draws are clipped at EXACT_POP_CAP, which is a censored draw
         # only while the cap stops every population at or below it
         raise DomainError(f"pop_cap must be at most 2**62, got {pop_cap}")
+    if pop_cap <= i0:
+        # the engine assumes pop < pop_cap at the start
+        raise DomainError(f"pop_cap must exceed i0, got pop_cap = {pop_cap} and i0 = {i0}")
 
 
 def _record(out, gidx, h_from, h_to, values):
@@ -336,7 +328,10 @@ def population_at(
     if threads <= 1:
         parts = [_simulate_population_batch(*a) for a in args]
     else:
-        with __getattr__("ProcessPoolExecutor")(max_workers=min(threads, batches)) as pool:
+        # imported here: it loads multiprocessing, which a one-thread run never uses
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(threads, batches)) as pool:
             parts = list(pool.map(_simulate_population_batch, *zip(*args)))
     return PopulationSample(
         horizons,

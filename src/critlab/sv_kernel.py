@@ -52,7 +52,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -194,9 +193,9 @@ class ScaleFunction:
         """
         return self.drift_integral(1.0, t), self.nu**2 * t
 
-    def exact_tail(self, rate: float) -> Callable | None:
-        """Exact pmf k -> a_k / rate of the jump law's tail, or None when
-        only its power-law envelope is known."""
+    def exact_tail(self) -> Callable | None:
+        """The jump law's exact tail k -> c * a_k for some c > 0, or None
+        when only its power-law envelope is known."""
         return None
 
     # normalizer -----------------------------------------------------------
@@ -255,18 +254,14 @@ class ConstantScale(_ConstantSV):
         nu = self.nu
         return (y0 ** (-nu) + nu * self.a0 * t) ** (-1.0 / nu)
 
-    def exact_tail(self, rate):
-        return partial(self._binomial_tail, self.a0 / rate)
+    def exact_tail(self):
+        return self._binomial_tail
 
-    def _binomial_tail(self, a0_over_rate, k):
-        # |C(1+nu, k)| = Gamma(k-1-nu) / (Gamma(k+1) * |Gamma(-1-nu)|)
+    def _binomial_tail(self, k):
+        # a_k = a0 |C(1+nu, k)| = a0 Gamma(k-1-nu) / (Gamma(k+1) |Gamma(-1-nu)|)
         nu = self.nu
-        log_abs_gamma = math.log(abs(math.gamma(-1.0 - nu)))
-        lg = [
-            math.lgamma(kk - 1.0 - nu) - math.lgamma(kk + 1.0) - log_abs_gamma
-            for kk in np.ravel(k).tolist()
-        ]
-        return a0_over_rate * np.exp(np.reshape(lg, np.shape(k)))
+        lg = [math.lgamma(kk - 1.0 - nu) - math.lgamma(kk + 1.0) for kk in np.ravel(k).tolist()]
+        return np.exp(np.reshape(lg, np.shape(k)))
 
     def normalizer(self, t):
         return math.pow(self.a0, -1.0 / self.nu)

@@ -246,6 +246,8 @@ def test_config_t_grid_validation():
         ("simulate", "seed = -1\nmc_n = 10\n", 2, "seed"),
         ("simulate", "seed = 1\nmc_n = 10\ni0 = 0\n", 2, "i0 must be >= 1"),
         ("simulate", "seed = 1\nmc_n = 10\npop_cap = 4611686018427387905\n", 2, "pop_cap"),
+        ("simulate", "seed = 1\nmc_n = 10\npop_cap = 0\n", 2, "pop_cap = 0 and i0 = 1"),
+        ("simulate", "seed = 1\nmc_n = 10\ni0 = 5\npop_cap = 5\n", 2, "pop_cap = 5 and i0 = 5"),
         ("simulate", "seed = 1\nmc_n = 10\nt_max = inf\n", 2, "t grid"),
         ("solve", "t_min = nan\n", 2, "t grid"),
         ("solve", "t_min = 1e300\nt_max = 1e300\nt_points = 1\n", 3,
@@ -255,7 +257,8 @@ def test_config_t_grid_validation():
         ("solve", "a0 = 1e-300\n", 3, "normalizer"),
     ],
     ids=["mc_n-zero", "mc_n-negative", "seed-negative", "i0-zero", "pop_cap-past-2**62",
-         "t_max-inf", "t_min-nan", "ode-overflow", "huge-horizon", "tiny-a0"],
+         "pop_cap-zero", "pop_cap-at-i0", "t_max-inf", "t_min-nan", "ode-overflow",
+         "huge-horizon", "tiny-a0"],
 )
 def test_accepted_configs_fail_by_name(tmp_path, capsys, command, extra, code, named):
     # parse_config accepts each of these; the run must end in a named error
@@ -328,7 +331,7 @@ def test_cli_and_simulate_load_no_scipy_or_multiprocessing(tmp_path):
     # run never starts a process pool, so `import critlab.cli` loads neither
     # scipy nor multiprocessing. `critlab simulate` on `constant` runs
     # without scipy: its series are closed form (no triangular solve), and
-    # the sampling tables' tail normalizers come from the standard library.
+    # the sampling tables' rejection targets need no normalizer.
     path = write_cfg(tmp_path, SIMULATE_SMALL_CFG)
     src = str(Path(acceptance.__file__).resolve().parents[1])
     env = dict(os.environ)

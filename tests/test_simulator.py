@@ -4,6 +4,7 @@ The engine oracle provides every expected value; Monte Carlo assertions use
 fixed seeds so runs are reproducible bit for bit.
 """
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import math
@@ -35,7 +36,6 @@ from critlab import (
     simulate_qprocess,
 )
 
-from critlab import simulator
 from critlab.acceptance import _c11_verdict, _limit_cdf
 from critlab.simulator import EXACT_POP_CAP
 
@@ -85,7 +85,7 @@ def test_worker_count_is_bounded_by_batches(model, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(simulator, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     a = population_at(model, [1.0], 40, seed=3, threads=10**6)
     b = population_at(model, [1.0], 40, seed=3, threads=1)
     assert seen["workers"] == 16
