@@ -51,7 +51,6 @@ from .kolmogorov_engine import (
     evolve_series,
     exact_R,
     identity_residual,
-    index_drift_integral,
     solve_F,
     transition_matrix,
 )
@@ -67,7 +66,6 @@ from .simulator import (
     estimate_survival,
     ks_distance,
     population_at,
-    qprocess_kernel_row,
     sample_qprocess_exact,
     simulate_mbp,
     simulate_qprocess,
@@ -76,10 +74,7 @@ from .sv_kernel import (
     Family,
     ModelParams,
     ScaleFunction,
-    invariant_measure_M,
     make_scale_function,
-    level_at_time,
-    time_to_level,
     perturbation_ratio,
     remainder_rho,
     solve_normalizer,

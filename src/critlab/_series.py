@@ -195,11 +195,3 @@ def _history(p, x, s, e):
         c1 = min(c0 + _DOT_CHUNK, s)
         h += np.convolve(p[s - c1 + 1 : e - c0], x[c0:c1], "valid")
     return h
-
-
-def eval_series(c: np.ndarray, s: float) -> float:
-    """Horner evaluation at a scalar point."""
-    acc = 0.0
-    for coef in c[::-1]:
-        acc = acc * s + coef
-    return acc

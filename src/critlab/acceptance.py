@@ -313,7 +313,9 @@ def _limit_cdf(nu: float):
 
     At nu = 1/2 the interpolant agrees with the closed form
     D(x) = E erfc(G / (2 sqrt x)), G ~ Gamma(3), to 2e-8 on [1e-6, 1e14];
-    outside that range it is clamped, where D < 1e-9 and 1 - D < 2e-7.
+    outside that range it is clamped, where D < 1e-9 and 1 - D < 2e-7 at
+    nu = 1/2, the only nu that C11 uses (at nu = 0.3, D(1e-6) = 1.3e-8 and
+    1 - D(1e14) = 2.1e-4).
     """
     xs = np.logspace(-6.0, 14.0, 801)
     dv, meta = d_limit(nu, xs)

@@ -94,7 +94,10 @@ def predict_q(sf: ScaleFunction, t: float) -> AsymptoticPrediction:
         raise DomainError(f"predict_q requires t >= 1, got {t}")
     nu = sf.nu
     N = solve_normalizer(sf, t)
-    leading = N / nu_t_power(nu, t, 1.0 / nu, "q prediction")
+    scale = nu_t_power(nu, t, 1.0 / nu, "q prediction")
+    if scale == 0.0:
+        raise SolverError(f"q prediction at t={t:g}: (nu*t)**{1.0 / nu:g} underflows to 0")
+    leading = N / scale
     num, den = sf.second_order(t)
     corr = -num / den
     return AsymptoticPrediction(leading, corr)

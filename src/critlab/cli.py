@@ -178,8 +178,11 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     sf = cfg.scale_function()
     rows = []
     for t in cfg.t_grid():
-        # the predictions need t >= 1 and the normalizer N(t); blank cells elsewhere
-        predicted = t >= 1.0 and sf.normalizer_defined(t)
+        # predictions need t >= 1, N(t) and nonzero (nu*t)**p, else blank cells;
+        # only nu*t < 1 underflows, and there p = 1+1/nu gives the smaller power
+        nu_t = sf.nu * t
+        predicted = (t >= 1.0 and sf.normalizer_defined(t)
+                     and (nu_t >= 1.0 or nu_t ** (1.0 + 1.0 / sf.nu) > 0.0))
         q = exact_R(sf, 0.0, t)
         pred = predict_q(sf, t).value if predicted else None
         rows.append(("solve", "q", t, q, pred, _rel_err(q, pred), "oracle", ""))

@@ -17,9 +17,9 @@ satisfies dw/dt = nu + 1/w, so
 
 a monotone scalar equation solved to machine precision for any t. The exact
 oracles themselves live on the family classes (``ScaleFunction.exact_R``,
-``ScaleFunction.drift_integral``); ``exact_R`` and ``index_drift_integral``
-here validate and dispatch, and ``identity_residual`` checks the identity
-by quadrature along the ODE path.
+``ScaleFunction.drift_integral``); ``exact_R`` here validates and
+dispatches, and ``identity_residual`` checks the identity by quadrature
+along the ODE path.
 Each quantity has one route: q(t) is ``exact_R(sf, 0.0, t)`` (any horizon),
 and ``solve_F`` is the independent ODE route, which integrates to whatever
 horizon it is given, so callers can compare the two there; it reads only the
@@ -54,7 +54,6 @@ __all__ = [
     "solve_F",
     "exact_R",
     "identity_residual",
-    "index_drift_integral",
     "evolve_series",
     "transition_matrix",
     "size_biased",
@@ -172,16 +171,6 @@ def identity_residual(
         limit=400,
     )
     return float(lhs - (sf.nu * t + integral))
-
-
-def index_drift_integral(sf: ScaleFunction, s: float, t: float) -> float:
-    """Accumulated index drift int_0^t index_drift(R(u;s)) du; any horizon.
-
-    Evaluated by the family's exact ``drift_integral``, i.e. through the
-    identity as 1/decay_rate(R) - 1/decay_rate(1-s) - nu*t.
-    """
-    _check_ts(s, t)
-    return sf.drift_integral(1.0 - s, t)
 
 
 # ---------------------------------------------------------------------------

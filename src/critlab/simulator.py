@@ -61,7 +61,6 @@ __all__ = [
     "empirical_D",
     "dkw_band",
     "ks_distance",
-    "qprocess_kernel_row",
 ]
 
 DEFAULT_POP_CAP = 10**9
@@ -123,22 +122,6 @@ def build_sim_model(sf: ScaleFunction, order: int = DEFAULT_SAMPLING_ORDER) -> S
         offspring=build_offspring_distribution(coeffs, sf),
         size_biased=build_size_biased_distribution(coeffs),
     )
-
-
-def qprocess_kernel_row(model: SimModel, i: int, kmax: int) -> np.ndarray:
-    """Conditioned-chain jump law from state i over offspring counts k <= kmax.
-
-    Entry k is (i + k - 1) * a_k / (i * |a1|) for k != 1; the full row sums
-    to 1 minus the table's tail mass. Used to assert the mixture
-    decomposition (i-1)/i ordinary + 1/i size-biased.
-    """
-    if i < 1:
-        raise DomainError(f"kernel row needs i >= 1, got {i}")
-    a = model.coeffs.coeffs[: kmax + 1]
-    k = np.arange(kmax + 1, dtype=float)
-    row = (i + k - 1.0) * a / (i * model.rate)
-    row[1] = 0.0
-    return row
 
 
 def _check_seed(seed) -> None:

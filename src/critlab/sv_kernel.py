@@ -56,9 +56,9 @@ from typing import Callable
 
 import numpy as np
 
-# scipy.integrate and scipy.optimize are imported where they are used: they
-# cost about 0.2 s at start-up, and a closed-form family never needs them;
-# the exact binomial tail takes its log-gamma values from ``math.lgamma``.
+# scipy.optimize is imported where it is used (``CoupledDriftScale._solve_w``):
+# it costs 0.4-0.5 s after numpy (2-core x86_64), and a closed-form family
+# never needs it; the exact binomial tail takes log-gamma from ``math.lgamma``.
 
 from . import _series
 from .errors import DomainError, ParameterError, SolverError
@@ -71,9 +71,6 @@ __all__ = [
     "remainder_rho",
     "nu_t_power",
     "solve_normalizer",
-    "invariant_measure_M",
-    "time_to_level",
-    "level_at_time",
     "perturbation_ratio",
 ]
 
@@ -457,61 +454,6 @@ def solve_normalizer(sf: ScaleFunction, t: float) -> float:
         return sf.normalizer(t)
     except OverflowError:
         raise SolverError(f"normalizer at t={t:g} overflows") from None
-
-
-def invariant_measure_M(sf: ScaleFunction, s: float) -> float:
-    """Generating function of the invariant measure of the branching process.
-
-    Adaptive quadrature of integral_1^{1/(1-s)} dx / (x**(1-nu) * sv(x)),
-    carried out in log space, relative tolerance 1e-10. M(0) = 0.
-    """
-    if not (0.0 <= s < 1.0):
-        raise DomainError(f"invariant_measure_M requires 0 <= s < 1, got {s}")
-    if s == 0.0:
-        return 0.0
-    vmax = -math.log1p(-s)  # log of the upper endpoint 1/(1-s)
-    nu = sf.nu
-
-    def integrand(v):
-        x = math.exp(v)
-        return x**nu / sf.sv(x)
-
-    from scipy.integrate import quad
-
-    val, err = quad(integrand, 0.0, vmax, epsabs=1e-15, epsrel=1e-10, limit=200)
-    if not math.isfinite(val):
-        raise SolverError(f"invariant measure quadrature failed at s={s}")
-    return float(val)
-
-
-def time_to_level(sf: ScaleFunction, x: float) -> float:
-    """Elapsed time for 1/R to climb from 1 to x along the backward flow.
-
-    Equals M(1 - 1/x): the invariant-measure value advances linearly in
-    time along the flow, so this is the exact time-change of the level.
-    Strictly increasing on x >= 1 with value 0 at x = 1.
-    """
-    if x < 1.0:
-        raise DomainError(f"time_to_level requires x >= 1, got {x}")
-    return invariant_measure_M(sf, 1.0 - 1.0 / x)
-
-
-def level_at_time(sf: ScaleFunction, y: float) -> float:
-    """Monotone inverse of time_to_level: 1/R(y; 0); rejects y < 0."""
-    if y < 0.0:
-        raise DomainError(f"level_at_time requires y >= 0, got {y}")
-    if y == 0.0:
-        return 1.0
-    hi = 2.0
-    for _ in range(600):
-        if time_to_level(sf, hi) >= y:
-            break
-        hi *= 4.0
-    else:
-        raise SolverError(f"level_at_time could not bracket y={y}")
-    from scipy.optimize import brentq
-
-    return float(brentq(lambda x: time_to_level(sf, x) - y, 1.0, hi, rtol=8.9e-16, maxiter=200))
 
 
 def perturbation_ratio(sf: ScaleFunction, y: float, K: Callable[[float], float]) -> float:

