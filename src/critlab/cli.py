@@ -167,10 +167,10 @@ def read_rows(path: Path):
     return out
 
 
-def _rel_err(value: float, pred: float | None) -> float:
-    """value/pred - 1; 0 without a prediction, inf when the prediction underflowed to 0."""
+def _rel_err(value: float, pred: float | None) -> float | None:
+    """value/pred - 1; None (a blank cell) without a prediction, inf if it underflowed to 0."""
     if pred is None:
-        return 0.0
+        return None
     return value / pred - 1.0 if pred != 0.0 else math.inf
 
 
@@ -264,8 +264,9 @@ def cmd_rates(cfg: ExperimentConfig, report_path: str) -> int:
     for tag, grp in _rows_by_tag(report_path):
         ts = np.array([g[2] for g in grp])
         errs = np.array([g[5] for g in grp])
+        finite = np.isfinite(errs)  # a blank error cell reads as nan
         try:
-            fit = fit_rate(ts=ts, residuals=errs)
+            fit = fit_rate(ts=ts[finite], residuals=errs[finite])
         except DomainError:
             continue
         print(f"{tag},{_fmt(fit.slope)},{_fmt(fit.intercept)},{_fmt(fit.r_squared)}")

@@ -29,11 +29,12 @@ Three built-in families provide independent exact oracles:
         decay_rate(y) = nu*a0*y**nu / (nu + a0*(1 - y**nu)).
 
 ``binary_split``
-    Finite-variance quadratic mechanism f(s) = a0*(1-s)**2, the classical
-    baseline; nu is pinned to 1 and index_drift = 0.
+    ``constant`` at nu = 1: the finite-variance quadratic mechanism
+    f(s) = a0*(1-s)**2, the classical baseline. ``ModelParams`` pins nu to 1,
+    and the tag maps to the ``constant`` class.
 
-Each family is one ``ScaleFunction`` subclass, and everything that differs
-between families lives on it: the closed forms above, the Taylor
+Each family's sv is one ``ScaleFunction`` subclass, and everything that
+differs between families lives on it: the closed forms above, the Taylor
 coefficients of f and f composed with a series, the exact R(t;s) oracle,
 the drift-integral oracle, the series of 1/sv, the normalizer, the
 second-order term of the survival expansion and, where known, the exact
@@ -42,8 +43,8 @@ tail of the jump law. Adding a family means adding one subclass.
 The normalizer N(t) used by the survival asymptotics is defined implicitly by
 N**nu * sv((nu*t)**(1/nu) / N) = 1, equivalently N = (nu*t)**(1/nu) * y* with
 decay_rate(y*) = 1/(nu*t). Every family solves this in closed form
-(``ScaleFunction.normalizer``): a0**(-1/nu) for ``constant``, 1/a0 for
-``binary_split`` and ((nu + a0)/(a0*(nu + 1/(nu*t))))**(1/nu) for
+(``ScaleFunction.normalizer``): a0**(-1/nu) for ``constant`` (1/a0 for
+``binary_split``) and ((nu + a0)/(a0*(nu + 1/(nu*t))))**(1/nu) for
 ``coupled_drift``, which never forms y* and so holds at any horizon.
 """
 
@@ -209,35 +210,25 @@ class ScaleFunction:
         raise NotImplementedError
 
 
-class _ConstantSV(ScaleFunction):
-    """sv(x) = a0: no index drift, 1/sv is the constant 1/a0, and
-    N**nu * a0 = 1 fixes N(t) for every t > 0."""
+class ConstantScale(ScaleFunction):
+    """sv(x) = a0; all derived quantities in closed form.
+
+    There is no index drift, 1/sv is the constant 1/a0, and N**nu * a0 = 1
+    fixes N(t) for every t > 0. At nu = 1 this is ``binary_split``,
+    f(s) = a0*(1-s)**2: the binomial series stops at a_2, so the jump law
+    has no tail mass and ``exact_tail`` is never drawn.
+    """
 
     def sv(self, x):
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(np.float64(self.a0), x.shape).copy() if x.ndim else float(self.a0)
 
+    def decay_rate(self, y):
+        return self.a0 * np.asarray(y, dtype=float) ** self.nu
+
     def index_drift(self, y):
         y = np.asarray(y, dtype=float)
         return np.zeros(y.shape) if y.ndim else 0.0
-
-    def drift_integral(self, y0, t):
-        return 0.0
-
-    def sv_reciprocal_series(self, order):
-        out = np.zeros(order + 1)
-        out[0] = 1.0 / self.a0
-        return out
-
-    def normalizer_defined(self, t):
-        return True
-
-
-class ConstantScale(_ConstantSV):
-    """sv(x) = a0; all derived quantities in closed form."""
-
-    def decay_rate(self, y):
-        return self.a0 * np.asarray(y, dtype=float) ** self.nu
 
     def mechanism_series(self, J):
         # a_j = a0 * (-1)**j * C(1+nu, j) by the binomial recurrence
@@ -251,6 +242,14 @@ class ConstantScale(_ConstantSV):
         nu = self.nu
         return (y0 ** (-nu) + nu * self.a0 * t) ** (-1.0 / nu)
 
+    def drift_integral(self, y0, t):
+        return 0.0
+
+    def sv_reciprocal_series(self, order):
+        out = np.zeros(order + 1)
+        out[0] = 1.0 / self.a0
+        return out
+
     def exact_tail(self):
         return self._binomial_tail
 
@@ -262,6 +261,9 @@ class ConstantScale(_ConstantSV):
 
     def normalizer(self, t):
         return math.pow(self.a0, -1.0 / self.nu)
+
+    def normalizer_defined(self, t):
+        return True
 
 
 class CoupledDriftScale(ScaleFunction):
@@ -374,32 +376,10 @@ class CoupledDriftScale(ScaleFunction):
         return 1.0 / (self.nu * t) <= self.a0
 
 
-class BinarySplitScale(_ConstantSV):
-    """Quadratic mechanism f(s) = a0*(1-s)**2 with finite variance (nu = 1)."""
-
-    def decay_rate(self, y):
-        return self.a0 * np.asarray(y, dtype=float)
-
-    def mechanism_series(self, J):
-        a = np.zeros(J + 1)
-        a[0], a[1], a[2] = self.a0, -2.0 * self.a0, self.a0
-        return a
-
-    def f_series(self, y, J):
-        return self.a0 * _series.mul(y, y, J)
-
-    def exact_R(self, y0, t):
-        # dR/dt = -a0 R**2 gives 1/R = 1/y0 + a0*t
-        return 1.0 / (1.0 / y0 + self.a0 * t)
-
-    def normalizer(self, t):
-        return 1.0 / self.a0
-
-
 _FAMILY_CLASSES = {
     Family.CONSTANT: ConstantScale,
     Family.COUPLED_DRIFT: CoupledDriftScale,
-    Family.BINARY_SPLIT: BinarySplitScale,
+    Family.BINARY_SPLIT: ConstantScale,
 }
 
 

@@ -8,6 +8,7 @@ here with log-gamma and frozen against the series machinery.
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from critlab import (
 )
 from critlab.asymptotics import default_theta_grid, laplace_sup_profile_max
 from critlab.kolmogorov_engine import SolveConfig
+from critlab import laplace
 from critlab.laplace import talbot
 
 CONST = make_scale_function(ModelParams(0.5, 1.0, Family.CONSTANT))
@@ -321,6 +323,21 @@ def test_talbot_node_sum_is_bit_for_bit_numpy_exp(nu, log10_x):
     got = talbot(cdf_transform, x)
     want = _talbot_numpy_exp(cdf_transform, x)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_gaver_stehfest_weights_are_the_exact_rationals_rounded():
+    # Stehfest's factorial form, summed in exact rationals at N = 16
+    f = math.factorial
+    exact = [
+        (-1) ** (k + 8) * sum(
+            Fraction(j**8 * f(2 * j), f(8 - j) * f(j) * f(j - 1) * f(k - j) * f(2 * j - k))
+            for j in range((k + 1) // 2, min(k, 8) + 1)
+        )
+        for k in range(1, 17)
+    ]
+    assert sum(v / k for k, v in enumerate(exact, start=1)) == 1  # inverts 1/p to 1
+    assert laplace._GS_WEIGHTS.tolist() == [float(v) for v in exact]
+    assert laplace.gaver_stehfest(lambda p: 1.0 / p**2, 3.0) == pytest.approx(3.0, rel=1e-6)
 
 
 @pytest.mark.parametrize(

@@ -209,11 +209,17 @@ def test_solve_blanks_predictions_where_time_scale_underflows(tmp_path, capsys):
     assert {r[1] for r in rows} == {"q", "P11", "R", "G"}
     for r in rows:
         assert (r[4] == "") == (r[1] != "R")  # R compares the ODE, not a prediction
+        # no prediction, no error: a 0 would read as exact agreement
+        assert (r[5] == "") == (r[1] != "R")
+    assert main(["rates", str(out / "solve.csv")]) == 0
+    assert main(["report", str(out / "solve.csv")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_rates_command_recovers_slope(tmp_path, capsys):
     out = tmp_path / "fit.csv"
-    lines = [",".join(CSV_COLUMNS)]
+    # a row without a prediction has a blank error cell, and the fit skips it
+    lines = [",".join(CSV_COLUMNS), "syn,decay,1,1,,,oracle,"]
     for t in (1e1, 1e2, 1e3, 1e4, 1e5):
         lines.append(f"syn,decay,{t:.17g},1,1,{3.0 / t:.17g},oracle,")
     out.write_text("\n".join(lines) + "\n")

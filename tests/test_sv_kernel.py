@@ -23,6 +23,7 @@ from critlab import (
     ScaleFunction,
     SolveConfig,
     SolverError,
+    build_sim_model,
     exact_R,
     make_scale_function,
     mechanism_series,
@@ -130,6 +131,25 @@ def test_normalizer_constant_family_exact():
     assert solve_normalizer(CONST, 17.0) == pytest.approx(1.0, rel=1e-15)
     sf4 = make_scale_function(ModelParams(0.5, 4.0, Family.CONSTANT))
     assert solve_normalizer(sf4, 3.0) == pytest.approx(1.0 / 16.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("a0", [0.3, 1.0, 1.7, 40.0])
+def test_binary_split_is_the_constant_family_at_nu_one(a0):
+    # f(s) = a0*(1-s)**2: a0, -2a0, a0 and then exact zeros, so both sampling
+    # tables carry all the mass and the nu = 1 tail hook is never drawn
+    sf = make_scale_function(ModelParams(1.0, a0, Family.BINARY_SPLIT))
+    J = 2**16
+    want = np.zeros(J + 1)
+    want[:3] = a0, -2.0 * a0, a0
+    assert np.array_equal(mechanism_series(sf, J), want)
+    model = build_sim_model(sf)
+    assert model.offspring.tail_mass == 0.0
+    assert model.size_biased.tail_mass == 0.0
+    rng = np.random.default_rng(7)
+    for y0, t in zip(rng.uniform(1e-6, 1.0, 200), 10.0 ** rng.uniform(-6.0, 6.0, 200)):
+        want_R = 1.0 / (1.0 / y0 + a0 * t)
+        assert abs(sf.exact_R(y0, t) - want_R) <= math.ulp(want_R)
+        assert abs(sf.normalizer(t) - 1.0 / a0) <= math.ulp(1.0 / a0)
 
 
 def test_normalizer_coupled_satisfies_defining_equation():
