@@ -264,9 +264,8 @@ def cmd_rates(cfg: ExperimentConfig, report_path: str) -> int:
     for tag, grp in _rows_by_tag(report_path):
         ts = np.array([g[2] for g in grp])
         errs = np.array([g[5] for g in grp])
-        finite = np.isfinite(errs)  # a blank error cell reads as nan
         try:
-            fit = fit_rate(ts=ts[finite], residuals=errs[finite])
+            fit = fit_rate(ts=ts, residuals=errs)
         except DomainError:
             continue
         print(f"{tag},{_fmt(fit.slope)},{_fmt(fit.intercept)},{_fmt(fit.r_squared)}")

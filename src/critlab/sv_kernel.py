@@ -193,7 +193,12 @@ class ScaleFunction:
 
     def exact_tail(self) -> Callable | None:
         """The jump law's exact tail k -> c * a_k for some c > 0, or None
-        when only its power-law envelope is known."""
+        when only its power-law envelope is known.
+
+        Where the jump law has no tail (``tail_mass == 0``, as at nu = 1,
+        where a_k = 0 for k >= 3) the hook is never evaluated and its
+        value there need not be a tail of a_k.
+        """
         return None
 
     # normalizer -----------------------------------------------------------
@@ -255,6 +260,8 @@ class ConstantScale(ScaleFunction):
 
     def _binomial_tail(self, k):
         # a_k = a0 |C(1+nu, k)| = a0 Gamma(k-1-nu) / (Gamma(k+1) |Gamma(-1-nu)|)
+        # for nu < 1; at nu = 1 Gamma(-2) is a pole, a_k = 0 for k >= 3, and
+        # the table's tail_mass is 0, so this is never called there
         nu = self.nu
         lg = [math.lgamma(kk - 1.0 - nu) - math.lgamma(kk + 1.0) for kk in np.ravel(k).tolist()]
         return np.exp(np.reshape(lg, np.shape(k)))

@@ -483,3 +483,15 @@ def test_fit_rate_guards():
         fit_rate(ts=np.array([1.0, 2.0, 3.0]), residuals=np.ones(3))
     with pytest.raises(DomainError):
         fit_rate(ts=np.linspace(10, 11, 6), residuals=np.ones(6))
+
+
+def test_fit_rate_drops_non_finite_residuals():
+    # a blank report cell reads as nan and an underflowed prediction gives
+    # inf: both are dropped before the count and span checks
+    ts = np.logspace(1, 5, 9)
+    resid = 3.0 / ts
+    with_gaps = np.concatenate([[np.nan, np.inf], resid, [-np.inf]])
+    all_ts = np.concatenate([[0.1, 0.2], ts, [1e9]])
+    assert fit_rate(ts=all_ts, residuals=with_gaps) == fit_rate(ts=ts, residuals=resid)
+    with pytest.raises(DomainError, match=">= 5 records"):
+        fit_rate(ts=ts[:6], residuals=np.concatenate([resid[:4], [np.nan, np.nan]]))
