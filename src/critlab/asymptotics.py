@@ -349,14 +349,12 @@ def baseline_checks(sf: ScaleFunction, t_grid) -> list[tuple[float, float, float
 def fit_rate(ts: np.ndarray, residuals: np.ndarray) -> RateFit:
     """Least-squares fit log|residual| = slope*log t + c.
 
-    Non-finite residuals (a blank report cell reads as nan) are dropped
-    first; the rest must hold at least 5 records spanning two decades of t,
-    and degenerate spreads are rejected.
+    Drops non-finite residuals, then requires at least 5 records spanning
+    two decades of t; degenerate spreads are rejected.
     """
     residuals = np.asarray(residuals, dtype=float)
-    finite = np.isfinite(residuals)
-    ts = np.asarray(ts, dtype=float)[finite]
-    residuals = residuals[finite]
+    finite = np.isfinite(residuals)  # a blank report cell reads as nan
+    ts, residuals = np.asarray(ts, dtype=float)[finite], residuals[finite]
     if len(ts) < 5:
         raise DomainError(f"fit_rate needs >= 5 records, got {len(ts)}")
     if np.max(ts) / np.min(ts) < 100.0:

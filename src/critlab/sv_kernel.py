@@ -192,13 +192,9 @@ class ScaleFunction:
         return self.drift_integral(1.0, t), self.nu**2 * t
 
     def exact_tail(self) -> Callable | None:
-        """The jump law's exact tail k -> c * a_k for some c > 0, or None
-        when only its power-law envelope is known.
-
-        Where the jump law has no tail (``tail_mass == 0``, as at nu = 1,
-        where a_k = 0 for k >= 3) the hook is never evaluated and its
-        value there need not be a tail of a_k.
-        """
+        """The jump law's exact tail k -> c * a_k for some c > 0 where a_k has
+        a tail, or None when only its power-law envelope is known; never
+        evaluated where the sampling table's ``tail_mass`` is 0 (nu = 1)."""
         return None
 
     # normalizer -----------------------------------------------------------
@@ -259,9 +255,8 @@ class ConstantScale(ScaleFunction):
         return self._binomial_tail
 
     def _binomial_tail(self, k):
-        # a_k = a0 |C(1+nu, k)| = a0 Gamma(k-1-nu) / (Gamma(k+1) |Gamma(-1-nu)|)
-        # for nu < 1; at nu = 1 Gamma(-2) is a pole, a_k = 0 for k >= 3, and
-        # the table's tail_mass is 0, so this is never called there
+        # a_k = a0 |C(1+nu, k)| = a0 Gamma(k-1-nu) / (Gamma(k+1) |Gamma(-1-nu)|) at
+        # nu < 1; at nu = 1 Gamma(-2) is a pole, a_k = 0 past k = 2, tail_mass is 0
         nu = self.nu
         lg = [math.lgamma(kk - 1.0 - nu) - math.lgamma(kk + 1.0) for kk in np.ravel(k).tolist()]
         return np.exp(np.reshape(lg, np.shape(k)))
