@@ -312,7 +312,8 @@ def _limit_cdf(nu: float):
     """D(x) by Laplace inversion on a log grid, PCHIP-interpolated in log x.
 
     At nu = 1/2 the interpolant agrees with the closed form
-    D(x) = E erfc(G / (2 sqrt x)), G ~ Gamma(3), to 2e-8 on [1e-6, 1e14];
+    D(x) = E erfc(G / (2 sqrt x)), G ~ Gamma(3), to 4e-8 on [1e-6, 1e14]
+    (on the grid and between its points);
     outside that range it is clamped, where D < 1e-9 and 1 - D < 2e-7 at
     nu = 1/2, the only nu that C11 uses (at nu = 0.3, D(1e-6) = 1.3e-8 and
     1 - D(1e14) = 2.1e-4).

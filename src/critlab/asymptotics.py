@@ -311,8 +311,8 @@ def d_limit(nu: float, x_grid) -> tuple[np.ndarray, dict]:
     def cdf_transform(p):
         return (1.0 + p**nu) ** (-(1.0 + 1.0 / nu)) / p
 
-    vals = np.array([talbot(cdf_transform, x) for x in x_grid])
-    disagreements = np.abs(vals - [gaver_stehfest(cdf_transform, x) for x in x_grid])
+    vals = talbot(cdf_transform, x_grid)
+    disagreements = np.abs(vals - gaver_stehfest(cdf_transform, x_grid))
     meta = {
         "flagged_indices": [int(i) for i in np.flatnonzero(~(disagreements <= 1e-4))],
         "max_disagreement": float(np.max(disagreements)),

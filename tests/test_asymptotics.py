@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
+from scipy.integrate import quad
+from scipy.special import erfc, gammaln
 
 from critlab import (
     DomainError,
@@ -42,10 +43,13 @@ from critlab import (
     solve_normalizer,
     tauberian_ratio,
 )
+from critlab.acceptance import _limit_cdf
 from critlab.asymptotics import default_theta_grid, laplace_sup_profile_max
 from critlab.kolmogorov_engine import SolveConfig
 from critlab import laplace
 from critlab.laplace import talbot
+
+import reference
 
 CONST = make_scale_function(ModelParams(0.5, 1.0, Family.CONSTANT))
 COUPLED = make_scale_function(ModelParams(0.5, 1.0, Family.COUPLED_DRIFT))
@@ -295,34 +299,54 @@ def test_d_limit_flags_non_finite_disagreement():
     assert meta["flagged_indices"] == [1]
 
 
-def _talbot_numpy_exp(F, x, M=48):
-    # the node sum with numpy's complex exp, which talbot replaced by cmath.exp
-    r = 2.0 * M / (5.0 * x)
-    acc = 0.5 * complex(F(r)).real * math.exp(r * x)
-    for k in range(1, M):
-        phi = k * math.pi / M
-        cot = 1.0 / math.tan(phi)
-        p = r * phi * complex(cot, 1.0)
-        sigma = phi + (phi * cot - 1.0) * cot
-        acc += (np.exp(x * p) * complex(F(p)) * complex(1.0, sigma)).real
-    return acc * r / M
-
-
 @given(nu=st.floats(0.02, 0.98), log10_x=st.floats(-6.0, 14.0))
 @example(nu=0.5, log10_x=-4.0)
 @example(nu=0.5, log10_x=6.0)
 @settings(max_examples=200, deadline=None)
-def test_talbot_node_sum_is_bit_for_bit_numpy_exp(nu, log10_x):
-    # cmath.exp and numpy's exp of a complex give the same bits here, so
-    # d_limit (C11's limit law) is unchanged by keeping the sum in Python
+def test_array_inversions_match_the_scalar_reference(nu, log10_x):
+    # the array routes round differently from the scalar node sums (numpy's
+    # exp, pow and complex divide are not libm's or CPython's); Talbot's
+    # terms of size e**(2M/5) ~ 2e8 cancel, so both carry ~3e-8 of noise
     x = 10.0**log10_x
 
     def cdf_transform(p):
         return (1.0 + p**nu) ** (-(1.0 + 1.0 / nu)) / p
 
     got = talbot(cdf_transform, x)
-    want = _talbot_numpy_exp(cdf_transform, x)
-    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert isinstance(got, float)
+    assert got == pytest.approx(reference.talbot(cdf_transform, x), abs=1e-7)
+    got_gs = laplace.gaver_stehfest(cdf_transform, x)
+    assert isinstance(got_gs, float)
+    assert got_gs == pytest.approx(reference.gaver_stehfest(cdf_transform, x), abs=2e-6)
+    # one call on a grid gives the same bits as one call per point
+    grid = np.array([x, 2.0 * x])
+    assert talbot(cdf_transform, grid)[0] == got
+    assert laplace.gaver_stehfest(cdf_transform, grid)[0] == got_gs
+
+
+@pytest.mark.parametrize("x", [[1.0, math.nan], [0.0]], ids=["nan", "zero"])
+@pytest.mark.parametrize("invert", [talbot, laplace.gaver_stehfest], ids=["talbot", "gs"])
+def test_inversions_refuse_x_not_positive(invert, x):
+    with pytest.raises(ValueError, match="requires x > 0"):
+        invert(lambda p: 1.0 / p, np.array(x))
+
+
+def _d_closed_form(x):
+    # nu = 1/2: D(x) = E erfc(G / (2 sqrt x)), G ~ Gamma(3)
+    def integrand(g):
+        return 0.5 * g * g * math.exp(-g) * erfc(g / (2.0 * math.sqrt(x)))
+
+    return quad(integrand, 0.0, math.inf, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+
+
+def test_d_limit_matches_the_half_closed_form_on_c11s_grid():
+    xs = np.logspace(-6.0, 14.0, 801)
+    mids = np.sqrt(xs[1:] * xs[:-1])
+    vals, meta = d_limit(0.5, xs)
+    assert meta["flagged_indices"] == []
+    assert np.max(np.abs(vals - [_d_closed_form(x) for x in xs])) < 4e-8
+    cdf = _limit_cdf(0.5)
+    assert np.max(np.abs(cdf(mids) - [_d_closed_form(x) for x in mids])) < 4e-8
 
 
 def test_gaver_stehfest_weights_are_the_exact_rationals_rounded():
