@@ -10,9 +10,9 @@ from .asymptotics import (
     AsymptoticPrediction,
     PiMeasure,
     RateFit,
-    baseline_checks,
     d_limit,
     delta_sup,
+    first_order_ratio,
     fit_rate,
     normalized_error_p11,
     normalized_error_q,
@@ -62,7 +62,6 @@ from .simulator import (
     Trajectory,
     build_sim_model,
     dkw_band,
-    empirical_D,
     estimate_survival,
     ks_distance,
     population_at,

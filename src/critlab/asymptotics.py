@@ -12,15 +12,17 @@ Each predictor mirrors one limit statement of the theory:
   pi(s) = s * (1-s)**-(1+nu) / sv(1/(1-s)); coefficient-wise it is the
   size-biased branching invariant measure.
 * ``psi_limit`` / ``psi_finite``: limiting and finite-horizon Laplace
-  transforms of the scaled conditioned population q(t)*W(t); their gap
-  decays like log t / t with an explicit theta profile.
+  transforms of the scaled conditioned population q(t)*W(t), on a scalar
+  or an array of theta; their gap decays like log t / t with an explicit
+  theta profile, and ``delta_sup`` takes its sup over a grid.
 * ``d_limit``: the limiting distribution function recovered by fixed
   Talbot inversion, every point checked against Gaver-Stehfest.
 
-Every exact survival probability comes from ``exact_R(sf, 0.0, t)``, and
-every time scale (nu*t)**p from ``sv_kernel.nu_t_power``, which refuses a
-horizon where it overflows.
-``baseline_checks`` returns (t, exact, predicted, normalized error) tuples;
+Every exact survival probability comes from ``exact_R(sf, 0.0, t)``, every
+time scale (nu*t)**p from ``sv_kernel.nu_t_power``, which refuses a horizon
+where it overflows, and every second-order term from the family's
+``ScaleFunction.second_order``.
+``first_order_ratio`` is the classical first-order check q(t) / (f(1-q) nu t);
 ``fit_rate`` turns times and residuals into a log-log convergence-rate
 estimate.
 """
@@ -61,7 +63,7 @@ __all__ = [
     "qproc_gf_ratio",
     "qproc_gf_second_order",
     "d_limit",
-    "baseline_checks",
+    "first_order_ratio",
     "fit_rate",
 ]
 
@@ -121,29 +123,32 @@ def predict_p11(sf: ScaleFunction, t: float) -> AsymptoticPrediction:
     return AsymptoticPrediction(leading, corr)
 
 
+def _second_order_term(sf: ScaleFunction, t: float) -> tuple[float, float]:
+    num, den = sf.second_order(t)  # a zero num leaves nothing to normalize by
+    if num == 0.0:
+        raise DomainError(f"normalized error at t={t:g}: {sf.family.value} family has no second-order term")
+    return num, den
+
+
 def normalized_error_q(sf: ScaleFunction, t: float) -> float:
-    """E(t) = (1 - q(t)*(nu*t)**(1/nu)/N(t)) * nu**3 * t / log(a0*nu*t + 1).
+    """E(t) = (1 - q(t)*(nu*t)**(1/nu)/N(t)) * den / num, with -num/den the
+    family's second-order correction (``ScaleFunction.second_order``).
 
     Converges to 1 for the coupled-drift family; the acceptance band lives
-    on this quantity.
+    on this quantity. A family without a second-order term raises DomainError.
     """
-    nu = sf.nu
     q = exact_R(sf, 0.0, t)
     pred = predict_q(sf, t)
-    return float((1.0 - q / pred.leading) * nu**3 * t / math.log(sf.a0 * nu * t + 1.0))
+    num, den = _second_order_term(sf, t)
+    return float((1.0 - q / pred.leading) * den / num)
 
 
 def normalized_error_p11(sf: ScaleFunction, t: float) -> float:
     """Same normalization for P_11 with the (1+nu) coefficient divided out."""
-    nu = sf.nu
-    val = nu_t_power(nu, t, 1.0 + 1.0 / nu, "scaled P11") * p11_exact(sf, t)
+    val = nu_t_power(sf.nu, t, 1.0 + 1.0 / sf.nu, "scaled P11") * p11_exact(sf, t)
     pred = predict_p11(sf, t)
-    return float(
-        (1.0 - val / pred.leading)
-        * nu**3
-        * t
-        / ((1.0 + nu) * math.log(sf.a0 * nu * t + 1.0))
-    )
+    num, den = _second_order_term(sf, t)
+    return float((1.0 - val / pred.leading) * den / ((1.0 + sf.nu) * num))
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +215,21 @@ def psi_limit(nu: float, theta) -> float:
     return float(val) if val.ndim == 0 else val
 
 
-def psi_finite(sf: ScaleFunction, t: float, theta: float) -> float:
+def psi_finite(sf: ScaleFunction, t: float, theta):
     """Finite-horizon transform E exp(-theta * q(t) * W(t)) = G(t; e^{-theta q(t)}).
 
-    Uses the exact survival oracle; 1 - s is carried as expm1 so precision
-    survives theta*q(t) down to the 1e-14 scale.
+    theta is a scalar (gives a float) or an array (gives its shape). s and
+    1 - s = -expm1(-theta q) are both formed directly, so precision survives
+    theta*q(t) from the 1e-14 scale up to where s underflows.
     """
-    if theta <= 0.0:
+    th = np.asarray(theta, dtype=float)
+    if not np.all(th > 0.0):
         raise DomainError(f"psi_finite requires theta > 0, got {theta}")
     if t < 1.0:
         raise DomainError(f"psi_finite requires t >= 1, got {t}")
     q = exact_R(sf, 0.0, t)
-    y = -math.expm1(-theta * q)
-    return G_of(sf, 1.0 - y, t, one_minus_s=y)
+    vals = np.array([G_of(sf, math.exp(-x), t, one_minus_s=-math.expm1(-x)) for x in (th * q).flat])
+    return float(vals[0]) if th.ndim == 0 else vals.reshape(th.shape)
 
 
 def default_theta_grid(n: int = 200) -> np.ndarray:
@@ -237,21 +244,17 @@ def delta_sup(
 ) -> tuple[float, float]:
     """Sup over the grid of |psi_finite - psi_limit|; returns (sup, argmax).
 
-    Raises SolverError when the maximum sits on the grid boundary, which
-    would mean the grid no longer brackets the interior maximum.
+    Raises SolverError when the gap is not finite or its maximum sits on
+    the grid boundary (the grid no longer brackets the interior maximum).
     """
-    grid = default_theta_grid() if theta_grid is None else np.asarray(theta_grid)
-    nu = sf.nu
-    q = exact_R(sf, 0.0, t)
-    best, arg, idx = -1.0, grid[0], 0
-    for i, th in enumerate(grid):
-        y = -math.expm1(-th * q)
-        val = abs(G_of(sf, 1.0 - y, t, one_minus_s=y) - psi_limit(nu, th))
-        if val > best:
-            best, arg, idx = val, th, i
+    grid = default_theta_grid() if theta_grid is None else np.asarray(theta_grid, dtype=float)
+    gap = np.abs(psi_finite(sf, t, grid) - psi_limit(sf.nu, grid))
+    if not np.all(np.isfinite(gap)):
+        raise SolverError(f"delta_sup: non-finite transform gap at t={t:g}")
+    idx = int(np.argmax(gap))
     if idx in (0, len(grid) - 1):
-        raise SolverError(f"delta_sup argmax on grid boundary at theta={arg}")
-    return float(best), float(arg)
+        raise SolverError(f"delta_sup argmax on grid boundary at theta={grid[idx]}")
+    return float(gap[idx]), float(grid[idx])
 
 
 def laplace_sup_profile_max(nu: float) -> float:
@@ -325,25 +328,20 @@ def d_limit(nu: float, x_grid) -> tuple[np.ndarray, dict]:
 # ---------------------------------------------------------------------------
 
 
-def baseline_checks(sf: ScaleFunction, t_grid) -> list[tuple[float, float, float, float]]:
-    """Classical first-order check as (t, exact, predicted, normalized error)
-    tuples sorted by t.
+def first_order_ratio(sf: ScaleFunction, t: float) -> float:
+    """Classical first-order ratio q(t) / (f(1-q(t)) * nu * t) from the exact oracle.
 
-    The ratio q(t) / (f(1-q(t)) * nu * t) tends to 1 for every family (for
-    binary_split it is 1 + 1/(a0*t)) and is recorded from the exact oracle.
-    A non-finite entry raises DomainError.
+    Tends to 1 for every family (for binary_split it is 1 + 1/(a0*t)). A
+    non-finite ratio, such as 0/0 once q(t) underflows, raises DomainError.
     """
-    records = []
-    for t in np.sort(np.atleast_1d(np.asarray(t_grid, dtype=float))):
-        q = exact_R(sf, 0.0, t)
-        # f(1 - q) as q * decay_rate(q): forming 1 - q would round q away
-        with np.errstate(all="ignore"):
-            ratio = q / (q * sf.decay_rate(q) * sf.nu * t)
-        rec = (t, ratio, 1.0, ratio - 1.0)
-        if not all(math.isfinite(v) for v in rec):
-            raise DomainError(f"non-finite baseline entry at t={t}")
-        records.append(tuple(float(v) for v in rec))
-    return records
+    t = np.float64(t)
+    q = exact_R(sf, 0.0, t)
+    # f(1 - q) as q * decay_rate(q): forming 1 - q would round q away
+    with np.errstate(all="ignore"):
+        ratio = q / (q * sf.decay_rate(q) * sf.nu * t)
+    if not math.isfinite(ratio):
+        raise DomainError(f"non-finite first-order ratio at t={t:g}")
+    return float(ratio)
 
 
 def fit_rate(ts: np.ndarray, residuals: np.ndarray) -> RateFit:

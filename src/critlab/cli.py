@@ -97,9 +97,16 @@ _PARSERS = {
 }
 
 
+def _read_text(path: str | Path, what: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read the {what}: {exc}") from None
+
+
 def parse_config(path: str | Path) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    text = Path(path).read_text()
+    text = _read_text(path, "config")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -154,16 +161,23 @@ def write_rows(path: Path, rows) -> None:
 
 
 def read_rows(path: Path):
-    lines = Path(path).read_text().splitlines()
+    """Rows of a report CSV; a short row or a non-numeric cell raises
+    ConfigError naming the file and the line."""
+    lines = _read_text(path, "report").splitlines()
     if not lines or lines[0] != ",".join(CSV_COLUMNS):
         raise ConfigError(f"{path}: not a critlab report (bad header)")
     out = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        out.append(
-            (parts[0], parts[1], float(parts[2]), float(parts[3] or "nan"),
-             float(parts[4] or "nan"), float(parts[5] or "nan"), parts[6], parts[7])
-        )
+        if len(parts) != len(CSV_COLUMNS):
+            raise ConfigError(f"{path}:{lineno}: expected {len(CSV_COLUMNS)} cells, got {len(parts)}")
+        try:
+            out.append(
+                (parts[0], parts[1], float(parts[2]), float(parts[3] or "nan"),
+                 float(parts[4] or "nan"), float(parts[5] or "nan"), parts[6], parts[7])
+            )
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return out
 
 

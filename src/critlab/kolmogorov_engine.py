@@ -277,11 +277,11 @@ def G_of(
     Evaluated as s * R * decay_rate(R) / f(s) with R from the exact oracle.
     ``one_minus_s`` may be passed to keep precision when s is within
     roundoff of 1; the domain check is then made on ``one_minus_s``, since
-    s itself may have rounded to 1.0.
+    s itself may have rounded to 1.0; a tiny s may round 1 - s to 1.0.
     """
     y0 = 1.0 - s if one_minus_s is None else one_minus_s
-    if not (0.0 < y0 < 1.0):
-        raise DomainError(f"G_of requires 0 < s < 1, got s={s}, 1-s={y0}")
+    if not (s > 0.0 and 0.0 < y0 <= 1.0):
+        raise DomainError(f"G_of requires s > 0 and 0 < 1-s <= 1, got s={s}, 1-s={y0}")
     if t < 0.0:
         raise DomainError(f"G_of requires t >= 0, got t={t}")
     r = exact_R(sf, s, t, one_minus_s=y0)

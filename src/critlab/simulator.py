@@ -43,7 +43,6 @@ from .branching_model import (
     expand_coeffs,
 )
 from .errors import DomainError, ParameterError
-from .kolmogorov_engine import exact_R
 from .sv_kernel import Family, ScaleFunction
 
 __all__ = [
@@ -58,7 +57,6 @@ __all__ = [
     "population_at",
     "sample_qprocess_exact",
     "estimate_survival",
-    "empirical_D",
     "dkw_band",
     "ks_distance",
 ]
@@ -439,60 +437,28 @@ class EmpiricalCDF:
     values: np.ndarray
     n: int
     censored: int
-    scale_q: float
 
     @classmethod
     def from_sample(cls, sample: PopulationSample, q: float) -> EmpiricalCDF:
         """Law of q * W at the sample's first horizon; censored draws are counted, not kept."""
         censored = sample.censored
         vals = np.sort(q * sample.sizes[~censored, 0].astype(float))
-        return cls(float(sample.horizons[0]), vals, len(censored), int(censored.sum()), q)
+        return cls(float(sample.horizons[0]), vals, len(censored), int(censored.sum()))
 
 
 def dkw_band(n: int, alpha: float = 0.05) -> float:
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
 
 
-def ks_distance(ecdf: EmpiricalCDF, cdf, xmax: float | None = None) -> float:
+def ks_distance(ecdf: EmpiricalCDF, cdf) -> float:
     """Kolmogorov distance between the sample CDF and a callable CDF.
 
     Censored mass sits above every uncensored value, so the empirical CDF
-    is exact at each uncensored point; the sup is taken over those points
-    (optionally only up to xmax).
+    is exact at each uncensored point; the sup is taken over those points.
     """
     x = ecdf.values
-    if xmax is not None:
-        x = x[x <= xmax]
     if x.size == 0:
-        raise DomainError("no uncensored sample points below xmax")
+        raise DomainError("no uncensored sample points")
     F = np.asarray(cdf(x), dtype=float)
     i = np.arange(1, len(x) + 1, dtype=float)
     return float(max(np.max(i / ecdf.n - F), np.max(F - (i - 1.0) / ecdf.n)))
-
-
-def empirical_D(
-    model: SimModel,
-    t: float,
-    n: int,
-    seed: int,
-    *,
-    pop_cap: int = DEFAULT_POP_CAP,
-    max_events: int | None = None,
-    threads: int = 1,
-) -> EmpiricalCDF:
-    """Empirical law of q(t) * W(t) from n conditioned trajectories.
-
-    q(t) comes from the exact engine oracle; W(t) from event simulation.
-    """
-    q = exact_R(model.sf, 0.0, t)
-    sample = population_at(
-        model,
-        [t],
-        n,
-        seed,
-        conditioned=True,
-        pop_cap=pop_cap,
-        max_events=max_events,
-        threads=threads,
-    )
-    return EmpiricalCDF.from_sample(sample, q)

@@ -66,7 +66,10 @@ def _fixture_lines(cid: str) -> list[str]:
 
 
 def _run(cid: str, tmp_path: Path):
-    res = run_criterion(cid)
+    # by catalog tag, so the tag route is exercised for every criterion
+    tag = CRITERIA[cid][0]
+    res = run_criterion(tag)
+    assert (res.cid, res.tag) == (cid, tag)
     print()
     print(res.line())
     assert res.runtime <= RUNTIME_BUDGETS[cid], (

@@ -22,11 +22,11 @@ from critlab import (
     Family,
     ModelParams,
     SolverError,
-    baseline_checks,
     d_limit,
     delta_sup,
     evolve_series,
     exact_R,
+    first_order_ratio,
     fit_rate,
     make_scale_function,
     normalized_error_p11,
@@ -43,6 +43,7 @@ from critlab import (
     solve_normalizer,
     tauberian_ratio,
 )
+from critlab import asymptotics
 from critlab.acceptance import _limit_cdf
 from critlab.asymptotics import default_theta_grid, laplace_sup_profile_max
 from critlab.kolmogorov_engine import SolveConfig
@@ -85,6 +86,14 @@ def test_predicted_value_close_at_large_t():
 def test_normalized_errors_in_band():
     assert 0.9 <= normalized_error_q(COUPLED, 1e8) <= 1.1
     assert 0.85 <= normalized_error_p11(COUPLED, 1e8) <= 1.15
+
+
+def test_normalized_errors_refuse_a_family_without_second_order_term():
+    # the constant family's second-order term is 0: there is nothing to
+    # divide the measured error by
+    for fn in (normalized_error_q, normalized_error_p11):
+        with pytest.raises(DomainError, match="constant family has no second-order term"):
+            fn(CONST, 1e4)
 
 
 def test_second_order_not_converged_in_burn_in():
@@ -176,6 +185,56 @@ def test_psi_finite_second_order_profile():
     gap = psi_finite(COUPLED, t, th) - psi_limit(0.5, th)
     profile = psi_limit(0.5, th) * (th**0.5 / (1 + th**0.5)) * 12.0 * math.log(t) / t
     assert gap / profile == pytest.approx(1.0, abs=0.2)
+
+
+@given(
+    family=st.sampled_from([Family.CONSTANT, Family.COUPLED_DRIFT]),
+    nu=st.floats(0.05, 0.95),
+    a0=st.floats(0.1, 10.0),
+    log10_t=st.floats(0.0, 6.0),
+    log10_theta=st.floats(-3.0, 2.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_psi_finite_array_matches_scalar_calls(family, nu, a0, log10_t, log10_theta):
+    sf = make_scale_function(ModelParams(nu, a0, family))
+    t = 10.0**log10_t
+    thetas = 10.0**log10_theta * np.array([[1.0, 0.5], [0.1, 3.0]])
+    got = psi_finite(sf, t, thetas)
+    scalar = [psi_finite(sf, t, float(th)) for th in thetas.ravel()]
+    assert all(isinstance(v, float) for v in scalar)
+    assert got.shape == thetas.shape
+    assert got.ravel().tobytes() == np.array(scalar).tobytes()
+
+
+def test_psi_finite_keeps_precision_at_large_theta_q():
+    # constant family in closed form: G(t;s) = s * (1 + c*(1-s)**nu)**-(1+1/nu)
+    # with c = nu*a0*t and s = exp(-theta*q(t)); 1 - s formed from s would
+    # lose every digit of s once exp(-theta*q) is small
+    from critlab import G_of
+
+    mpmath = pytest.importorskip("mpmath")
+    t = 1.0
+    q = exact_R(CONST, 0.0, t)
+    with mpmath.workdps(40):
+        nu, c = mpmath.mpf(1) / 2, mpmath.mpf(1) / 2
+        q_mp = (1 + c) ** (-1 / nu)
+
+        def closed(s):
+            return s * (1 + c * (1 - s) ** nu) ** (-(1 + 1 / nu))
+
+        for theta_q in (1.0, 10.0, 22.0, 31.0, 35.6, 40.0, 100.0, 700.0):
+            theta = theta_q / q
+            expect = closed(mpmath.exp(-mpmath.mpf(theta) * q_mp))
+            assert psi_finite(CONST, t, theta) == pytest.approx(float(expect), rel=1e-13)
+        # 1 - s rounds to 1 at s = 1e-20, which G_of accepts
+        expect = closed(mpmath.mpf(1e-20))
+        assert G_of(CONST, 1e-20, t) == pytest.approx(float(expect), rel=1e-14)
+
+
+def test_delta_sup_refuses_a_non_finite_gap(monkeypatch):
+    monkeypatch.setattr(asymptotics, "G_of", lambda sf, s, t, one_minus_s: math.nan)
+    with pytest.raises(SolverError, match=re.escape("non-finite transform gap at t=1e+06")):
+        delta_sup(COUPLED, 1e6)
 
 
 def test_psi_finite_weak_complete_monotonicity():
@@ -439,19 +498,18 @@ def test_pi_invariance_pointwise():
 
 def test_baseline_first_order_ratio():
     for sf, tol in ((CONST, 0.01), (COUPLED, 0.02)):
-        assert baseline_checks(sf, [1e6])[0][1] == pytest.approx(1.0, abs=tol)
+        assert first_order_ratio(sf, 1e6) == pytest.approx(1.0, abs=tol)
     # binary_split: q = 1/(1 + a0*t) and f(1-q) = a0*q**2, so the ratio is
-    # 1 + 1/(a0*t); the records come back sorted by t
+    # 1 + 1/(a0*t)
     bs = make_scale_function(ModelParams(1.0, 2.0, Family.BINARY_SPLIT))
-    records = baseline_checks(bs, [1e4, 10.0, 1e6, 100.0])
-    assert [r[0] for r in records] == [10.0, 100.0, 1e4, 1e6]
-    for t, ratio, pred, err in records:
-        assert (pred, err) == (1.0, ratio - 1.0)
+    for t in (10.0, 100.0, 1e4, 1e6):
+        ratio = first_order_ratio(bs, t)
+        assert isinstance(ratio, float)
         assert ratio == pytest.approx(1.0 + 1.0 / (2.0 * t), rel=1e-9)
     # q(1e300) underflows to 0, and the 0/0 ratio is refused by name
     for sf in (CONST, COUPLED):
-        with pytest.raises(DomainError, match="non-finite baseline entry"):
-            baseline_checks(sf, [1e300])
+        with pytest.raises(DomainError, match="non-finite first-order ratio at t=1e"):
+            first_order_ratio(sf, 1e300)
 
 
 def test_baseline_ratio_matches_mpmath():
@@ -476,7 +534,7 @@ def test_baseline_ratio_matches_mpmath():
             for sf, z, decay in cases:
                 q = z ** (-1 / nu)
                 expect = float(q / (q * decay(q) * nu * tt))
-                assert baseline_checks(sf, [t])[0][1] == pytest.approx(expect, rel=1e-12)
+                assert first_order_ratio(sf, t) == pytest.approx(expect, rel=1e-12)
 
 
 def test_fit_rate_synthetic_slope():

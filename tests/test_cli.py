@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from critlab import acceptance
-from critlab.acceptance import CriterionResult
 from critlab.cli import CSV_COLUMNS, ExperimentConfig, main, parse_config, read_rows
 from critlab.errors import ConfigError
 
@@ -158,12 +157,12 @@ def test_verify_only_accepts_tag_names(tmp_path, capsys):
 def test_verify_failing_band_exits_1(tmp_path, capsys, monkeypatch):
     # a criterion that misses its band makes verify exit 1, print the FAIL
     # line and still write the report rows
-    def failing():
-        res = CriterionResult("C7", "laplace-sup-rate", False, details=["forced miss"])
+    def failing(res):
+        res.passed = False
+        res.details.append("forced miss")
         res.rows.append(("sup", "laplace-sup-rate", 1e6, 0.1, 2.0, 1.0, "oracle", ""))
-        return res
 
-    monkeypatch.setitem(acceptance.CRITERIA, "C7", failing)
+    monkeypatch.setitem(acceptance.CRITERIA, "C7", ("laplace-sup-rate", failing))
     out = tmp_path / "r"
     assert main(["verify", "--only", "C7", "--out", str(out)]) == 1
     assert "FAIL C7 [laplace-sup-rate]" in capsys.readouterr().out
@@ -240,6 +239,32 @@ def test_report_command_summarizes(tmp_path, capsys):
 
 def test_rates_requires_input(capsys):
     assert main(["rates"]) == 2
+
+
+@pytest.mark.parametrize("command", ["rates", "report"])
+@pytest.mark.parametrize(
+    "body, named",
+    [(None, "cannot read the report"),
+     ("syn,decay,10,1,1\n", ":2: expected 8 cells, got 5"),
+     ("syn,decay,10,1,1,0.5,oracle,\nsyn,decay,ten,1,1,0.5,oracle,\n", ":3: could not convert")],
+    ids=["missing-file", "short-row", "non-numeric-cell"],
+)
+def test_bad_report_file_is_named(tmp_path, capsys, command, body, named):
+    # a missing or malformed report is a configuration error (exit 2) that
+    # names the file and the line, not a traceback
+    path = tmp_path / "in.csv"
+    if body is not None:
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + body)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and named in err and "Traceback" not in err
+
+
+def test_missing_config_file_is_named(tmp_path, capsys):
+    path = tmp_path / "absent.cfg"
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: cannot read the config" in err and "Traceback" not in err
 
 
 def test_threads_env_fallback(tmp_path):

@@ -23,7 +23,6 @@ from critlab import (
     build_sim_model,
     d_limit,
     dkw_band,
-    empirical_D,
     estimate_survival,
     evolve_series,
     exact_R,
@@ -283,7 +282,8 @@ def test_paths_are_frozen(model, simulate, digest):
 
 
 def test_empirical_law_mass_above_zero(model):
-    e = empirical_D(model, 1.0, 5000, seed=41, pop_cap=10**4)
+    sample = population_at(model, [1.0], 5000, 41, conditioned=True, pop_cap=10**4)
+    e = EmpiricalCDF.from_sample(sample, exact_R(CONST, 0.0, 1.0))
     assert np.all(e.values > 0.0)  # W >= 1 always
     assert e.n == 5000
 
@@ -302,8 +302,13 @@ def test_empirical_law_converges_to_limit(model):
     cap = 10**4
     ks = []
     for t in (1.0, 2.0, 5.0):
-        e = empirical_D(model, t, 6000, seed=43, pop_cap=cap)
-        ks.append(ks_distance(e, cdf, xmax=0.5 * e.scale_q * cap))
+        q = exact_R(CONST, 0.0, t)
+        sample = population_at(model, [t], 6000, 43, conditioned=True, pop_cap=cap)
+        e = EmpiricalCDF.from_sample(sample, q)
+        # the sup over the points below half the cap (values are sorted and
+        # i/n keeps the untrimmed n)
+        below = dataclasses.replace(e, values=e.values[e.values <= 0.5 * q * cap])
+        ks.append(ks_distance(below, cdf))
     assert all(a > b for a, b in zip(ks, ks[1:]))
     assert ks[0] > 5.0 * dkw_band(6000)  # far from the limit at t = 1
 
@@ -395,9 +400,9 @@ def test_c11_band_rejects_wrong_mixing_law():
         e = rng.exponential(1.0, n)
         stable = np.sin(nu * u) / np.sin(u) ** (1 / nu) * (np.sin((1 - nu) * u) / e) ** ((1 - nu) / nu)
         W = 1 + rng.poisson((c * g) ** (1 / nu) * stable)
-        wrong.append(EmpiricalCDF(t, np.sort(q * W), n, 0, q))
+        wrong.append(EmpiricalCDF(t, np.sort(q * W), n, 0))
         ok = sample_qprocess_exact(CONST, t, n, seed=79)
-        right.append(EmpiricalCDF(t, np.sort(q * ok.sizes[~ok.censored, 0]), n, int(ok.censored.sum()), q))
+        right.append(EmpiricalCDF(t, np.sort(q * ok.sizes[~ok.censored, 0]), n, int(ok.censored.sum())))
     passed, rows, _ = _c11_verdict(wrong, cdf, nu, 1.0)
     assert not passed
     assert all(abs(r[5]) > 10.0 for r in rows)  # gap in units of the band
