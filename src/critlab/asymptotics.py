@@ -220,7 +220,8 @@ def psi_finite(sf: ScaleFunction, t: float, theta):
 
     theta is a scalar (gives a float) or an array (gives its shape). s and
     1 - s = -expm1(-theta q) are both formed directly, so precision survives
-    theta*q(t) from the 1e-14 scale up to where s underflows.
+    theta*q(t) from the 1e-14 scale up to where s underflows. Past that the
+    value is 0.0: W >= 1 gives psi <= s, so 0.0 is the correctly rounded value.
     """
     th = np.asarray(theta, dtype=float)
     if not np.all(th > 0.0):
@@ -228,7 +229,10 @@ def psi_finite(sf: ScaleFunction, t: float, theta):
     if t < 1.0:
         raise DomainError(f"psi_finite requires t >= 1, got {t}")
     q = exact_R(sf, 0.0, t)
-    vals = np.array([G_of(sf, math.exp(-x), t, one_minus_s=-math.expm1(-x)) for x in (th * q).flat])
+    vals = np.zeros(th.size)
+    for i, x in enumerate((th * q).flat):
+        if (s := math.exp(-x)) > 0.0:
+            vals[i] = G_of(sf, s, t, one_minus_s=-math.expm1(-x))
     return float(vals[0]) if th.ndim == 0 else vals.reshape(th.shape)
 
 
@@ -285,8 +289,9 @@ def qproc_gf_second_order(sf: ScaleFunction, s: float, t: float) -> float:
     """Normalized second-order error of the generating-function expansion.
 
     (1 - ratio) * nu**3 * t / ((1+nu) * log(decay_rate(1-s)*nu*t + 1));
-    approaches 1 for the coupled-drift family.
+    approaches 1 for the coupled-drift family; DomainError for a family without one.
     """
+    _second_order_term(sf, t)
     nu = sf.nu
     ratio = qproc_gf_ratio(sf, s, t)
     log_ts = math.log(sf.decay_rate(1.0 - s) * nu * t + 1.0)

@@ -5,12 +5,13 @@ a1 < 0, a_j >= 0 for j >= 2, zero total mass (f(1-) = 0) and zero drift
 (criticality, f'(1-) = 0). For the slowly varying families the coefficients
 decay like j**-(2+nu), so truncation always leaves a polynomial tail; the
 samplers keep a finite table plus an analytic power-law tail so that draws
-are exact up to the documented tail approximation.
+are exact up to the documented tail approximation. A jump law stores only its
+table and tail; the event rate |a1| is ``OffspringCoeffs.total_rate``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -45,10 +46,6 @@ class OffspringCoeffs:
     tail_exponent: float
     mass_deficit: float
     criticality_deficit: float
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
 
     @property
     def total_rate(self) -> float:
@@ -215,43 +212,41 @@ def _vose_tables(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prob, alias
 
 
-@dataclass
 class OffspringDistribution:
     """Jump law of one individual: p_k = a_k / |a1| for k != 1.
 
-    The table covers k <= tail_cutoff; beyond that a Pareto envelope with
-    the analytic tail exponent is inverted and corrected by one rejection
-    step against the power law k**-tail_exponent, or against the family's
-    exact tail where it has one. The target need not be normalized: the
-    accept test u * scale * m(k) < target(k) takes its scale from the
-    target, so a constant factor in the target cancels.
+    The table ``probs`` covers k <= tail_cutoff = len(probs) - 1; the tail
+    beyond it carries the mass the table lacks, ``tail_mass``. There a Pareto
+    envelope with the tail exponent is inverted and corrected by one
+    rejection step against the power law k**-tail_exponent, or against
+    ``exact_tail`` (k -> c * a_k, c > 0; ``ScaleFunction.exact_tail``) where
+    the family has one. The target need not be normalized: the accept test
+    u * scale * m(k) < target(k) takes its scale from the target, so a
+    constant factor in the target cancels.
     """
 
-    probs: np.ndarray
-    tail_cutoff: int
-    tail_exponent: float
-    tail_mass: float
-    total_rate: float
-    _alias: AliasTable = field(repr=False, default=None)
-    _tail_accept_scale: float = field(repr=False, default=1.0)
-    # k -> c * a_k for some c > 0 where the family has it (ScaleFunction.exact_tail)
-    _exact_tail: Callable | None = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if np.any(self.probs < 0.0):
-            raise ParameterError("offspring probabilities must be nonnegative")
-        table_mass = float(self.probs.sum())
-        if not abs(table_mass + self.tail_mass - 1.0) <= 1e-9:  # also refuses nan
-            raise ParameterError(
-                f"table + tail mass = {table_mass + self.tail_mass} != 1"
-            )
-        weights = np.append(self.probs, self.tail_mass)  # last symbol = tail escape
-        self._alias = AliasTable(weights)
+    def __init__(
+        self, probs: np.ndarray, tail_exponent: float, exact_tail: Callable | None = None
+    ):
+        self.probs = probs
+        self.tail_exponent = tail_exponent
+        self._exact_tail = exact_tail
+        table_mass = float(probs.sum())
+        if not table_mass <= 1.0 + 1e-9:  # also refuses nan
+            raise ParameterError(f"offspring table mass = {table_mass} exceeds 1")
+        self.tail_mass = max(0.0, 1.0 - table_mass)
+        # last symbol = tail escape; AliasTable refuses a negative or non-finite weight
+        self._alias = AliasTable(np.append(probs, self.tail_mass))
+        self._tail_accept_scale = 1.0
         if self.tail_mass > 0.0:
             # the accept ratio target/(scale*m) needs scale >= max_k target/m
             ks = np.arange(self.tail_cutoff + 1, self.tail_cutoff + 4000, dtype=float)
             ratio = self._tail_target(ks) / self._envelope_mass(ks)
             self._tail_accept_scale = float(np.max(ratio)) * (1.0 + 1e-9)
+
+    @property
+    def tail_cutoff(self) -> int:
+        return len(self.probs) - 1
 
     def _tail_target(self, k: np.ndarray) -> np.ndarray:
         if self._exact_tail is not None:
@@ -294,20 +289,9 @@ def build_offspring_distribution(
     coeffs: OffspringCoeffs, sf: ScaleFunction
 ) -> OffspringDistribution:
     """Normalize intensities into the jump law of a single individual."""
-    a = coeffs.coeffs
-    rate = coeffs.total_rate
-    p = a / rate
+    p = coeffs.coeffs / coeffs.total_rate
     p[1] = 0.0
-    # the dropped tail carries exactly the mass missing from the table
-    tail_mass = max(0.0, 1.0 - float(p.sum()))
-    return OffspringDistribution(
-        probs=p,
-        tail_cutoff=coeffs.order,
-        tail_exponent=coeffs.tail_exponent,
-        tail_mass=tail_mass,
-        total_rate=rate,
-        _exact_tail=sf.exact_tail(),
-    )
+    return OffspringDistribution(p, coeffs.tail_exponent, sf.exact_tail())
 
 
 def build_size_biased_distribution(coeffs: OffspringCoeffs) -> OffspringDistribution:
@@ -318,15 +302,7 @@ def build_size_biased_distribution(coeffs: OffspringCoeffs) -> OffspringDistribu
     must cap them explicitly.
     """
     a = coeffs.coeffs
-    rate = coeffs.total_rate
     k = np.arange(len(a), dtype=float)
-    p = k * a / rate
+    p = k * a / coeffs.total_rate
     p[1] = 0.0
-    tail_mass = max(0.0, 1.0 - float(p.sum()))
-    return OffspringDistribution(
-        probs=p,
-        tail_cutoff=coeffs.order,
-        tail_exponent=coeffs.tail_exponent - 1.0,
-        tail_mass=tail_mass,
-        total_rate=rate,
-    )
+    return OffspringDistribution(p, coeffs.tail_exponent - 1.0)

@@ -99,27 +99,22 @@ class PopulationSample:
 
 @dataclass
 class SimModel:
-    """Scale function plus the sampling tables derived from it."""
+    """Truncated coefficients plus the two jump laws built from them."""
 
-    sf: ScaleFunction
     coeffs: OffspringCoeffs
     offspring: OffspringDistribution
     size_biased: OffspringDistribution
 
     @property
     def rate(self) -> float:
-        return self.offspring.total_rate
+        return self.coeffs.total_rate
 
 
 def build_sim_model(sf: ScaleFunction, order: int = DEFAULT_SAMPLING_ORDER) -> SimModel:
     """Build sampling tables of the given order for one scale function."""
     coeffs = expand_coeffs(sf, order)
-    return SimModel(
-        sf=sf,
-        coeffs=coeffs,
-        offspring=build_offspring_distribution(coeffs, sf),
-        size_biased=build_size_biased_distribution(coeffs),
-    )
+    offspring = build_offspring_distribution(coeffs, sf)
+    return SimModel(coeffs, offspring, build_size_biased_distribution(coeffs))
 
 
 def _check_seed(seed) -> None:
@@ -413,12 +408,12 @@ def estimate_survival(
     threads: int = 1,
     pop_cap: int = DEFAULT_POP_CAP,
 ) -> list[MCEstimate]:
-    """Survival proportion P{pop(t) > 0 | pop(0) = i0} at each horizon."""
+    """Survival proportion P{pop(t) > 0 | pop(0) = i0} at each horizon, in the order given."""
     sample = population_at(
         model, t, n, seed, conditioned=False, i0=i0, pop_cap=pop_cap, threads=threads
     )
     out = []
-    for col in range(sample.sizes.shape[1]):
+    for col in np.searchsorted(sample.horizons, np.atleast_1d(np.asarray(t, dtype=float))):
         p = float(np.mean(sample.sizes[:, col] > 0))
         out.append(MCEstimate(p, math.sqrt(p * (1.0 - p) / n)))
     return out

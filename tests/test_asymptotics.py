@@ -96,6 +96,11 @@ def test_normalized_errors_refuse_a_family_without_second_order_term():
             fn(CONST, 1e4)
 
 
+def test_gf_second_order_refuses_a_family_without_second_order_term():
+    with pytest.raises(DomainError, match="constant family has no second-order term"):
+        qproc_gf_second_order(CONST, 0.5, 1e6)
+
+
 def test_second_order_not_converged_in_burn_in():
     # at t = 1e4 the normalized error is still ~7.5% away from 1: a 1% band
     # there is expected to fail, which documents the burn-in region
@@ -229,6 +234,18 @@ def test_psi_finite_keeps_precision_at_large_theta_q():
         # 1 - s rounds to 1 at s = 1e-20, which G_of accepts
         expect = closed(mpmath.mpf(1e-20))
         assert G_of(CONST, 1e-20, t) == pytest.approx(float(expect), rel=1e-14)
+
+
+def test_psi_finite_is_zero_past_the_underflow_of_s():
+    # W >= 1 gives psi_t(theta) <= exp(-theta q), which is 0.0 in doubles
+    # from theta*q(t) = 745 on; a grid reaching that far keeps its sup
+    q = exact_R(CONST, 0.0, 1.0)
+    assert psi_finite(CONST, 1.0, 750.0 / q) == 0.0
+    vals = psi_finite(CONST, 1.0, np.array([1.0, 740.0 / q, 750.0 / q, 1e6 / q]))
+    assert vals[0] == psi_finite(CONST, 1.0, 1.0) and 0.0 < vals[1] < 1e-320
+    assert np.all(vals[2:] == 0.0)
+    sup, arg = delta_sup(COUPLED, 10.0, np.logspace(-3.0, 5.0, 400))
+    assert sup == pytest.approx(0.19447, abs=1e-5) and arg == pytest.approx(0.13345, abs=1e-5)
 
 
 def test_delta_sup_refuses_a_non_finite_gap(monkeypatch):

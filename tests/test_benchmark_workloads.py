@@ -54,3 +54,23 @@ def test_workload_runs_once_and_passes_its_checks(name, tmp_path):
     wl.check_rep(out, checks)
     assert checks.attempted > 0
     assert checks.failures == []
+
+
+@pytest.mark.parametrize("name", sorted(n for n, w in workloads.WORKLOADS.items() if w.mc))
+def test_traced_run_shadows_the_samplers(name, tmp_path):
+    # the traced run shadows each jump law's ``sample`` on the instance, as
+    # perfbench/run.py's ``install`` does; the draws must not change
+    tracer = _load("spans").Tracer()
+    wl = workloads.WORKLOADS[name](seed=1, workdir=tmp_path)
+    wl.setup()
+    plain = wl.run(0)
+    try:
+        for which in ("offspring", "size_biased"):
+            dist = getattr(wl.model, which)
+            assert isinstance(dist.tail_cutoff, int)
+            tracer.patch_method(dist, "sample", f"branching_model.{which}.sample")
+        traced = wl.run(0)
+    finally:
+        tracer.unpatch()
+    assert tracer.records
+    assert wl.same(plain, traced)

@@ -279,21 +279,30 @@ def test_size_biased_distribution():
     assert int(k.min()) >= 2
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.integers(0, 1000), min_size=2, max_size=40).filter(any),
+    st.floats(0.0, 1.0),
+)
+def test_distribution_derives_tail_mass_and_cutoff(weights, mass):
+    w = np.array(weights, dtype=float)
+    probs = w * (mass / w.sum())
+    d = OffspringDistribution(probs, 2.5)
+    assert d.tail_mass == max(0.0, 1.0 - float(probs.sum()))
+    assert d.tail_cutoff == len(probs) - 1
+    with pytest.raises(ParameterError, match="mass"):
+        OffspringDistribution(w * (1.1 / w.sum()), 2.5)
+
+
 def test_distribution_validation():
     with pytest.raises(ParameterError):
-        OffspringDistribution(
-            probs=np.array([0.5, 0.0, 0.4]), tail_cutoff=2, tail_exponent=2.5,
-            tail_mass=0.5, total_rate=1.0,
-        )
+        OffspringDistribution(np.array([0.5, 0.0, 0.6]), 2.5)
 
 
 def test_distribution_rejects_nan_mass():
     # abs(nan) > 1e-9 is False, so a nan probability once passed the mass check
     with pytest.raises(ParameterError, match="mass"):
-        OffspringDistribution(
-            probs=np.array([0.5, 0.0, np.nan]), tail_cutoff=2, tail_exponent=2.5,
-            tail_mass=0.0, total_rate=1.0,
-        )
+        OffspringDistribution(np.array([0.5, 0.0, np.nan]), 2.5)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -356,7 +365,7 @@ def test_tail_draws_do_not_depend_on_the_normalizer_route(order, monkeypatch):
     def normalized_target(d, k):
         if d._exact_tail is not None:
             nu = CONST.nu
-            c = CONST.a0 / d.total_rate / abs(math.gamma(-1.0 - nu))
+            c = CONST.a0 / coeffs[0][1].total_rate / abs(math.gamma(-1.0 - nu))
             return c * _binomial_tail_gammaln(nu, k) / d.tail_mass
         return k ** (-d.tail_exponent) / float(zeta(d.tail_exponent, d.tail_cutoff + 1))
 

@@ -267,7 +267,7 @@ def test_missing_config_file_is_named(tmp_path, capsys):
     assert f"{path}: cannot read the config" in err and "Traceback" not in err
 
 
-def test_threads_env_fallback(tmp_path):
+def test_simulate_csv_does_not_depend_on_threads(tmp_path):
     path = write_cfg(tmp_path, BASE + "mc_n = 1000\nseed = 9\n")
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     main(["simulate", "--config", path, "--out", str(out1)])

@@ -95,8 +95,6 @@ def test_clipped_tail_draw_is_censored_not_wrapped(model):
     # draw ends its trajectory censored at 2**62 + i0 - 1 < 2**63, never
     # wrapped past int64, and a larger cap is refused
     class Clipped:
-        total_rate = model.rate
-
         def sample(self, rng, size):
             return np.full(size, EXACT_POP_CAP, dtype=np.int64)
 
@@ -113,24 +111,29 @@ def test_clipped_tail_draw_is_censored_not_wrapped(model):
 
 def test_pure_death_extinction_times():
     # all offspring mass on k = 0: lifetime of the single individual is
-    # exponential with the table's total rate
-    dist = OffspringDistribution(
-        probs=np.array([1.0, 0.0]), tail_cutoff=1, tail_exponent=2.5,
-        tail_mass=0.0, total_rate=2.0,
-    )
+    # exponential with the model's total rate
     dead = build_sim_model(CONST, order=4)
-    dead.offspring = dist
+    dead.offspring = OffspringDistribution(np.array([1.0, 0.0]), 2.5)
     sample = population_at(dead, [50.0], 20000, seed=3, conditioned=False)
     times = sample.extinction_time
     assert np.all(np.isfinite(times))
     mean = float(times.mean())
-    assert abs(mean - 0.5) <= 3.0 * times.std() / math.sqrt(len(times))
+    assert abs(mean - 1.0 / dead.rate) <= 3.0 * times.std() / math.sqrt(len(times))
 
 
 def test_survival_against_closed_form(model):
     est = estimate_survival(model, [2.0], 20000, seed=11)[0]
     assert abs(est.value - 0.25) <= 4.0 * est.stderr
     assert est.stderr == pytest.approx(math.sqrt(est.value * (1 - est.value) / 20000))
+
+
+def test_survival_estimates_follow_the_callers_order():
+    # population_at sorts the horizons; each estimate must still sit at its own t
+    small = build_sim_model(CONST, order=2**10)
+    late, early = estimate_survival(small, [5.0, 0.5], 20000, seed=1)
+    for est, t in ((late, 5.0), (early, 0.5)):
+        assert abs(est.value - exact_R(CONST, 0.0, t)) <= 4.0 * est.stderr
+    assert [late, early] == estimate_survival(small, [0.5, 5.0], 20000, seed=1)[::-1]
 
 
 def test_survival_from_several_ancestors(model):
