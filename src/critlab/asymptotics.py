@@ -34,9 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy.special is imported where it is used (tauberian_ratio): it costs
-# about 0.2 s at start-up, and the Monte Carlo commands never need it.
-
 from . import _series
 from .errors import DomainError, SolverError
 from .kolmogorov_engine import G_of, exact_R
@@ -193,12 +190,10 @@ def tauberian_ratio(sf: ScaleFunction, n: int) -> float:
 
     Tends to 1 as n grows; evaluated with the series coefficients.
     """
-    from scipy.special import gamma as gamma_fn
-
     pm = pi_coeffs(sf, n)
     nu = sf.nu
     lpi_n = 1.0 / sf.sv(float(n))
-    return float(pm.partial_sums[n] * gamma_fn(2.0 + nu) / (n ** (1.0 + nu) * lpi_n))
+    return float(pm.partial_sums[n] * math.gamma(2.0 + nu) / (n ** (1.0 + nu) * lpi_n))
 
 
 # ---------------------------------------------------------------------------
@@ -218,21 +213,22 @@ def psi_limit(nu: float, theta) -> float:
 def psi_finite(sf: ScaleFunction, t: float, theta):
     """Finite-horizon transform E exp(-theta * q(t) * W(t)) = G(t; e^{-theta q(t)}).
 
-    theta is a scalar (gives a float) or an array (gives its shape). s and
-    1 - s = -expm1(-theta q) are both formed directly, so precision survives
-    theta*q(t) from the 1e-14 scale up to where s underflows. Past that the
-    value is 0.0: W >= 1 gives psi <= s, so 0.0 is the correctly rounded value.
+    theta is a scalar (gives a float) or an array (gives its shape), and G
+    is taken in one call over all of it. s and 1 - s = -expm1(-theta q) are
+    both formed directly, so precision survives theta*q(t) from the 1e-14
+    scale up to where s underflows. Past that the value is 0.0: W >= 1 gives
+    psi <= s, so 0.0 is the correctly rounded value.
     """
     th = np.asarray(theta, dtype=float)
     if not np.all(th > 0.0):
         raise DomainError(f"psi_finite requires theta > 0, got {theta}")
     if t < 1.0:
         raise DomainError(f"psi_finite requires t >= 1, got {t}")
-    q = exact_R(sf, 0.0, t)
-    vals = np.zeros(th.size)
-    for i, x in enumerate((th * q).flat):
-        if (s := math.exp(-x)) > 0.0:
-            vals[i] = G_of(sf, s, t, one_minus_s=-math.expm1(-x))
+    x = np.ravel(th * exact_R(sf, 0.0, t))
+    s = np.exp(-x)
+    live = s > 0.0
+    vals = np.zeros(x.size)
+    vals[live] = G_of(sf, s[live], t, one_minus_s=-np.expm1(-x[live]))
     return float(vals[0]) if th.ndim == 0 else vals.reshape(th.shape)
 
 

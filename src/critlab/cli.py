@@ -190,8 +190,13 @@ def _rel_err(value: float, pred: float | None) -> float | None:
 
 def cmd_solve(cfg: ExperimentConfig) -> int:
     sf = cfg.scale_function()
+    ts = cfg.t_grid()
+    # one ODE pass per s, chained over the sorted distinct horizons (a grid
+    # with t_min = t_max repeats one) and made at the first row that needs it
+    horizons, at = np.unique(ts, return_inverse=True)
+    r_odes = {}
     rows = []
-    for t in cfg.t_grid():
+    for i, t in enumerate(ts):
         # predictions need t >= 1, N(t) and nonzero (nu*t)**p, else blank cells;
         # only nu*t < 1 underflows, and there p = 1+1/nu gives the smaller power
         nu_t = sf.nu * t
@@ -206,7 +211,9 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
         rows.append(("solve", "P11", t, scaled, p_pred, _rel_err(scaled, p_pred), "oracle", ""))
         for s in cfg.s_list:
             r_oracle = exact_R(sf, s, t)
-            r_ode = solve_F(sf, s, t)
+            if s not in r_odes:
+                r_odes[s] = solve_F(sf, s, horizons)[at]
+            r_ode = float(r_odes[s][i])
             rows.append((f"s={s:g}", "R", t, r_oracle, r_ode,
                          r_ode / r_oracle - 1.0, "ode", ""))
             if 0.0 < s < 1.0:

@@ -15,16 +15,20 @@ satisfies dw/dt = nu + 1/w, so
 
     w/nu - log(nu*w + 1)/nu**2 = t + (same at w0),       w0 = 1/decay_rate(1-s),
 
-a monotone scalar equation solved to machine precision for any t. The exact
-oracles themselves live on the family classes (``ScaleFunction.exact_R``,
-``ScaleFunction.drift_integral``); ``exact_R`` here validates and
-dispatches, and ``identity_residual`` checks the identity by quadrature
-along the ODE path.
+a monotone scalar equation solved to machine precision for any t, by one
+Newton iteration over a whole array of starting points. The exact oracles
+themselves live on the family classes (``ScaleFunction.exact_R``,
+``ScaleFunction.drift_integral``); ``exact_R`` and ``G_of`` here validate and
+dispatch, for a scalar or an array of s, and ``identity_residual`` checks
+the identity by quadrature along the ODE path.
 Each quantity has one route: q(t) is ``exact_R(sf, 0.0, t)`` (any horizon),
 and ``solve_F`` is the independent ODE route, which integrates to whatever
-horizon it is given, so callers can compare the two there; it reads only the
-end point and skips the dense interpolant, which ``identity_residual`` keeps
-for its quadrature along the path.
+horizon it is given, so callers can compare the two there. Given an
+increasing grid of horizons it chains them by the semigroup property
+F(t_k; s) = F(t_k - t_{k-1}; F(t_{k-1}; s)), integrating each segment from
+the end point of the one before. It reads only the end points and skips the
+dense interpolant, which ``identity_residual`` keeps for its quadrature
+along the path.
 
 Transition probabilities P_1j(t) are the coefficients of F(t;s); their
 coupled coefficient ODE is triangular (coefficient j only involves
@@ -40,8 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy.integrate is imported where it is used: it costs about 0.2 s at start-up,
-# and the Monte Carlo commands never integrate.
+# scipy.integrate is imported where it is used (the ODE solves and the identity
+# quadrature): it costs about 0.2 s at start-up, and neither the Monte Carlo
+# commands nor the exact oracles integrate.
 
 from . import _series
 from .errors import DomainError, SolverError, TruncationError
@@ -79,21 +84,26 @@ class SolveConfig:
 DEFAULT_CFG = SolveConfig()
 
 
-def _check_ts(s: float, t: float) -> None:
+def _check_ts(s: float, t) -> None:
     if not (0.0 <= s < 1.0):
         raise DomainError(f"requires 0 <= s < 1, got s={s}")
-    if not t >= 0.0:
-        raise DomainError(f"requires t >= 0, got t={t}")
+    if np.ndim(t) == 0:
+        if not t >= 0.0:
+            raise DomainError(f"requires t >= 0, got t={t}")
+    elif np.ndim(t) > 1 or np.size(t) == 0 or not (t[0] >= 0.0 and np.all(np.diff(t) > 0.0)):
+        raise DomainError(f"requires an increasing 1-D grid of horizons t >= 0, got t={t}")
 
 
 def _solve_log_path(
-    sf: ScaleFunction, s: float, t: float, cfg: SolveConfig, *, dense: bool = True
+    sf: ScaleFunction, x0: float, span: float, cfg: SolveConfig, *, dense: bool = True
 ):
-    """Solution of x(u) = log R(u;s) on [0, t], with its interpolant when ``dense``.
+    """Solution of x(u) = log R on [0, span] from x(0) = x0, with its
+    interpolant when ``dense``.
 
-    The interpolant costs DOP853 3 more right-hand sides on each 12-stage
-    step. It is built after each step and never steers the next, so
-    ``sol.y`` has the same bits either way.
+    The flow is autonomous, so a segment of a longer path starts at u = 0
+    from its start value. The interpolant costs DOP853 3 more right-hand
+    sides on each 12-stage step. It is built after each step and never
+    steers the next, so ``sol.y`` has the same bits either way.
     """
 
     def rhs(u, x):
@@ -104,8 +114,8 @@ def _solve_log_path(
     try:
         sol = solve_ivp(
             rhs,
-            (0.0, t),
-            [math.log1p(-s)],
+            (0.0, span),
+            [x0],
             method=_ODE_METHOD,
             rtol=cfg.rel_tol,
             atol=cfg.abs_tol,
@@ -113,35 +123,52 @@ def _solve_log_path(
         )
     except OverflowError as exc:
         # a trial step past log R = 709 overflows exp in the right-hand side
-        raise SolverError(f"backward integration overflowed at s={s}, t={t}: {exc}") from None
+        raise SolverError(
+            f"backward integration overflowed from log R={x0:g} over t={span:g}: {exc}"
+        ) from None
     if not sol.success:
-        raise SolverError(f"backward integration failed at s={s}, t={t}: {sol.message}")
+        raise SolverError(
+            f"backward integration failed from log R={x0:g} over t={span:g}: {sol.message}"
+        )
     return sol
 
 
-def solve_F(sf: ScaleFunction, s: float, t: float, cfg: SolveConfig = DEFAULT_CFG) -> float:
-    """Adaptive integration of the backward equation; returns R(t;s) = 1 - F(t;s)."""
+def solve_F(sf: ScaleFunction, s: float, t, cfg: SolveConfig = DEFAULT_CFG):
+    """Adaptive integration of the backward equation; returns R(t;s) = 1 - F(t;s).
+
+    t is a horizon (gives a float) or an increasing 1-D array of them (gives
+    an array). Each segment [t_{k-1}, t_k] is integrated from the end point
+    of the one before, so a value on a grid depends, within the solver
+    tolerance, on the horizons before it; a scalar t is the one-point grid
+    from 0, integrated in one piece.
+    """
     _check_ts(s, t)
-    if t == 0.0:
-        return 1.0 - s
-    sol = _solve_log_path(sf, s, t, cfg, dense=False)
-    return math.exp(float(sol.y[0, -1]))
+    x, prev, out = math.log1p(-s), 0.0, []
+    for tk in np.atleast_1d(t).tolist():
+        if tk == 0.0:  # only the first horizon can be 0
+            out.append(1.0 - s)
+            continue
+        x = float(_solve_log_path(sf, x, tk - prev, cfg, dense=False).y[0, -1])
+        prev = tk
+        out.append(math.exp(x))
+    return out[0] if np.ndim(t) == 0 else np.array(out)
 
 
-def exact_R(
-    sf: ScaleFunction, s: float, t: float, *, one_minus_s: float | None = None
-) -> float:
+def exact_R(sf: ScaleFunction, s, t: float, *, one_minus_s=None):
     """Exact R(t;s) from the family's closed form or implicit equation; any horizon.
 
-    ``one_minus_s`` may carry 1 - s when s is within roundoff of 1. R is
-    nonincreasing from R(0;s) = 1 - s, but the closed forms and the implicit
-    equation can round a few ulps above 1 - s at tiny t, so the result is
-    capped there; it can then be passed back as ``one_minus_s``.
+    s (or ``one_minus_s``) is a float (gives a float) or an array (gives its
+    shape). ``one_minus_s`` may carry 1 - s when s is within roundoff of 1.
+    R is nonincreasing from R(0;s) = 1 - s, but the closed forms and the
+    implicit equation can round a few ulps above 1 - s at tiny t, so the
+    result is capped there; it can then be passed back as ``one_minus_s``.
     """
-    y0 = 1.0 - s if one_minus_s is None else one_minus_s
-    if not (0.0 < y0 <= 1.0) or not t >= 0.0:
+    y0 = 1.0 - np.asarray(s, dtype=float) if one_minus_s is None else one_minus_s
+    y0 = np.asarray(y0, dtype=float)
+    if not np.all((0.0 < y0) & (y0 <= 1.0)) or not t >= 0.0:
         raise DomainError(f"invalid (s, t) = ({s}, {t})")
-    return min(sf.exact_R(y0, t), y0)
+    r = np.minimum(sf.exact_R(y0, t), y0)
+    return float(r) if r.ndim == 0 else r
 
 
 def identity_residual(
@@ -157,7 +184,7 @@ def identity_residual(
     _check_ts(s, t)
     if t == 0.0:
         return 0.0
-    sol = _solve_log_path(sf, s, t, cfg)
+    sol = _solve_log_path(sf, math.log1p(-s), t, cfg)
     r_end = math.exp(float(sol.y[0, -1]))
     lhs = 1.0 / sf.decay_rate(r_end) - 1.0 / sf.decay_rate(1.0 - s)
     from scipy.integrate import quad
@@ -269,21 +296,22 @@ def size_biased(P: np.ndarray) -> np.ndarray:
     return Q
 
 
-def G_of(
-    sf: ScaleFunction, s: float, t: float, *, one_minus_s: float | None = None
-) -> float:
+def G_of(sf: ScaleFunction, s, t: float, *, one_minus_s=None):
     """Generating function of the conditioned chain, G(t;s) = s*f(F(t;s))/f(s).
 
-    Evaluated as s * R * decay_rate(R) / f(s) with R from the exact oracle.
+    Evaluated as s * R * decay_rate(R) / f(s) with R from the exact oracle,
+    for a float s (gives a float) or an array (gives its shape).
     ``one_minus_s`` may be passed to keep precision when s is within
     roundoff of 1; the domain check is then made on ``one_minus_s``, since
     s itself may have rounded to 1.0; a tiny s may round 1 - s to 1.0.
     """
-    y0 = 1.0 - s if one_minus_s is None else one_minus_s
-    if not (s > 0.0 and 0.0 < y0 <= 1.0):
+    s = np.asarray(s, dtype=float)
+    y0 = 1.0 - s if one_minus_s is None else np.asarray(one_minus_s, dtype=float)
+    if not np.all((s > 0.0) & (0.0 < y0) & (y0 <= 1.0)):
         raise DomainError(f"G_of requires s > 0 and 0 < 1-s <= 1, got s={s}, 1-s={y0}")
     if t < 0.0:
         raise DomainError(f"G_of requires t >= 0, got t={t}")
     r = exact_R(sf, s, t, one_minus_s=y0)
     f_s = y0 * sf.decay_rate(y0)
-    return float(s * r * sf.decay_rate(r) / f_s)
+    val = s * r * sf.decay_rate(r) / f_s
+    return float(val) if np.ndim(val) == 0 else val

@@ -4,9 +4,11 @@ No module under ``src`` imports this one. Each route computes, by other
 numerics, a quantity that ``critlab`` has a production route for: here the
 invariant measure M(s) by quadrature and the time change of the level 1/R
 built on it, a quadrature-and-brentq route to 1/q(t) next to ``exact_R``,
-and the one-point-at-a-time Laplace inversions, a scalar Python node sum
-with ``cmath``/``math`` next to ``laplace``'s array sums. The functions take
-valid inputs only.
+the scalar ``brentq`` route to the exact R(t;s) next to the array Newton
+root of ``CoupledDriftScale._solve_w``, an ``mpmath`` route to the same R
+at any (nu, a0), and the one-point-at-a-time Laplace inversions, a scalar
+Python node sum with ``cmath``/``math`` next to ``laplace``'s array sums.
+The functions take valid inputs only.
 """
 
 import cmath
@@ -16,7 +18,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from critlab import ScaleFunction, SolverError
+from critlab import Family, ScaleFunction, SolverError
 from critlab.laplace import _GS_TERMS, _GS_WEIGHTS, _TALBOT_NODES
 
 
@@ -63,6 +65,78 @@ def level_at_time(sf: ScaleFunction, y: float) -> float:
     else:
         raise SolverError(f"level_at_time could not bracket y={y}")
     return float(brentq(lambda x: time_to_level(sf, x) - y, 1.0, hi, rtol=8.9e-16, maxiter=200))
+
+
+def coupled_excess(nu: float, w0: float, t: float) -> float:
+    """Excess e = w - w0 - nu*t of w = 1/decay_rate(R(t)) by ``brentq``, one point.
+
+    w obeys dw/dt = nu + 1/w, which integrates to g(w) = t + g(w0) with
+    g(w) = w/nu - log(nu*w + 1)/nu**2. Subtracting g(w0) by hand leaves
+    e = log1p(a*(nu*t + e))/nu with a = nu/(1 + nu*w0), whose root lies in
+    [0, t/w0] because log1p(x) <= x. The root is found for x = e/t, from
+    x = a*(nu + x)/nu * L(a*t*(nu + x)) with L(z) = log1p(z)/z, on the bracket
+    [0, 2/w0]. Where that bracket spans many decades above the root (t and
+    w0 both huge) Brent's method falls back to bisection, one step per
+    halving, so it is allowed 4000 steps rather than 200.
+    """
+    if t == 0.0:
+        return 0.0
+    a = nu / (1.0 + nu * w0)
+
+    def h(x):
+        z = a * t * (nu + x)
+        return a * (nu + x) / nu * (math.log1p(z) / z if z > 0.0 else 1.0) - x
+
+    lo, hi = 0.0, 2.0 / w0
+    hlo, hhi = h(lo), h(hi)
+    if hlo < 0.0 or hhi > 0.0:
+        raise SolverError(f"w bracket failed at t={t}, w0={w0}")
+    if hlo == 0.0 or hhi == 0.0:
+        return t * (lo if hlo == 0.0 else hi)
+    return t * float(brentq(h, lo, hi, xtol=5e-324, rtol=8.9e-16, maxiter=4000))
+
+
+def exact_R_scalar(sf: ScaleFunction, y0: float, t: float) -> float:
+    """R(t;s) from R(0;s) = y0 in Python floats, capped at y0: the closed form
+    for ``constant``, the ``brentq`` excess for ``coupled_drift``."""
+    nu, a0 = sf.nu, sf.a0
+    if sf.family is Family.COUPLED_DRIFT:
+        w0 = 1.0 / sf.decay_rate(y0)
+        z = 1.0 / (w0 + nu * t + coupled_excess(nu, w0, t))
+        r = (z * (nu + a0) / (a0 * (nu + z))) ** (1.0 / nu)
+    else:
+        r = (y0 ** (-nu) + nu * a0 * t) ** (-1.0 / nu)
+    return min(r, y0)
+
+
+def coupled_R_mpmath(nu: float, a0: float, y0: float, t: float) -> float:
+    """R(t;s) for ``coupled_drift`` from R(0;s) = y0, by mpmath at 360 digits.
+
+    u = nu/decay_rate(R) obeys k(u) = k(u0) + nu**2 t with k(u) = u - log1p(u)
+    (w = u/nu satisfies dw/dt = nu + 1/w). The step d = u - u0 solves
+    d - log1p(d/(1 + u0)) = nu**2 t, which is convex and increasing in d;
+    Newton runs down to it from d <= nu**2 t + sqrt(nu**4 t**2 + 2 nu**2 t).
+    The left side loses about log10(1/(u0 + d)) digits to cancellation, at
+    most about 160 for nu >= 1e-3, a0 <= 1e300 and t >= 1e-300 (u0 + d is at
+    least max(u0, sqrt(2 nu**2 t))), hence the working precision. Then
+    R**nu = (nu + a0)/(a0 (1 + u)).
+    """
+    import mpmath
+
+    with mpmath.workdps(360):
+        nu_, a0_, y0_, t_ = (mpmath.mpf(v) for v in (nu, a0, y0, t))
+        yp = y0_**nu_
+        u0 = (nu_ + a0_ * (1 - yp)) / (a0_ * yp)
+        c, rhs = 1 / (1 + u0), nu_**2 * t_
+        d = rhs + mpmath.sqrt(rhs**2 + 2 * rhs)
+        for _ in range(400):
+            step = (d - mpmath.log1p(c * d) - rhs) / (1 - c / (1 + c * d))
+            d -= step
+            if abs(step) <= d * mpmath.mpf(10) ** -40:  # far above the noise, 1e-200 of d
+                break
+        else:
+            raise SolverError(f"mpmath reference did not converge at nu={nu}, a0={a0}, t={t}")
+        return float(((nu_ + a0_) / (a0_ * (1 + u0 + d))) ** (1 / nu_))
 
 
 def talbot(F, x: float) -> float:

@@ -249,7 +249,10 @@ def test_psi_finite_is_zero_past_the_underflow_of_s():
 
 
 def test_delta_sup_refuses_a_non_finite_gap(monkeypatch):
-    monkeypatch.setattr(asymptotics, "G_of", lambda sf, s, t, one_minus_s: math.nan)
+    # psi_finite takes G over the whole theta grid in one array call
+    monkeypatch.setattr(
+        asymptotics, "G_of", lambda sf, s, t, one_minus_s: np.full(np.shape(s), math.nan)
+    )
     with pytest.raises(SolverError, match=re.escape("non-finite transform gap at t=1e+06")):
         delta_sup(COUPLED, 1e6)
 

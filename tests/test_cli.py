@@ -368,6 +368,13 @@ def scipy_modules():
 print(scipy_modules(), "multiprocessing" in sys.modules)
 code = main(["simulate", "--config", sys.argv[1], "--out", sys.argv[2]])
 print(code, scipy_modules())
+from critlab import Family, G_of, ModelParams, delta_sup, exact_R, make_scale_function
+from critlab import tauberian_ratio
+sf = make_scale_function(ModelParams(0.5, 1.0, Family.COUPLED_DRIFT))
+exact_R(sf, 0.5, 10.0), G_of(sf, 0.5, 10.0), delta_sup(sf, 1e4)
+print("oracles", scipy_modules())
+tauberian_ratio(sf, 64)
+print("tauberian", scipy_modules())
 """
 
 
@@ -376,7 +383,9 @@ def test_cli_and_simulate_load_no_scipy_or_multiprocessing(tmp_path):
     # run never starts a process pool, so `import critlab.cli` loads neither
     # scipy nor multiprocessing. `critlab simulate` on `constant` runs
     # without scipy: its series are closed form (no triangular solve), and
-    # the sampling tables' rejection targets need no normalizer.
+    # the sampling tables' rejection targets need no normalizer. Neither
+    # exact_R, G_of and delta_sup on coupled_drift nor tauberian_ratio needs
+    # scipy at all.
     path = write_cfg(tmp_path, SIMULATE_SMALL_CFG)
     src = str(Path(acceptance.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -387,9 +396,12 @@ def test_cli_and_simulate_load_no_scipy_or_multiprocessing(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    at_import, after_simulate = lines[0], lines[-1]
+    at_import, after_simulate = lines[0], lines[-3]
     assert at_import == "[] False"
     assert after_simulate == "0 []"
+    # the exact oracles (the coupled-drift root included) and the Tauberian
+    # check run on numpy and math alone
+    assert lines[-2:] == ["oracles []", "tauberian []"]
 
 
 def test_solve_readme_config_is_frozen(tmp_path):

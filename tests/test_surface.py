@@ -5,6 +5,7 @@ change."""
 import importlib
 import pkgutil
 import types
+from pathlib import Path
 
 import critlab
 
@@ -43,3 +44,12 @@ def test_package_exports_the_frozen_names():
     )
     assert len(EXPORTS) == 60
     assert names == EXPORTS
+
+
+def test_src_uses_no_scipy_root_finder_or_special_function():
+    # the coupled-drift root is a numpy Newton iteration and Gamma(2 + nu)
+    # comes from math.gamma, so neither scipy.optimize nor scipy.special is needed
+    for path in sorted(Path(critlab.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        for word in ("brentq", "scipy.optimize", "scipy.special"):
+            assert word not in text, f"{path.name} mentions {word}"

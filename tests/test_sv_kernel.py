@@ -32,7 +32,13 @@ from critlab import (
     solve_F,
     solve_normalizer,
 )
-from reference import invariant_measure_M, level_at_time, time_to_level
+from reference import (
+    coupled_R_mpmath,
+    exact_R_scalar,
+    invariant_measure_M,
+    level_at_time,
+    time_to_level,
+)
 
 CONST = make_scale_function(ModelParams(0.5, 1.0, Family.CONSTANT))
 COUPLED = make_scale_function(ModelParams(0.5, 1.0, Family.COUPLED_DRIFT))
@@ -403,6 +409,89 @@ def test_G_of_is_a_nondecreasing_probability(sf, s, t):
     g = G_of(sf, s, t)
     assert 0.0 <= g <= 1.0
     assert g <= G_of(sf, s + 0.5 * (1.0 - s), t)
+
+
+# --- the exact R over arrays: one Newton root for coupled_drift --------------
+
+SLOWLY_VARYING = st.sampled_from([Family.CONSTANT, Family.COUPLED_DRIFT])
+# log10 of the horizon: the whole range, or the decades where t is near
+# w0**2 and the root leaves both of its asymptotes
+LOG10_T = st.floats(-300.0, 300.0) | st.floats(-3.0, 6.0)
+
+
+@given(fam=SLOWLY_VARYING, nu=st.floats(0.05, 0.95), a0=st.floats(0.05, 5.0),
+       log10_y0=st.floats(-300.0, 0.0), log10_t=LOG10_T)
+# 29 ulp of R apart at nu = 0.053, where t is near w0**2 (1.5 ulp/nu)
+@example(fam=Family.COUPLED_DRIFT, nu=0.05283, a0=0.5635, log10_y0=math.log10(1.2055e-3),
+         log10_t=math.log10(996.88))
+# the bracket reaches 215 decades above the root, and brentq takes 1571 steps
+@example(fam=Family.COUPLED_DRIFT, nu=0.24026, a0=0.73222, log10_y0=-299.176,
+         log10_t=290.25)
+@settings(max_examples=150, deadline=None)
+def test_exact_R_agrees_with_the_scalar_reference(fam, nu, a0, log10_y0, log10_t):
+    # R = ypow**(1/nu) turns a relative error in ypow (from w, from the root)
+    # into 1/nu of it, so the bound is 8 ulp of R over nu; the brentq
+    # reference is itself up to 20 ulp of e off mpmath where nu*w0 is small
+    sf = make_scale_function(ModelParams(nu, a0, fam))
+    y0, t = 10.0**log10_y0, 10.0**log10_t
+    r = exact_R(sf, 1.0 - y0, t, one_minus_s=y0)
+    want = exact_R_scalar(sf, y0, t)
+    assert abs(r - want) <= 8.0 * math.ulp(want) / nu
+
+
+@given(fam=SLOWLY_VARYING, nu=st.floats(0.05, 0.95), a0=st.floats(0.05, 5.0),
+       ys=st.lists(st.floats(1e-300, 1.0 - 2.0**-53), min_size=1, max_size=30),
+       log10_t=LOG10_T)
+@settings(max_examples=60, deadline=None)
+def test_exact_R_and_G_over_an_array_are_the_scalar_calls_bit_for_bit(fam, nu, a0, ys, log10_t):
+    # a point's Newton iterates do not depend on the other points, and numpy
+    # rounds a one-element array as it rounds any element of a longer one
+    sf = make_scale_function(ModelParams(nu, a0, fam))
+    y, t = np.array(ys), 10.0**log10_t
+    r = exact_R(sf, 1.0 - y, t, one_minus_s=y)
+    assert r.tobytes() == np.array([exact_R(sf, 1.0 - v, t, one_minus_s=v) for v in ys]).tobytes()
+    # G divides by f(s) = y*decay_rate(y), which underflows to 0 once y is
+    # far below 1e-200, so G is compared where f(s) is a normal number
+    y = y[y >= 1e-9]
+    g = G_of(sf, 1.0 - y, t, one_minus_s=y)
+    assert g.tobytes() == np.array([G_of(sf, 1.0 - v, t, one_minus_s=v) for v in y]).tobytes()
+    assert type(exact_R(sf, 1.0 - ys[0], t, one_minus_s=ys[0])) is float
+
+
+@given(nu=st.floats(1e-3, 0.999), log10_a0=st.floats(-12.0, 300.0),
+       log10_y0=st.floats(-300.0, 0.0), log10_t=st.floats(-300.0, 300.0))
+# two configs that made the scalar brentq route fail: a NaN residual
+# (nu = 0.001, a0 = 1e12, t = 1e300, s = 0.9 and s = 0), and no convergence
+# at a near-double root, nu*w0 = 1e-300 with the true excess 1.8e-61
+@example(nu=0.001, log10_a0=12.0, log10_y0=-1.0, log10_t=300.0)
+@example(nu=0.001, log10_a0=12.0, log10_y0=0.0, log10_t=300.0)
+@example(nu=0.999, log10_a0=300.0, log10_y0=0.0, log10_t=math.log10(1.7e-122))
+@settings(max_examples=60, deadline=None)
+def test_coupled_exact_R_is_confirmed_by_mpmath_or_fails_by_name(nu, log10_a0, log10_y0, log10_t):
+    pytest.importorskip("mpmath")
+    sf = make_scale_function(ModelParams(nu, 10.0**log10_a0, Family.COUPLED_DRIFT))
+    y0, t = 10.0**log10_y0, 10.0**log10_t
+    try:
+        r = exact_R(sf, 1.0 - y0, t, one_minus_s=y0)
+    except SolverError as exc:
+        assert f"t={t:g}" in str(exc)
+        return
+    want = coupled_R_mpmath(nu, sf.a0, y0, t)
+    # float rounding of w0 and of R**nu, each a few ulp, scaled by 1/nu, and
+    # of the exponent 1/nu in R = (R**nu)**(1/nu), scaled by |log R|
+    rel = (16.0 / nu + 2.0 * abs(math.log(want))) * 2.0**-52 if want > 0.0 else 0.0
+    assert r == pytest.approx(want, rel=rel, abs=2.0**-1022)
+
+
+def test_coupled_root_refuses_non_finite_values_by_name():
+    # z = a*t*(nu + x) is infinite, so is every iterate: named, not a hang
+    with pytest.raises(SolverError, match="root is not finite at t=inf, w0=1"):
+        exact_R(COUPLED, 0.0, math.inf)
+    # decay_rate(5e-324) underflows to 0 here, so w0 = 1/decay_rate is not a
+    # number to start from, even at t = 0 (R would read 0 instead of 1 - s)
+    sf = make_scale_function(ModelParams(0.999, 1e-12, Family.COUPLED_DRIFT))
+    with pytest.raises(SolverError, match="decay rate underflows at t=0, w0=inf"):
+        exact_R(sf, 1.0, 0.0, one_minus_s=5e-324)
 
 
 @pytest.mark.parametrize("fam", list(Family), ids=lambda f: f.value)
