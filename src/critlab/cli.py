@@ -191,10 +191,14 @@ def _rel_err(value: float, pred: float | None) -> float | None:
 def cmd_solve(cfg: ExperimentConfig) -> int:
     sf = cfg.scale_function()
     ts = cfg.t_grid()
-    # one ODE pass per s, chained over the sorted distinct horizons (a grid
-    # with t_min = t_max repeats one) and made at the first row that needs it
+    # one ODE pass over the distinct s, chained over the sorted distinct
+    # horizons (a grid with t_min = t_max repeats one), made at the first row
+    # that needs it; per horizon one oracle call over [0, *s_list] and one
+    # G_of call over the s in (0, 1)
     horizons, at = np.unique(ts, return_inverse=True)
-    r_odes = {}
+    s_ode, s_at = np.unique(cfg.s_list, return_inverse=True)
+    g_list = [s for s in cfg.s_list if 0.0 < s < 1.0]
+    r_odes = None
     rows = []
     for i, t in enumerate(ts):
         # predictions need t >= 1, N(t) and nonzero (nu*t)**p, else blank cells;
@@ -202,22 +206,22 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
         nu_t = sf.nu * t
         predicted = (t >= 1.0 and sf.normalizer_defined(t)
                      and (nu_t >= 1.0 or nu_t ** (1.0 + 1.0 / sf.nu) > 0.0))
-        q = exact_R(sf, 0.0, t)
+        q, *r_oracles = exact_R(sf, np.array([0.0, *cfg.s_list]), t).tolist()
         pred = predict_q(sf, t).value if predicted else None
         rows.append(("solve", "q", t, q, pred, _rel_err(q, pred), "oracle", ""))
         scale = nu_t_power(sf.nu, t, 1.0 + 1.0 / sf.nu, "scaled P11")
         scaled = scale * p11_exact(sf, t)
         p_pred = predict_p11(sf, t).value if predicted else None
         rows.append(("solve", "P11", t, scaled, p_pred, _rel_err(scaled, p_pred), "oracle", ""))
-        for s in cfg.s_list:
-            r_oracle = exact_R(sf, s, t)
-            if s not in r_odes:
-                r_odes[s] = solve_F(sf, s, horizons)[at]
-            r_ode = float(r_odes[s][i])
+        gs = iter(G_of(sf, np.array(g_list), t).tolist() if g_list else ())
+        for j, (s, r_oracle) in enumerate(zip(cfg.s_list, r_oracles)):
+            if r_odes is None:
+                r_odes = solve_F(sf, s_ode, horizons)
+            r_ode = float(r_odes[s_at[j], at[i]])
             rows.append((f"s={s:g}", "R", t, r_oracle, r_ode,
                          r_ode / r_oracle - 1.0, "ode", ""))
             if 0.0 < s < 1.0:
-                g = G_of(sf, s, t)
+                g = next(gs)
                 gp = pi_of(sf, s) * solve_normalizer(sf, t) / scale if predicted else None
                 rows.append((f"s={s:g}", "G", t, g, gp, _rel_err(g, gp), "oracle", ""))
     out = Path(cfg.out) / "solve.csv"

@@ -26,9 +26,13 @@ and ``solve_F`` is the independent ODE route, which integrates to whatever
 horizon it is given, so callers can compare the two there. Given an
 increasing grid of horizons it chains them by the semigroup property
 F(t_k; s) = F(t_k - t_{k-1}; F(t_{k-1}; s)), integrating each segment from
-the end point of the one before. It reads only the end points and skips the
-dense interpolant, which ``identity_residual`` keeps for its quadrature
-along the path.
+the end point of the one before. Given an array of starting points s it
+integrates their log R together as one vector, one ``solve_ivp`` call per
+segment: the flow is autonomous and its right-hand side elementwise, and
+the tolerances are divided by the square root of the number of points, so
+each one keeps the accuracy of its own pass. It reads only the end points
+and skips the dense interpolant, which ``identity_residual`` keeps for its
+quadrature along the path.
 
 Transition probabilities P_1j(t) are the coefficients of F(t;s); their
 coupled coefficient ODE is triangular (coefficient j only involves
@@ -66,6 +70,8 @@ __all__ = [
 ]
 
 _ODE_METHOD = "DOP853"  # the Runge-Kutta pair of every adaptive integration
+# scipy raises a smaller rtol to this floor with a warning; refuse it instead
+_RTOL_FLOOR = 100.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -76,82 +82,113 @@ class SolveConfig:
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        for name, tol in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
-            if not (1e-14 <= tol <= 1e-3):
-                raise DomainError(f"{name} must lie in [1e-14, 1e-3], got {tol}")
+        for name, tol, lo in (
+            ("rel_tol", self.rel_tol, _RTOL_FLOOR),
+            ("abs_tol", self.abs_tol, 1e-14),
+        ):
+            if not (lo <= tol <= 1e-3):
+                raise DomainError(f"{name} must lie in [{lo:g}, 1e-3], got {tol}")
 
 
 DEFAULT_CFG = SolveConfig()
 
 
-def _check_ts(s: float, t) -> None:
-    if not (0.0 <= s < 1.0):
-        raise DomainError(f"requires 0 <= s < 1, got s={s}")
+def _check_ts(s, t) -> np.ndarray:
+    """s as a 1-D array, after checking s (a float or a nonempty 1-D array
+    in [0, 1)) and t (a horizon or an increasing 1-D grid of them)."""
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    if s_arr.ndim > 1 or s_arr.size == 0 or not np.all((0.0 <= s_arr) & (s_arr < 1.0)):
+        raise DomainError(f"requires 0 <= s < 1, a float or a nonempty 1-D array, got s={s}")
     if np.ndim(t) == 0:
         if not t >= 0.0:
             raise DomainError(f"requires t >= 0, got t={t}")
     elif np.ndim(t) > 1 or np.size(t) == 0 or not (t[0] >= 0.0 and np.all(np.diff(t) > 0.0)):
         raise DomainError(f"requires an increasing 1-D grid of horizons t >= 0, got t={t}")
+    return s_arr
 
 
-def _solve_log_path(
-    sf: ScaleFunction, x0: float, span: float, cfg: SolveConfig, *, dense: bool = True
-):
+def _solve_log_path(sf: ScaleFunction, x0, span: float, cfg: SolveConfig, *, dense: bool = True):
     """Solution of x(u) = log R on [0, span] from x(0) = x0, with its
     interpolant when ``dense``.
 
-    The flow is autonomous, so a segment of a longer path starts at u = 0
-    from its start value. The interpolant costs DOP853 3 more right-hand
-    sides on each 12-stage step. It is built after each step and never
-    steers the next, so ``sol.y`` has the same bits either way.
+    x0 is a float or a 1-D array of m start values, integrated together as
+    one m-vector: the flow is autonomous and elementwise, so a segment of a
+    longer path starts at u = 0 from its start values. scipy's error norm is
+    the RMS over the components, so both tolerances are divided by sqrt(m),
+    which bounds each component's local error by the configured ones (m = 1
+    divides by 1.0). The right-hand side takes ``math.exp`` of each element
+    (``np.exp`` rounds some arguments differently), so one start value keeps
+    the bits of the scalar route. The interpolant costs DOP853 3 more
+    right-hand sides on each 12-stage step. It is built after each step and
+    never steers the next, so ``sol.y`` has the same bits either way.
     """
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    root_m = math.sqrt(x0.size)
+    rate = sf.decay_rate
 
     def rhs(u, x):
-        return [-sf.decay_rate(math.exp(x[0]))]
+        return [-rate(math.exp(v)) for v in x.tolist()]
 
     from scipy.integrate import solve_ivp
 
+    log_r = ", ".join(f"{v:g}" for v in x0.tolist())
+    where = f"from log R=[{log_r}] over t={span:g}"
     try:
-        sol = solve_ivp(
-            rhs,
-            (0.0, span),
-            [x0],
-            method=_ODE_METHOD,
-            rtol=cfg.rel_tol,
-            atol=cfg.abs_tol,
-            dense_output=dense,
-        )
+        # a huge decay rate overflows scipy's first-step estimate; raise there
+        # instead of stepping on with inf and nan
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            sol = solve_ivp(
+                rhs,
+                (0.0, span),
+                x0,
+                method=_ODE_METHOD,
+                rtol=cfg.rel_tol / root_m,
+                atol=cfg.abs_tol / root_m,
+                dense_output=dense,
+            )
     except OverflowError as exc:
         # a trial step past log R = 709 overflows exp in the right-hand side
-        raise SolverError(
-            f"backward integration overflowed from log R={x0:g} over t={span:g}: {exc}"
-        ) from None
+        raise SolverError(f"backward integration overflowed {where}: {exc}") from None
+    except FloatingPointError as exc:
+        raise SolverError(f"backward integration {where}: floating-point {exc}") from None
     if not sol.success:
-        raise SolverError(
-            f"backward integration failed from log R={x0:g} over t={span:g}: {sol.message}"
-        )
+        raise SolverError(f"backward integration failed {where}: {sol.message}")
     return sol
 
 
-def solve_F(sf: ScaleFunction, s: float, t, cfg: SolveConfig = DEFAULT_CFG):
+def solve_F(sf: ScaleFunction, s, t, cfg: SolveConfig = DEFAULT_CFG):
     """Adaptive integration of the backward equation; returns R(t;s) = 1 - F(t;s).
 
-    t is a horizon (gives a float) or an increasing 1-D array of them (gives
-    an array). Each segment [t_{k-1}, t_k] is integrated from the end point
-    of the one before, so a value on a grid depends, within the solver
-    tolerance, on the horizons before it; a scalar t is the one-point grid
-    from 0, integrated in one piece.
+    t is a horizon or an increasing 1-D array of them, and s a starting
+    point or a nonempty 1-D array of m of them; a float s gives a float or
+    shape (len(t),), an array s gives shape (m,) or (m, len(t)). The m
+    values of log R are integrated together, one ``solve_ivp`` call per
+    segment, each within the configured tolerances (see ``_solve_log_path``),
+    so m is refused where rel_tol/sqrt(m) would fall below scipy's floor of
+    100 eps. A float s is the one-element array, bit for bit. Each segment
+    [t_{k-1}, t_k] is integrated from the end point of the one before, so a
+    value on a grid depends, within the solver tolerance, on the horizons
+    before it (and an array value on the other s); a scalar t is the
+    one-point grid from 0, integrated in one piece.
     """
-    _check_ts(s, t)
-    x, prev, out = math.log1p(-s), 0.0, []
+    s_arr = _check_ts(s, t)
+    m = s_arr.size
+    if cfg.rel_tol / math.sqrt(m) < _RTOL_FLOOR:
+        raise DomainError(
+            f"{m} starting points s need rel_tol >= {_RTOL_FLOOR:g}*sqrt({m}), got {cfg.rel_tol}"
+        )
+    x, prev, cols = [math.log1p(-v) for v in s_arr.tolist()], 0.0, []
     for tk in np.atleast_1d(t).tolist():
         if tk == 0.0:  # only the first horizon can be 0
-            out.append(1.0 - s)
+            cols.append(1.0 - s_arr)
             continue
-        x = float(_solve_log_path(sf, x, tk - prev, cfg, dense=False).y[0, -1])
+        x = _solve_log_path(sf, x, tk - prev, cfg, dense=False).y[:, -1]
         prev = tk
-        out.append(math.exp(x))
-    return out[0] if np.ndim(t) == 0 else np.array(out)
+        cols.append(np.array([math.exp(v) for v in x.tolist()]))
+    r = np.stack(cols, axis=-1) if np.ndim(t) else cols[0]
+    if np.ndim(s):
+        return r
+    return r[0] if np.ndim(t) else float(r[0])
 
 
 def exact_R(sf: ScaleFunction, s, t: float, *, one_minus_s=None):

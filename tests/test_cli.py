@@ -6,9 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from critlab import acceptance
+from critlab import acceptance, cli
 from critlab.cli import CSV_COLUMNS, ExperimentConfig, main, parse_config, read_rows
 from critlab.errors import ConfigError
 
@@ -300,10 +301,13 @@ def test_config_t_grid_validation():
         ("solve", "t_min = 1e160\nt_max = 1e160\nt_points = 1\n", 3,
          "q prediction at t=1e+160: (nu*t)**2 overflows"),
         ("solve", "a0 = 1e-300\n", 3, "normalizer"),
+        ("solve", "family = coupled_drift\nnu = 0.999\na0 = 1e300\n"
+         "t_min = 1.7e-122\nt_max = 1.7e-122\ns_list = 0, 0.5\n", 3,
+         "backward integration from log R=[-0, -0.693147] over t=1.7e-122: floating-point"),
     ],
     ids=["mc_n-zero", "mc_n-negative", "seed-negative", "i0-zero", "pop_cap-past-2**62",
          "pop_cap-zero", "pop_cap-at-i0", "t_max-inf", "t_min-nan", "ode-overflow",
-         "huge-horizon", "tiny-a0"],
+         "huge-horizon", "tiny-a0", "huge-decay-rate"],
 )
 def test_accepted_configs_fail_by_name(tmp_path, capsys, command, extra, code, named):
     # parse_config accepts each of these; the run must end in a named error
@@ -402,6 +406,38 @@ def test_cli_and_simulate_load_no_scipy_or_multiprocessing(tmp_path):
     # the exact oracles (the coupled-drift root included) and the Tauberian
     # check run on numpy and math alone
     assert lines[-2:] == ["oracles []", "tauberian []"]
+
+
+def test_solve_makes_one_ode_pass_and_one_oracle_call_per_horizon(tmp_path, monkeypatch):
+    # the README config has 7 horizons and s_list = 0, 0.5, 0.9: one solve_F
+    # call over the 3 values of s, and per horizon one exact_R call over
+    # [0, *s_list] and one G_of call over the s in (0, 1)
+    shapes = {"solve_F": [], "exact_R": [], "G_of": []}
+    for name, calls in shapes.items():
+        def counted(sf, s, *args, _fn=getattr(cli, name), _calls=calls, **kwargs):
+            _calls.append(np.shape(s))
+            return _fn(sf, s, *args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    path = write_cfg(tmp_path, README_CFG)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "r")]) == 0
+    assert shapes == {"solve_F": [(3,)], "exact_R": [(4,)] * 7, "G_of": [(2,)] * 7}
+
+
+def test_solve_repeats_the_rows_of_a_repeated_s(tmp_path):
+    # a repeated value of s gets its rows again, with the same bits: the ODE
+    # pass runs over the distinct values, so the other rows do not move
+    path = write_cfg(tmp_path, README_CFG)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "a")]) == 0
+    path = write_cfg(tmp_path, README_CFG + "s_list = 0, 0.5, 0.9, 0.5\n")
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "b")]) == 0
+    once = (tmp_path / "a" / "solve.csv").read_text().splitlines()
+    twice = (tmp_path / "b" / "solve.csv").read_text().splitlines()
+    expected = once[:1]
+    for k in range(7):  # 7 rows per horizon: q, P11, R at s = 0, then R and G at 0.5, 0.9
+        block = once[1 + 7 * k: 8 + 7 * k]
+        expected += block + block[3:5]
+    assert twice == expected
 
 
 def test_solve_readme_config_is_frozen(tmp_path):
