@@ -105,10 +105,6 @@ class SimModel:
     offspring: OffspringDistribution
     size_biased: OffspringDistribution
 
-    @property
-    def rate(self) -> float:
-        return self.coeffs.total_rate
-
 
 def build_sim_model(sf: ScaleFunction, order: int = DEFAULT_SAMPLING_ORDER) -> SimModel:
     """Build sampling tables of the given order for one scale function."""
@@ -183,7 +179,7 @@ def _simulate_population_batch(
     tnow = np.zeros(n)
     h_a = np.zeros(n, dtype=np.int64)  # horizons recorded so far
     gidx = np.arange(n)
-    rate = model.rate
+    rate = model.coeffs.total_rate
     events = 0
     exhausted = False
     while gidx.size:

@@ -379,6 +379,8 @@ exact_R(sf, 0.5, 10.0), G_of(sf, 0.5, 10.0), delta_sup(sf, 1e4)
 print("oracles", scipy_modules())
 tauberian_ratio(sf, 64)
 print("tauberian", scipy_modules())
+from critlab.acceptance import run_criterion
+print("C11", run_criterion("C11").passed, scipy_modules())
 """
 
 
@@ -388,8 +390,8 @@ def test_cli_and_simulate_load_no_scipy_or_multiprocessing(tmp_path):
     # scipy nor multiprocessing. `critlab simulate` on `constant` runs
     # without scipy: its series are closed form (no triangular solve), and
     # the sampling tables' rejection targets need no normalizer. Neither
-    # exact_R, G_of and delta_sup on coupled_drift nor tauberian_ratio needs
-    # scipy at all.
+    # exact_R, G_of and delta_sup on coupled_drift nor tauberian_ratio nor
+    # C11 (exact W(t) draws and a numpy interpolant of D) needs scipy at all.
     path = write_cfg(tmp_path, SIMULATE_SMALL_CFG)
     src = str(Path(acceptance.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -400,12 +402,12 @@ def test_cli_and_simulate_load_no_scipy_or_multiprocessing(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    at_import, after_simulate = lines[0], lines[-3]
+    at_import, after_simulate = lines[0], lines[-4]
     assert at_import == "[] False"
     assert after_simulate == "0 []"
-    # the exact oracles (the coupled-drift root included) and the Tauberian
-    # check run on numpy and math alone
-    assert lines[-2:] == ["oracles []", "tauberian []"]
+    # the exact oracles (the coupled-drift root included), the Tauberian
+    # check and C11 run on numpy and math alone
+    assert lines[-3:] == ["oracles []", "tauberian []", "C11 True []"]
 
 
 def test_solve_makes_one_ode_pass_and_one_oracle_call_per_horizon(tmp_path, monkeypatch):

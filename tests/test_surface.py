@@ -47,9 +47,10 @@ def test_package_exports_the_frozen_names():
 
 
 def test_src_uses_no_scipy_root_finder_or_special_function():
-    # the coupled-drift root is a numpy Newton iteration and Gamma(2 + nu)
-    # comes from math.gamma, so neither scipy.optimize nor scipy.special is needed
+    # the coupled-drift root is a numpy Newton iteration, Gamma(2 + nu) comes
+    # from math.gamma and C11's limit law is a numpy cubic Hermite, so
+    # neither scipy.optimize nor scipy.special nor scipy.interpolate is needed
     for path in sorted(Path(critlab.__file__).parent.glob("*.py")):
         text = path.read_text()
-        for word in ("brentq", "scipy.optimize", "scipy.special"):
+        for word in ("brentq", "scipy.optimize", "scipy.special", "scipy.interpolate", "Pchip"):
             assert word not in text, f"{path.name} mentions {word}"
