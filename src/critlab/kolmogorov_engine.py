@@ -2,9 +2,8 @@
 
 The backward equation dF/dt = f(F), F(0;s) = s drives everything. We track
 R = 1 - F. Because R decays to zero like t**(-1/nu), the ODE route
-integrates x = log R (d x/dt = -decay_rate(e^x), a contracting flow), which
-holds *relative* accuracy in R all the way down and is what makes the exact
-integral identity
+integrates x = log R, a contracting flow, which holds *relative* accuracy
+in R all the way down and is what makes the exact integral identity
 
     1/decay_rate(R(t;s)) - 1/decay_rate(1-s) = nu*t + int_0^t drift(R(u;s)) du
 
@@ -30,9 +29,11 @@ the end point of the one before. Given an array of starting points s it
 integrates their log R together as one vector, one ``solve_ivp`` call per
 segment: the flow is autonomous and its right-hand side elementwise, and
 the tolerances are divided by the square root of the number of points, so
-each one keeps the accuracy of its own pass. It reads only the end points
-and skips the dense interpolant, which ``identity_residual`` keeps for its
-quadrature along the path.
+each one keeps the accuracy of its own pass. The right-hand side,
+d x/dt = -decay_rate(e^x), only needs R**nu = (e^x)**nu, so it is the
+family's ``rate_of_power`` of that, computed in Python floats. It reads
+only the end points and skips the dense interpolant, which
+``identity_residual`` keeps for its quadrature along the path.
 
 Transition probabilities P_1j(t) are the coefficients of F(t;s); their
 coupled coefficient ODE is triangular (coefficient j only involves
@@ -116,18 +117,23 @@ def _solve_log_path(sf: ScaleFunction, x0, span: float, cfg: SolveConfig, *, den
     longer path starts at u = 0 from its start values. scipy's error norm is
     the RMS over the components, so both tolerances are divided by sqrt(m),
     which bounds each component's local error by the configured ones (m = 1
-    divides by 1.0). The right-hand side takes ``math.exp`` of each element
-    (``np.exp`` rounds some arguments differently), so one start value keeps
-    the bits of the scalar route. The interpolant costs DOP853 3 more
-    right-hand sides on each 12-stage step. It is built after each step and
-    never steers the next, so ``sol.y`` has the same bits either way.
+    divides by 1.0). The right-hand side is d x/dt = -rate_of_power(R**nu)
+    with R**nu = math.exp(x)**nu, all in Python floats: no numpy call per
+    element, and each element is computed alone, so one start value keeps
+    the bits of the scalar route. (``math.exp(nu*x)`` would round nu*x with
+    an error that grows with |x|.) A float error in it raises where numpy
+    would warn: exp past log R = 709 overflows, and a trial stage can hit a
+    zero denominator (``coupled_drift`` at nu = 1/2, a0 = 1 and R**nu = 1.5);
+    each is a SolverError. The interpolant costs DOP853 3 more right-hand
+    sides on each 12-stage step. It is built after each step and never
+    steers the next, so ``sol.y`` has the same bits either way.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     root_m = math.sqrt(x0.size)
-    rate = sf.decay_rate
+    rate, nu, exp = sf.rate_of_power, sf.nu, math.exp
 
     def rhs(u, x):
-        return [-rate(math.exp(v)) for v in x.tolist()]
+        return [-rate(exp(v) ** nu) for v in x.tolist()]
 
     from scipy.integrate import solve_ivp
 
@@ -149,7 +155,7 @@ def _solve_log_path(sf: ScaleFunction, x0, span: float, cfg: SolveConfig, *, den
     except OverflowError as exc:
         # a trial step past log R = 709 overflows exp in the right-hand side
         raise SolverError(f"backward integration overflowed {where}: {exc}") from None
-    except FloatingPointError as exc:
+    except (FloatingPointError, ZeroDivisionError) as exc:
         raise SolverError(f"backward integration {where}: floating-point {exc}") from None
     if not sol.success:
         raise SolverError(f"backward integration failed {where}: {sol.message}")
@@ -336,8 +342,10 @@ def size_biased(P: np.ndarray) -> np.ndarray:
 def G_of(sf: ScaleFunction, s, t: float, *, one_minus_s=None):
     """Generating function of the conditioned chain, G(t;s) = s*f(F(t;s))/f(s).
 
-    Evaluated as s * R * decay_rate(R) / f(s) with R from the exact oracle,
-    for a float s (gives a float) or an array (gives its shape).
+    Evaluated as s * (R/y0) * (decay_rate(R)/decay_rate(y0)), y0 = 1 - s,
+    with R from the exact oracle: a product of ratios of normal numbers,
+    where f(s) = y0 * decay_rate(y0) itself would underflow for y0 far
+    below 1e-200. s is a float (gives a float) or an array (gives its shape).
     ``one_minus_s`` may be passed to keep precision when s is within
     roundoff of 1; the domain check is then made on ``one_minus_s``, since
     s itself may have rounded to 1.0; a tiny s may round 1 - s to 1.0.
@@ -349,6 +357,5 @@ def G_of(sf: ScaleFunction, s, t: float, *, one_minus_s=None):
     if t < 0.0:
         raise DomainError(f"G_of requires t >= 0, got t={t}")
     r = exact_R(sf, s, t, one_minus_s=y0)
-    f_s = y0 * sf.decay_rate(y0)
-    val = s * r * sf.decay_rate(r) / f_s
+    val = s * (r / y0) * (sf.decay_rate(r) / sf.decay_rate(y0))
     return float(val) if np.ndim(val) == 0 else val

@@ -112,12 +112,13 @@ class ScaleFunction:
     """Evaluable bundle (sv, decay_rate, index_drift, sv_elasticity) for one family.
 
     Every hook that raises NotImplementedError here is required, and each
-    family supplies it in closed form: ``sv``, ``decay_rate``,
-    ``index_drift``, ``mechanism_series``, ``f_series``, the exact oracles
-    ``exact_R`` and ``drift_integral`` that the solvers cross-validate
-    against, ``sv_reciprocal_series``, ``normalizer`` and
-    ``normalizer_defined``. ``sv_elasticity``, ``f`` and ``second_order``
-    derive from them; ``exact_tail`` is the one hook a family may leave out.
+    family supplies it in closed form: ``sv``, ``rate_of_power`` (the decay
+    rate as a function of y**nu), ``index_drift``, ``mechanism_series``,
+    ``f_series``, the exact oracles ``exact_R`` and ``drift_integral`` that
+    the solvers cross-validate against, ``sv_reciprocal_series``,
+    ``normalizer`` and ``normalizer_defined``. ``decay_rate``,
+    ``sv_elasticity``, ``f`` and ``second_order`` derive from them;
+    ``exact_tail`` is the one hook a family may leave out.
     """
 
     def __init__(self, params: ModelParams):
@@ -140,9 +141,19 @@ class ScaleFunction:
         """Slowly varying component at infinity, defined on x >= 1."""
         raise NotImplementedError
 
-    def decay_rate(self, y):
-        """decay_rate(y) = y**nu * sv(1/y) on y in (0, 1]."""
+    def rate_of_power(self, p):
+        """The decay rate as a function of p = y**nu: p * sv(p**(-1/nu)).
+
+        Plain arithmetic on p, so a Python float gives a Python float: the
+        ODE right-hand side calls it on one float per element, with no
+        numpy call, and a float error there raises where numpy would warn.
+        """
         raise NotImplementedError
+
+    def decay_rate(self, y):
+        """decay_rate(y) = y**nu * sv(1/y) on y in (0, 1]; a float for a 0-d y."""
+        val = self.rate_of_power(np.power(y, self.nu))
+        return float(val) if np.ndim(val) == 0 else val
 
     def index_drift(self, y):
         """Local-index deviation of decay_rate at y in (0, 1]."""
@@ -227,8 +238,8 @@ class ConstantScale(ScaleFunction):
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(np.float64(self.a0), x.shape).copy() if x.ndim else float(self.a0)
 
-    def decay_rate(self, y):
-        return self.a0 * np.asarray(y, dtype=float) ** self.nu
+    def rate_of_power(self, p):
+        return self.params.a0 * p
 
     def index_drift(self, y):
         y = np.asarray(y, dtype=float)
@@ -323,14 +334,9 @@ class CoupledDriftScale(ScaleFunction):
         val = self.nu * self.a0 / (self.nu + self.a0 * (1.0 - x ** (-self.nu)))
         return float(val) if val.ndim == 0 else val
 
-    def decay_rate(self, y):
-        # the ODE right-hand side calls this on one float: np.power on it gives
-        # the bits of the 0-d array route without the array (math.pow and **
-        # would not)
+    def rate_of_power(self, p):
         nu, a0 = self.params.nu, self.params.a0
-        ypow = np.power(y, nu)
-        val = nu * a0 * ypow / (nu + a0 * (1.0 - ypow))
-        return float(val) if val.ndim == 0 else val
+        return nu * a0 * p / (nu + a0 * (1.0 - p))
 
     def index_drift(self, y):
         return self.decay_rate(y)

@@ -101,10 +101,20 @@ def test_exact_coupled_matches_ode():
 
 
 def test_ode_overflow_is_a_solver_error():
-    # a trial step far past the horizon overflows exp(log R) in the
-    # right-hand side; the solver names it instead of raising OverflowError
-    with pytest.raises(SolverError, match="overflowed"):
-        solve_F(CONST, 0.0, 1e300)
+    # exp(log R) overflows past log R = 709 in the right-hand side; the
+    # solver names it instead of raising OverflowError
+    with pytest.raises(SolverError, match=r"overflowed from log R=\[710\]"):
+        _solve_log_path(CONST, 710.0, 1.0, DEFAULT_CFG)
+    # far past the horizon R is (1 + t/2)**-2 = 4e-600, which rounds to 0
+    assert solve_F(CONST, 0.0, 1e300) == 0.0
+
+
+def test_ode_division_by_zero_is_a_solver_error():
+    # Python floats raise where numpy would warn: at R = 2.25 the coupled
+    # rate's denominator nu + a0*(1 - R**nu) is 0.5 + (1 - 1.5) = 0 exactly
+    assert math.exp(math.log(2.25)) ** 0.5 == 1.5
+    with pytest.raises(SolverError, match="floating-point float division by zero"):
+        _solve_log_path(COUPLED, math.log(2.25), 1.0, DEFAULT_CFG)
 
 
 @pytest.mark.parametrize("nu, a0", [(0.5, 0.05), (0.5, 1.0), (0.2, 5.0), (0.8, 1.0)])
@@ -281,21 +291,28 @@ def test_solve_F_grid_may_start_at_zero():
 
 
 def test_solve_F_skips_the_dense_interpolant():
-    calls = [0]
+    calls = {"rate_of_power": 0, "decay_rate": 0}
 
     class CountingScale(type(COUPLED)):
+        def rate_of_power(self, p):
+            calls["rate_of_power"] += 1
+            return super().rate_of_power(p)
+
         def decay_rate(self, y):
-            calls[0] += 1
+            calls["decay_rate"] += 1
             return super().decay_rate(y)
 
     sf = CountingScale(COUPLED.params)
     solve_F(sf, 0.5, 1e3, TIGHT)
-    end_only = calls[0]
-    calls[0] = 0
+    end_only = calls["rate_of_power"]
+    # the right-hand side stays in Python floats: no numpy decay_rate call
+    assert calls["decay_rate"] == 0
+    calls["rate_of_power"] = 0
     dense = _solve_log_path(sf, math.log1p(-0.5), 1e3, TIGHT)
     # the interpolant costs DOP853 3 extra right-hand sides per accepted step
-    assert end_only < calls[0]
-    assert calls[0] - end_only == 3 * (len(dense.t) - 1)
+    assert end_only < calls["rate_of_power"]
+    assert calls["rate_of_power"] - end_only == 3 * (len(dense.t) - 1)
+    assert calls["decay_rate"] == 0
 
 
 def test_drift_integral_log_asymptotics():

@@ -7,6 +7,7 @@ antiderivatives for the measure integrals) before being asserted.
 
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -294,6 +295,37 @@ def test_coupled_decay_rate_is_bit_for_bit_the_array_route(nu, a0, ys):
     assert sf.decay_rate(arr).tobytes() == _decay_rate_via_float_array(sf, arr).tobytes()
 
 
+@given(
+    fam=st.sampled_from([Family.CONSTANT, Family.COUPLED_DRIFT]),
+    nu=st.floats(0.05, 0.95),
+    a0=st.floats(0.05, 5.0),
+    ys=st.lists(st.floats(1e-300, 1.0), min_size=1, max_size=20),
+)
+@example(fam=Family.COUPLED_DRIFT, nu=0.05, a0=5.0, ys=[1e-300, 0.3712, 1.0])
+@settings(max_examples=100, deadline=None)
+def test_decay_rate_is_rate_of_power_and_the_ode_form_is_accurate(fam, nu, a0, ys):
+    mpmath = pytest.importorskip("mpmath")
+    sf = make_scale_function(ModelParams(nu, a0, fam))
+    arr = np.array(ys)
+    assert sf.decay_rate(arr).tobytes() == sf.rate_of_power(np.power(arr, nu)).tobytes()
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    for y in ys:
+        got = sf.decay_rate(y)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(sf.rate_of_power(np.power(y, nu))).tobytes()
+        # the ODE's form at x = log R: exp and pow round to about 1 ulp each
+        # (exp's error shrinks by nu in R**nu), and the coupled denominator
+        # amplifies the error of R**nu by at most a0/nu; over 20 000 random
+        # points with y in [1e-300, 1] it stayed within 0.30 of this bound
+        x = math.log(y)
+        ode = sf.rate_of_power(math.exp(x) ** nu)
+        p = mp.exp(mp.mpf(x)) ** nu
+        want = a0 * p if fam is Family.CONSTANT else nu * a0 * p / (nu + a0 * (1 - p))
+        bound = (4.0 + 2.0 * a0 / nu) * 2.0**-52
+        assert abs(ode - want) <= bound * want
+
+
 @given(t=st.floats(1.0, 1e6))
 @settings(max_examples=30, deadline=None)
 def test_survival_decreasing_property(t):
@@ -411,6 +443,22 @@ def test_G_of_is_a_nondecreasing_probability(sf, s, t):
     assert g <= G_of(sf, s + 0.5 * (1.0 - s), t)
 
 
+def test_G_of_holds_where_f_of_s_underflows():
+    # f(s) = y0*decay_rate(y0) = 1e-450 is 0.0 in double precision, but G
+    # divides R by y0 and decay_rate(R) by decay_rate(y0), all normal numbers;
+    # for the constant family G = s*(R/y0)**(1 + nu) in closed form
+    y0 = 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1.0, 1e150):
+            g = G_of(CONST, 1.0 - y0, t, one_minus_s=y0)
+            r = exact_R(CONST, 1.0 - y0, t, one_minus_s=y0)
+            assert math.isfinite(g)
+            assert g == pytest.approx((1.0 - y0) * (r / y0) ** 1.5, rel=1e-15)
+    # R**-nu = y0**-nu + nu*a0*t = 1.5e150 at t = 1e150, so G = 1.5**-3
+    assert G_of(CONST, 1.0 - y0, 1e150, one_minus_s=y0) == pytest.approx(1.5**-3, rel=1e-15)
+
+
 # --- the exact R over arrays: one Newton root for coupled_drift --------------
 
 SLOWLY_VARYING = st.sampled_from([Family.CONSTANT, Family.COUPLED_DRIFT])
@@ -450,9 +498,7 @@ def test_exact_R_and_G_over_an_array_are_the_scalar_calls_bit_for_bit(fam, nu, a
     y, t = np.array(ys), 10.0**log10_t
     r = exact_R(sf, 1.0 - y, t, one_minus_s=y)
     assert r.tobytes() == np.array([exact_R(sf, 1.0 - v, t, one_minus_s=v) for v in ys]).tobytes()
-    # G divides by f(s) = y*decay_rate(y), which underflows to 0 once y is
-    # far below 1e-200, so G is compared where f(s) is a normal number
-    y = y[y >= 1e-9]
+    # G is a product of ratios of normal numbers down to 1 - s = 1e-300
     g = G_of(sf, 1.0 - y, t, one_minus_s=y)
     assert g.tobytes() == np.array([G_of(sf, 1.0 - v, t, one_minus_s=v) for v in y]).tobytes()
     assert type(exact_R(sf, 1.0 - ys[0], t, one_minus_s=ys[0])) is float
@@ -501,7 +547,10 @@ def test_every_family_supplies_every_required_hook(fam):
         for name, fn in vars(ScaleFunction).items()
         if inspect.isfunction(fn) and "raise NotImplementedError" in inspect.getsource(fn)
     ]
-    assert {"normalizer", "normalizer_defined", "exact_R", "drift_integral"} <= set(hooks)
+    assert {"rate_of_power", "normalizer", "normalizer_defined", "exact_R",
+            "drift_integral"} <= set(hooks)
+    # the decay rate derives from rate_of_power, written once in the base class
+    assert "decay_rate" not in hooks
     cls = type(make_scale_function(ModelParams(0.5, 1.0, fam)))
     for name in hooks:
         assert getattr(cls, name) is not getattr(ScaleFunction, name), name
