@@ -35,9 +35,14 @@ family's ``rate_of_power`` of that, computed in Python floats. It reads
 only the end points and skips the dense interpolant, which
 ``identity_residual`` keeps for its quadrature along the path.
 
-Transition probabilities P_1j(t) are the coefficients of F(t;s); their
-coupled coefficient ODE is triangular (coefficient j only involves
-coefficients 0..j), so a truncated solve is exact for every kept column.
+Transition probabilities P_1j(t) are the coefficients of F(t;s).
+``evolve_series`` integrates them in the variable of the log-R flow,
+p = (1 - F)**nu = R**nu, whose backward equation dp/dt = -nu*p*rate_of_power(p)
+needs no fractional power of a series: the family's ``rate_series`` and one
+product per right-hand side. The coefficient system is triangular
+(coefficient j only involves coefficients 0..j), so a truncated solve is
+exact for every kept column, and one series power at the end gives
+F = 1 - p**(1/nu).
 ``transition_matrix`` builds the rows for i initial individuals as series
 powers of F, and ``size_biased`` turns them into the conditioned chain's Q.
 """
@@ -272,40 +277,52 @@ class SeriesState:
 def evolve_series(
     sf: ScaleFunction, J: int, t: float, cfg: SolveConfig = DEFAULT_CFG
 ) -> SeriesState:
-    """Integrate the coupled coefficient system dF_j/dt = [f(F)]_j to time t.
+    """Coefficients F_j(t), j <= J, from the coefficient system of p = (1 - F)**nu.
 
-    Starts from F(0;s) = s. Raises TruncationError when more than 1 % of the
-    mass has escaped past the truncation order, which signals that row sums
-    (not the kept columns, which stay exact) are no longer meaningful.
+    Along the backward flow p = R**nu obeys dp/dt = -nu * p * rate_of_power(p),
+    so the right-hand side is one ``mul`` of p by the family's ``rate_series(p)``
+    (a scaled copy of p for ``constant``, one ``div`` for ``coupled_drift``) and
+    needs no fractional power. The integration starts from p(0) = (1 - s)**nu,
+    the solver's tolerances act on p's coefficients, and one ``powf`` at the
+    end gives F = 1 - p**(1/nu). Raises SolverError, naming the family, J and
+    t, when the coefficients overflow (a mechanism whose series diverges inside
+    the unit disc, such as ``coupled_drift`` with a0 > nu/(2**nu - 1)), and
+    TruncationError when more than 1 % of the mass has escaped past the
+    truncation order, which signals that row sums (not the kept columns, which
+    stay exact) are no longer meaningful.
     """
     if J < 2:
         raise DomainError(f"evolve_series requires J >= 2, got {J}")
     if t < 0.0:
         raise DomainError(f"evolve_series requires t >= 0, got {t}")
-    y0 = np.zeros(J + 1)
-    y0[1] = 1.0
     if t == 0.0:
-        return SeriesState(0.0, y0)
+        coeffs = np.zeros(J + 1)
+        coeffs[1] = 1.0
+        return SeriesState(0.0, coeffs)
+    nu = sf.nu
 
-    def rhs(u, c):
-        # coefficients of f(F) from those of F, through y = 1 - F, y[0] > 0
-        y = -np.asarray(c)
-        y[0] += 1.0
-        return sf.f_series(y, J)
+    def rhs(u, p):
+        return -nu * _series.mul(p, sf.rate_series(p, J), J)
 
     from scipy.integrate import solve_ivp
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, t),
-        y0,
-        method=_ODE_METHOD,
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-    )
-    if not sol.success:
-        raise SolverError(f"series evolution failed at t={t}: {sol.message}")
-    coeffs = sol.y[:, -1].copy()
+    where = f"{sf.family.value} series evolution with J={J} to t={t:g}"
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            sol = solve_ivp(
+                rhs,
+                (0.0, t),
+                _series.binom_series(nu, J),
+                method=_ODE_METHOD,
+                rtol=cfg.rel_tol,
+                atol=cfg.abs_tol,
+            )
+            if not sol.success:
+                raise SolverError(f"{where} failed: {sol.message}")
+            coeffs = -_series.powf(sol.y[:, -1], 1.0 / nu)
+    except (FloatingPointError, ZeroDivisionError) as exc:
+        raise SolverError(f"{where}: floating-point {exc}") from None
+    coeffs[0] += 1.0
     state = SeriesState(t, coeffs)
     if state.defect > 1e-2:
         raise TruncationError(

@@ -35,8 +35,8 @@ Three built-in families provide independent exact oracles:
 
 Each family's sv is one ``ScaleFunction`` subclass, and everything that
 differs between families lives on it: the closed forms above, the Taylor
-coefficients of f and f composed with a series, the exact R(t;s) oracle,
-the drift-integral oracle, the series of 1/sv, the normalizer, the
+coefficients of f, the decay rate of a series p = y**nu, the exact R(t;s)
+oracle, the drift-integral oracle, the series of 1/sv, the normalizer, the
 second-order term of the survival expansion and, where known, the exact
 tail of the jump law. Adding a family means adding one subclass.
 
@@ -114,11 +114,12 @@ class ScaleFunction:
     Every hook that raises NotImplementedError here is required, and each
     family supplies it in closed form: ``sv``, ``rate_of_power`` (the decay
     rate as a function of y**nu), ``index_drift``, ``mechanism_series``,
-    ``f_series``, the exact oracles ``exact_R`` and ``drift_integral`` that
-    the solvers cross-validate against, ``sv_reciprocal_series``,
-    ``normalizer`` and ``normalizer_defined``. ``decay_rate``,
-    ``sv_elasticity``, ``f`` and ``second_order`` derive from them;
-    ``exact_tail`` is the one hook a family may leave out.
+    ``rate_series`` (``rate_of_power`` on a series p), the exact oracles
+    ``exact_R`` and ``drift_integral`` that the solvers cross-validate
+    against, ``sv_reciprocal_series``, ``normalizer`` and
+    ``normalizer_defined``. ``decay_rate``, ``sv_elasticity``, ``f`` and
+    ``second_order`` derive from them; ``exact_tail`` is the one hook a
+    family may leave out.
     """
 
     def __init__(self, params: ModelParams):
@@ -177,8 +178,9 @@ class ScaleFunction:
         """Formal Taylor coefficients a_0..a_J of f(s) (J >= 2, unchecked)."""
         raise NotImplementedError
 
-    def f_series(self, y: np.ndarray, J: int) -> np.ndarray:
-        """Coefficients of f(1 - y) = y * decay_rate(y) for a series y, y[0] > 0."""
+    def rate_series(self, p: np.ndarray, J: int) -> np.ndarray:
+        """``rate_of_power`` in series arithmetic: the coefficients of the
+        decay rate as a function of a series p = y**nu, to order J."""
         raise NotImplementedError
 
     def exact_R(self, y0, t: float):
@@ -249,8 +251,8 @@ class ConstantScale(ScaleFunction):
         # a_j = a0 * (-1)**j * C(1+nu, j) by the binomial recurrence
         return self.a0 * _series.binom_series(1.0 + self.nu, J)
 
-    def f_series(self, y, J):
-        return self.a0 * _series.powf(y, 1.0 + self.nu, J)
+    def rate_series(self, p, J):
+        return self.a0 * p[: J + 1]
 
     def exact_R(self, y0, t):
         # dR/dt = -a0 R**(1+nu) separates to R**-nu = y0**-nu + nu*a0*t
@@ -349,12 +351,11 @@ class CoupledDriftScale(ScaleFunction):
         den[0] = nu
         return _series.div(num, den)
 
-    def f_series(self, y, J):
+    def rate_series(self, p, J):
         nu, a0 = self.nu, self.a0
-        u = _series.powf(y, nu, J)
-        den = -a0 * u
+        den = -a0 * p[: J + 1]
         den[0] += nu + a0
-        return _series.div(nu * a0 * _series.mul(y, u, J), den, J)
+        return _series.div(nu * a0 * p[: J + 1], den, J)
 
     def _solve_w(self, y0, t):
         """(w0, e): w0 = 1/decay_rate(y0) = 1/decay_rate(R(0)) and the excess

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -30,6 +31,7 @@ from critlab import (
     solve_F,
     transition_matrix,
 )
+from critlab import _series
 from critlab.kolmogorov_engine import _solve_log_path, size_biased
 from reference import invariant_measure_M, level_at_time, time_to_level
 
@@ -383,6 +385,12 @@ def test_series_p11_closed_form():
     cfg = SolveConfig(rel_tol=1e-11, abs_tol=1e-13)
     st = evolve_series(CONST, 64, 2.0, cfg)
     assert st.coeffs[1] == pytest.approx(0.125, abs=1e-9)
+    # at small nu q(100) is 4e-42, so F_0 rounds to 1, while p = R**nu = 1/1.1
+    # keeps P_11 to relative precision
+    sf = make_scale_function(ModelParams(0.001, 1.0, Family.CONSTANT))
+    st = evolve_series(sf, 64, 100.0)
+    assert st.coeffs[0] == 1.0
+    assert st.coeffs[1] == pytest.approx(exact_R(sf, 0.0, 100.0) ** 1.001, rel=1e-9)
 
 
 def test_series_pointwise_matches_solver():
@@ -394,18 +402,79 @@ def test_series_pointwise_matches_solver():
         assert val == pytest.approx(expect, abs=1e-9)
 
 
+@given(
+    fam=st.sampled_from(list(Family)),
+    nu=st.floats(0.05, 0.97),
+    a0=st.floats(0.05, 1.0),
+    t=st.floats(0.01, 10.0),
+    J=st.sampled_from([64, 256]),
+)
+@settings(max_examples=25, deadline=None)
+def test_series_route_in_p_matches_the_oracle(fam, nu, a0, t, J):
+    # a0 <= 1 < nu/(2**nu - 1) keeps coupled_drift a valid mechanism, whose
+    # coefficients stay bounded; 0.6**J is far below the tolerance
+    sf = make_scale_function(ModelParams(nu, a0, fam))
+    state = evolve_series(sf, J, t)
+    for s in (0.0, 0.3, 0.6):
+        val = float(np.polynomial.polynomial.polyval(s, state.coeffs))
+        assert val == pytest.approx(1.0 - exact_R(sf, s, t), abs=DEFAULT_CFG.rel_tol)
+
+
+def test_series_route_makes_one_power_and_one_rate_series_per_rhs(monkeypatch):
+    calls = {"powf": 0, "rate_series": 0, "exact_R": 0, "normalizer": 0, "nfev": 0}
+
+    class CountingScale(type(COUPLED)):
+        def rate_series(self, p, J):
+            calls["rate_series"] += 1
+            return super().rate_series(p, J)
+
+        def exact_R(self, y0, t):
+            calls["exact_R"] += 1
+            return super().exact_R(y0, t)
+
+        def normalizer(self, t):
+            calls["normalizer"] += 1
+            return super().normalizer(t)
+
+    powf, solve_ivp = _series.powf, scipy.integrate.solve_ivp
+
+    def counting_powf(*args):
+        calls["powf"] += 1
+        return powf(*args)
+
+    def solve_ivp_nfev(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        calls["nfev"] += sol.nfev
+        return sol
+
+    monkeypatch.setattr(_series, "powf", counting_powf)
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", solve_ivp_nfev)
+    evolve_series(CountingScale(COUPLED.params), 128, 1.0)
+    assert calls["powf"] == 1
+    assert calls["nfev"] > 0 and calls["rate_series"] == calls["nfev"]
+    assert calls["exact_R"] == calls["normalizer"] == 0
+
+
+def test_series_blow_up_is_a_named_solver_error():
+    # nu + a0*(1 - (1-s)**nu) vanishes inside the unit disc once
+    # a0 > nu/(2**nu - 1), so the coefficients grow geometrically in j
+    sf = make_scale_function(ModelParams(0.5, 5.0, Family.COUPLED_DRIFT))
+    with pytest.raises(SolverError, match="coupled_drift series evolution with J=256 to t=1"):
+        evolve_series(sf, 256, 1.0)
+
+
 # sha256 of the C8 computation's float64 bytes: (evolved coefficients,
 # transition_matrix) at J = 1024, t = 1, recorded with numpy 2.4.6, scipy
 # 1.17.1 and OpenBLAS 0.3.31 on x86_64; C8 and C10 read these states, so a
 # change to the series kernels that moves any bit moves a digest
 SERIES_DIGESTS = {
     Family.CONSTANT: (
-        "3120743c8781a8d1250e6bab73b7d692d8c76844a17314b0467217890617529b",
-        "dc6ae5870bae81c28f3e9b7ec667a1005960b875a5e4a95b84423870eaa4e57c",
+        "1fafb98db63b2fc26093870c2f730f431b22bb0d7cae84f89b687578990811da",
+        "5046250f7387ec0446890e6e008d76c5aef2d7dbff453758e2a229dbfc17d58d",
     ),
     Family.COUPLED_DRIFT: (
-        "785dd59fadff858a107f38835eb3ccdfedc465a1c646fba5c684d125151e9ebd",
-        "a669bab6264b32e38f7147ae7a25b04dbd2ce27fe7a1b066e0f22b6d3d731fb1",
+        "a658a09f540648344a9305af266a610b50d086d47680128e38bca70ad518936f",
+        "ece2c7f911c530ca249e3903e844ff27c4286205ad950962c841105f70d6eea6",
     ),
 }
 

@@ -190,8 +190,8 @@ def test_div_matches_mpmath_recurrence(order, data):
 _DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
-from critlab import _series, d_limit
-from critlab.kolmogorov_engine import SeriesState, transition_matrix
+from critlab import Family, ModelParams, _series, d_limit, make_scale_function
+from critlab.kolmogorov_engine import SeriesState, evolve_series, transition_matrix
 n = 2**15
 y = _series.binom_series(0.5, n) + 0.5 ** np.arange(n + 1)
 a = _series.binom_series(-1.3, n)
@@ -203,13 +203,17 @@ F[0] = 0.0
 print(hashlib.sha256(transition_matrix(SeriesState(1.0, F)).tobytes()).hexdigest())
 # the limit law, inverted in one Talbot and one Gaver-Stehfest call
 print(hashlib.sha256(d_limit(0.5, np.logspace(-6, 14, 801))[0].tobytes()).hexdigest())
+# the series engine's coefficients, evolved in p = (1 - F)**nu
+sf = make_scale_function(ModelParams(0.5, 1.0, Family.COUPLED_DRIFT))
+print(hashlib.sha256(evolve_series(sf, 1024, 1.0).coeffs.tobytes()).hexdigest())
 """
 
 
 def test_kernels_do_not_depend_on_blas_threads():
     # OpenBLAS splits a dot product longer than 10000 terms over its threads,
     # which changes the summation order; order 2**15 reaches that length.
-    # transition_matrix at J = 1024 runs a thousand products per call, and
+    # transition_matrix at J = 1024 runs a thousand products per call, the
+    # series engine a div and a mul per right-hand side, and
     # d_limit's Gaver-Stehfest row sums must not become a BLAS product.
     src = str(Path(_series.__file__).resolve().parents[1])
     procs = []
@@ -227,7 +231,7 @@ def test_kernels_do_not_depend_on_blas_threads():
         for p in procs:
             p.kill()
     assert [p.returncode for p in procs] == [0, 0]
-    assert len(outs[0].split()) == 5
+    assert len(outs[0].split()) == 6
     assert outs[0] == outs[1]
 
 

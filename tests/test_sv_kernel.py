@@ -33,6 +33,7 @@ from critlab import (
     solve_F,
     solve_normalizer,
 )
+from critlab import _series
 from reference import (
     coupled_R_mpmath,
     exact_R_scalar,
@@ -345,13 +346,14 @@ TIGHT = SolveConfig(rel_tol=1e-12, abs_tol=1e-14)
 
 @given(sf=SCALE_FUNCTIONS)
 @settings(max_examples=60, deadline=None)
-def test_f_series_of_identity_matches_mechanism_series(sf):
-    # f composed with F(s) = s (so y = 1 - s) is the Taylor series of f
+def test_rate_series_of_the_identity_matches_mechanism_series(sf):
+    # at F(s) = s, p = (1 - s)**nu, and f(s) = (1 - s) * rate_of_power(p)
     J = 12
-    y = np.zeros(J + 1)
-    y[0], y[1] = 1.0, -1.0
+    rate = sf.rate_series(_series.binom_series(sf.nu, J), J)
+    f = rate.copy()
+    f[1:] -= rate[:-1]
     a = mechanism_series(sf, J)
-    assert np.max(np.abs(sf.f_series(y, J) - a)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
+    assert np.max(np.abs(f - a)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
 
 
 @given(sf=SCALE_FUNCTIONS, s=st.floats(0.0, 0.99), t=st.floats(0.0, 100.0))
@@ -547,8 +549,8 @@ def test_every_family_supplies_every_required_hook(fam):
         for name, fn in vars(ScaleFunction).items()
         if inspect.isfunction(fn) and "raise NotImplementedError" in inspect.getsource(fn)
     ]
-    assert {"rate_of_power", "normalizer", "normalizer_defined", "exact_R",
-            "drift_integral"} <= set(hooks)
+    assert {"rate_of_power", "rate_series", "normalizer", "normalizer_defined",
+            "exact_R", "drift_integral"} <= set(hooks)
     # the decay rate derives from rate_of_power, written once in the base class
     assert "decay_rate" not in hooks
     cls = type(make_scale_function(ModelParams(0.5, 1.0, fam)))
