@@ -77,9 +77,9 @@ def _validate_coeffs(a: np.ndarray, family: Family) -> None:
 def mechanism_series(sf: ScaleFunction, J: int) -> np.ndarray:
     """Formal Taylor coefficients a_0..a_J of f(s), without sign validation.
 
-    Each family supplies its own (``ScaleFunction.mechanism_series``). The
-    coupled_drift coefficients are a valid intensity sequence only for
-    small enough a0; callers needing an offspring law must go through
+    ``ScaleFunction.mechanism_series`` derives them from the family's rate
+    form. The coupled_drift coefficients are a valid intensity sequence only
+    for small enough a0; callers needing an offspring law must go through
     ``expand_coeffs``, which validates. The analytic machinery (invariant
     measures, series evolution) is well defined for the formal series.
     """

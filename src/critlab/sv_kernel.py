@@ -33,12 +33,16 @@ Three built-in families provide independent exact oracles:
     f(s) = a0*(1-s)**2, the classical baseline. ``ModelParams`` pins nu to 1,
     and the tag maps to the ``constant`` class.
 
-Each family's sv is one ``ScaleFunction`` subclass, and everything that
-differs between families lives on it: the closed forms above, the Taylor
-coefficients of f, the decay rate of a series p = y**nu, the exact R(t;s)
-oracle, the drift-integral oracle, the series of 1/sv, the normalizer, the
-second-order term of the survival expansion and, where known, the exact
-tail of the jump law. Adding a family means adding one subclass.
+Both slowly varying families are linear-fractional in Slack's variable
+p = y**nu: decay_rate(y) = c*p / (d0 + d1*(1 - p)), with (c, d0, d1) equal
+to (a0, 1, 0) for ``constant`` and (nu*a0, nu, a0) for ``coupled_drift``.
+A family is one ``ScaleFunction`` subclass that declares this rate form, from
+which the base class derives sv, the decay rate, the index drift and the
+Taylor series of f, of the decay rate of a series p and of 1/sv. The subclass
+keeps what the form does not give: the exact R(t;s) and drift-integral
+oracles, the normalizer, the second-order term of the survival expansion and,
+where known, the exact tail of the jump law. Adding a family means one
+subclass: its ``rate_form`` and its oracles.
 
 The normalizer N(t) used by the survival asymptotics is defined implicitly by
 N**nu * sv((nu*t)**(1/nu) / N) = 1, equivalently N = (nu*t)**(1/nu) * y* with
@@ -111,19 +115,17 @@ class ModelParams:
 class ScaleFunction:
     """Evaluable bundle (sv, decay_rate, index_drift, sv_elasticity) for one family.
 
-    Every hook that raises NotImplementedError here is required, and each
-    family supplies it in closed form: ``sv``, ``rate_of_power`` (the decay
-    rate as a function of y**nu), ``index_drift``, ``mechanism_series``,
-    ``rate_series`` (``rate_of_power`` on a series p), the exact oracles
-    ``exact_R`` and ``drift_integral`` that the solvers cross-validate
-    against, ``sv_reciprocal_series``, ``normalizer`` and
-    ``normalizer_defined``. ``decay_rate``, ``sv_elasticity``, ``f`` and
-    ``second_order`` derive from them; ``exact_tail`` is the one hook a
-    family may leave out.
+    The five hooks that raise NotImplementedError here are required:
+    ``rate_form``, the exact oracles ``exact_R`` and ``drift_integral`` that
+    the solvers cross-validate against, ``normalizer`` and
+    ``normalizer_defined``. The evaluators and series derive from the rate
+    form, read once; ``second_order`` derives from ``drift_integral``, and
+    ``exact_tail`` is the one hook a family may leave out.
     """
 
     def __init__(self, params: ModelParams):
         self.params = params
+        self._form = self.rate_form()
 
     @property
     def nu(self) -> float:
@@ -137,19 +139,27 @@ class ScaleFunction:
     def family(self) -> Family:
         return self.params.family
 
-    # required evaluators -------------------------------------------------
-    def sv(self, x):
-        """Slowly varying component at infinity, defined on x >= 1."""
+    def rate_form(self) -> tuple[float, float, float]:
+        """(c, d0, d1) with rate_of_power(p) = c*p / (d0 + d1*(1 - p)) at p = y**nu."""
         raise NotImplementedError
 
+    # evaluators derived from the rate form -------------------------------
+    def sv(self, x):
+        """Slowly varying component at infinity on x >= 1: c / (d0 + d1*(1 - x**(-nu)))."""
+        c, d0, d1 = self._form
+        x = np.asarray(x, dtype=float)
+        val = c / (d0 + d1 * (1.0 - x ** (-self.nu)))
+        return float(val) if val.ndim == 0 else val
+
     def rate_of_power(self, p):
-        """The decay rate as a function of p = y**nu: p * sv(p**(-1/nu)).
+        """The decay rate as a function of p = y**nu: c*p / (d0 + d1*(1 - p)).
 
         Plain arithmetic on p, so a Python float gives a Python float: the
         ODE right-hand side calls it on one float per element, with no
         numpy call, and a float error there raises where numpy would warn.
         """
-        raise NotImplementedError
+        c, d0, d1 = self._form
+        return c * p / (d0 + d1 * (1.0 - p))
 
     def decay_rate(self, y):
         """decay_rate(y) = y**nu * sv(1/y) on y in (0, 1]; a float for a 0-d y."""
@@ -157,8 +167,11 @@ class ScaleFunction:
         return float(val) if np.ndim(val) == 0 else val
 
     def index_drift(self, y):
-        """Local-index deviation of decay_rate at y in (0, 1]."""
-        raise NotImplementedError
+        """Local-index deviation of decay_rate at y in (0, 1]: nu*d1*p / (d0 + d1*(1 - p))."""
+        _, d0, d1 = self._form
+        p = np.power(y, self.nu)
+        val = self.nu * d1 * p / (d0 + d1 * (1.0 - p))
+        return float(val) if np.ndim(val) == 0 else val
 
     def sv_elasticity(self, x):
         """x * sv'(x) / sv(x) = -index_drift(1/x) on x >= 1."""
@@ -173,16 +186,41 @@ class ScaleFunction:
         val = y * self.decay_rate(y)
         return float(val) if np.ndim(val) == 0 else val
 
-    # series and exact oracles -------------------------------------------
     def mechanism_series(self, J: int) -> np.ndarray:
-        """Formal Taylor coefficients a_0..a_J of f(s) (J >= 2, unchecked)."""
-        raise NotImplementedError
+        """Formal Taylor coefficients a_0..a_J of f(s) (J >= 2, unchecked):
+        c*(1 - s)**(1 + nu) over the denominator at p = (1 - s)**nu."""
+        c, d0, d1 = self._form
+        num = c * _series.binom_series(1.0 + self.nu, J)
+        if d1 == 0.0:
+            return num / d0
+        return _series.div(num, self._denominator(_series.binom_series(self.nu, J), J))
 
     def rate_series(self, p: np.ndarray, J: int) -> np.ndarray:
         """``rate_of_power`` in series arithmetic: the coefficients of the
         decay rate as a function of a series p = y**nu, to order J."""
-        raise NotImplementedError
+        c, d0, d1 = self._form
+        num = c * p[: J + 1]
+        if d1 == 0.0:
+            return num / d0
+        return _series.div(num, self._denominator(p, J), J)
 
+    def sv_reciprocal_series(self, order: int) -> np.ndarray:
+        """Series of 1/sv(1/(1-s)) in powers of s: the denominator at
+        p = (1 - s)**nu, over c."""
+        c, d0, d1 = self._form
+        if d1 == 0.0:
+            return np.concatenate(([d0 / c], np.zeros(order)))
+        return self._denominator(_series.binom_series(self.nu, order), order) / c
+
+    def _denominator(self, p: np.ndarray, order: int) -> np.ndarray:
+        """The series d0 + d1*(1 - p) to ``order``, for d1 != 0 (at d1 = 0 the
+        callers divide by d0); its constant term is exactly d0 at p[0] = 1."""
+        _, d0, d1 = self._form
+        den = -d1 * p[: order + 1]
+        den[0] = d0 + d1 * (1.0 - p[0])
+        return den
+
+    # exact oracles ----------------------------------------------------------
     def exact_R(self, y0, t: float):
         """Exact R(t;s) from R(0;s) = y0 = 1 - s in (0, 1], t >= 0 (unchecked).
 
@@ -193,10 +231,6 @@ class ScaleFunction:
 
     def drift_integral(self, y0: float, t: float) -> float:
         """Exact int_0^t index_drift(R(u;s)) du from R(0;s) = y0 (unchecked)."""
-        raise NotImplementedError
-
-    def sv_reciprocal_series(self, order: int) -> np.ndarray:
-        """Series of 1/sv(1/(1-s)) in powers of s."""
         raise NotImplementedError
 
     def second_order(self, t: float) -> tuple[float, float]:
@@ -227,8 +261,17 @@ class ScaleFunction:
         raise NotImplementedError
 
 
+def _scaled_time(nu: float, a0: float, t: float, quantity: str) -> float:
+    """nu*a0*t, the horizon in units of 1/decay_rate(1). A product past the
+    float range is a SolverError naming the quantity and t (``nu_t_power``)."""
+    k = nu * a0 * float(t)
+    if k == math.inf:
+        raise SolverError(f"{quantity} at t={t:g}: nu*a0*t overflows")
+    return k
+
+
 class ConstantScale(ScaleFunction):
-    """sv(x) = a0; all derived quantities in closed form.
+    """sv(x) = a0: the rate form (a0, 1, 0), so rate_of_power(p) = a0*p.
 
     There is no index drift, 1/sv is the constant 1/a0, and N**nu * a0 = 1
     fixes N(t) for every t > 0. At nu = 1 this is ``binary_split``,
@@ -236,39 +279,20 @@ class ConstantScale(ScaleFunction):
     has no tail mass and ``exact_tail`` is never drawn.
     """
 
-    def sv(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(np.float64(self.a0), x.shape).copy() if x.ndim else float(self.a0)
-
-    def rate_of_power(self, p):
-        return self.params.a0 * p
-
-    def index_drift(self, y):
-        y = np.asarray(y, dtype=float)
-        return np.zeros(y.shape) if y.ndim else 0.0
-
-    def mechanism_series(self, J):
-        # a_j = a0 * (-1)**j * C(1+nu, j) by the binomial recurrence
-        return self.a0 * _series.binom_series(1.0 + self.nu, J)
-
-    def rate_series(self, p, J):
-        return self.a0 * p[: J + 1]
+    def rate_form(self):
+        return self.a0, 1.0, 0.0
 
     def exact_R(self, y0, t):
         # dR/dt = -a0 R**(1+nu) separates to R**-nu = y0**-nu + nu*a0*t
         nu = self.nu
+        k = _scaled_time(nu, self.a0, t, "exact R")
         # np.power throughout: ** on a numpy scalar would round as libm does,
         # not as the array loop, and a float y0 is the one-element array
-        val = np.power(np.power(np.asarray(y0, dtype=float), -nu) + nu * self.a0 * t, -1.0 / nu)
+        val = np.power(np.power(np.asarray(y0, dtype=float), -nu) + k, -1.0 / nu)
         return float(val) if val.ndim == 0 else val
 
     def drift_integral(self, y0, t):
         return 0.0
-
-    def sv_reciprocal_series(self, order):
-        out = np.zeros(order + 1)
-        out[0] = 1.0 / self.a0
-        return out
 
     def exact_tail(self):
         return self._binomial_tail
@@ -326,36 +350,14 @@ class CoupledDriftScale(ScaleFunction):
     """Family with index_drift(y) = decay_rate(y).
 
     The index relation integrates to the rational form
-    decay_rate(y) = nu*a0*y**nu / (nu + a0*(1 - y**nu)), hence
-    sv(x) = nu*a0 / (nu + a0*(1 - x**(-nu))), which decreases from a0 at
-    x = 1 to nu*a0/(nu + a0) at infinity.
+    decay_rate(y) = nu*a0*y**nu / (nu + a0*(1 - y**nu)), the rate form
+    (nu*a0, nu, a0); hence sv(x) = nu*a0 / (nu + a0*(1 - x**(-nu))), which
+    decreases from a0 at x = 1 to nu*a0/(nu + a0) at infinity.
     """
 
-    def sv(self, x):
-        x = np.asarray(x, dtype=float)
-        val = self.nu * self.a0 / (self.nu + self.a0 * (1.0 - x ** (-self.nu)))
-        return float(val) if val.ndim == 0 else val
-
-    def rate_of_power(self, p):
-        nu, a0 = self.params.nu, self.params.a0
-        return nu * a0 * p / (nu + a0 * (1.0 - p))
-
-    def index_drift(self, y):
-        return self.decay_rate(y)
-
-    def mechanism_series(self, J):
-        # series division of nu*a0*(1-s)**(1+nu) by nu + a0*(1 - (1-s)**nu)
+    def rate_form(self):
         nu, a0 = self.nu, self.a0
-        num = nu * a0 * _series.binom_series(1.0 + nu, J)
-        den = -a0 * _series.binom_series(nu, J)
-        den[0] = nu
-        return _series.div(num, den)
-
-    def rate_series(self, p, J):
-        nu, a0 = self.nu, self.a0
-        den = -a0 * p[: J + 1]
-        den[0] += nu + a0
-        return _series.div(nu * a0 * p[: J + 1], den, J)
+        return nu * a0, nu, a0
 
     def _solve_w(self, y0, t):
         """(w0, e): w0 = 1/decay_rate(y0) = 1/decay_rate(R(0)) and the excess
@@ -430,15 +432,10 @@ class CoupledDriftScale(ScaleFunction):
         e = self._solve_w(y0, t)[1]
         return float(e) if e.ndim == 0 else e
 
-    def sv_reciprocal_series(self, order):
-        nu, a0 = self.nu, self.a0
-        out = -a0 * _series.binom_series(nu, order)
-        out[0] += nu + a0
-        return out / (nu * a0)
-
     def second_order(self, t):
         # closed form log(a0*nu*t + 1)/nu**3 of the accumulated drift over nu**2
-        return math.log(self.a0 * self.nu * t + 1.0), self.nu**3 * t
+        k = _scaled_time(self.nu, self.a0, t, "second-order term")
+        return math.log(k + 1.0), self.nu**3 * t
 
     def normalizer(self, t):
         # decay_rate(y*) = 1/(nu*t) gives N**nu = nu*t*(y*)**nu in closed form,

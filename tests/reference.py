@@ -8,7 +8,9 @@ the scalar ``brentq`` route to the exact R(t;s) next to the array Newton
 root of ``CoupledDriftScale._solve_w``, an ``mpmath`` route to the same R
 at any (nu, a0), the one-point-at-a-time Laplace inversions, a scalar
 Python node sum with ``cmath``/``math`` next to ``laplace``'s array sums,
-and the limit law D(x) by ``mpmath``'s Talbot inversion at 30 digits.
+the limit law D(x) by ``mpmath``'s Talbot inversion at 30 digits, and the
+evaluators ``ScaleFunction`` derives from a family's rate form, by ``mpmath``
+at 50 digits with ``mpmath.taylor`` in place of series arithmetic.
 The functions take valid inputs only.
 """
 
@@ -178,3 +180,52 @@ def d_limit_mpmath(nu: float, x: float) -> float:
             return (1 + p**nu_) ** -(1 + 1 / nu_) / p
 
         return float(mpmath.invertlaplace(cdf_transform, mpmath.mpf(x), method="talbot"))
+
+
+class RateFormMpmath:
+    """sv, rate_of_power, index_drift and the three series of the rate form
+    rate_of_power(p) = c*p / (d0 + d1*(1 - p)), p = y**nu, at 50 digits.
+
+    Each is written from its formula: sv(x) = c / (d0 + d1*(1 - x**-nu)),
+    index_drift(y) = nu*d1*p / (d0 + d1*(1 - p)), f(s) = (1 - s) times the
+    decay rate at p = (1 - s)**nu, and 1/sv(1/(1 - s)) = (d0 + d1*(1 - p))/c.
+    The series are the Taylor coefficients at s = 0 that ``mpmath.taylor``
+    takes by numerical differentiation, not by any series arithmetic.
+    """
+
+    def __init__(self, form, nu: float):
+        import mpmath
+
+        self.mp = mpmath.mp.clone()
+        self.mp.dps = 50
+        self.c, self.d0, self.d1 = (self.mp.mpf(v) for v in form)
+        self.nu = self.mp.mpf(nu)
+
+    def _den(self, p):
+        return self.d0 + self.d1 * (1 - p)
+
+    def _rate(self, p):
+        return self.c * p / self._den(p)
+
+    def _taylor(self, fn, order: int) -> list[float]:
+        return [float(v) for v in self.mp.taylor(fn, 0, order)]
+
+    def sv(self, x: float) -> float:
+        return float(self.c / self._den(self.mp.mpf(x) ** -self.nu))
+
+    def rate_of_power(self, p: float) -> float:
+        return float(self._rate(self.mp.mpf(p)))
+
+    def index_drift(self, y: float) -> float:
+        p = self.mp.mpf(y) ** self.nu
+        return float(self.nu * self.d1 * p / self._den(p))
+
+    def mechanism_series(self, J: int) -> list[float]:
+        return self._taylor(lambda s: (1 - s) * self._rate((1 - s) ** self.nu), J)
+
+    def rate_series(self, p, J: int) -> list[float]:
+        coeffs = [self.mp.mpf(float(v)) for v in p[: J + 1]]
+        return self._taylor(lambda s: self._rate(self.mp.polyval(coeffs[::-1], s)), J)
+
+    def sv_reciprocal_series(self, order: int) -> list[float]:
+        return self._taylor(lambda s: self._den((1 - s) ** self.nu) / self.c, order)

@@ -304,10 +304,16 @@ def test_config_t_grid_validation():
         ("solve", "family = coupled_drift\nnu = 0.999\na0 = 1e300\n"
          "t_min = 1.7e-122\nt_max = 1.7e-122\ns_list = 0, 0.5\n", 3,
          "backward integration from log R=[-0, -0.693147] over t=1.7e-122: floating-point"),
+        ("solve", "family = binary_split\na0 = 4.2e250\n"
+         "t_min = 2.1e84\nt_max = 2.1e84\nt_points = 1\ns_list = 0, 0.5\n", 3,
+         "exact R at t=2.1e+84: nu*a0*t overflows"),
+        ("solve", "family = coupled_drift\na0 = 1e300\nt_min = 1e10\nt_max = 1e10\nt_points = 1\n",
+         3, "second-order term at t=1e+10: nu*a0*t overflows"),
     ],
     ids=["mc_n-zero", "mc_n-negative", "seed-negative", "i0-zero", "pop_cap-past-2**62",
          "pop_cap-zero", "pop_cap-at-i0", "t_max-inf", "t_min-nan", "ode-overflow",
-         "huge-horizon", "tiny-a0", "huge-decay-rate"],
+         "huge-horizon", "tiny-a0", "huge-decay-rate", "exact-R-overflow",
+         "second-order-overflow"],
 )
 def test_accepted_configs_fail_by_name(tmp_path, capsys, command, extra, code, named):
     # parse_config accepts each of these; the run must end in a named error

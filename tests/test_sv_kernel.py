@@ -35,6 +35,7 @@ from critlab import (
 )
 from critlab import _series
 from reference import (
+    RateFormMpmath,
     coupled_R_mpmath,
     exact_R_scalar,
     invariant_measure_M,
@@ -372,6 +373,86 @@ def test_sv_reciprocal_series_matches_pointwise(sf, s):
     assert np.polynomial.polynomial.polyval(s, c) == pytest.approx(1.0 / float(sf.sv(1.0 / (1.0 - s))), rel=1e-12)
 
 
+# each family's rate form, rate_of_power(p) = c*p / (d0 + d1*(1 - p)), as (nu, a0) -> (c, d0, d1)
+RATE_FORMS = {
+    Family.CONSTANT: lambda nu, a0: (a0, 1.0, 0.0),
+    Family.BINARY_SPLIT: lambda nu, a0: (a0, 1.0, 0.0),
+    Family.COUPLED_DRIFT: lambda nu, a0: (nu * a0, nu, a0),
+}
+
+
+@given(
+    fam=st.sampled_from(list(Family)),
+    nu=st.floats(0.05, 0.95),
+    a0=st.floats(0.05, 5.0),
+    J=st.integers(2, 32),
+    q=st.floats(0.05, 1.0),
+    x=st.floats(1.0, 1e300),
+    u=st.floats(1e-300, 1.0),
+)
+# the coefficients of f grow fastest here, by about 4.5 per order
+@example(fam=Family.COUPLED_DRIFT, nu=0.05, a0=5.0, J=32, q=1.0, x=1.0, u=1.0)
+@settings(max_examples=15, deadline=None)
+def test_derived_evaluators_match_the_rate_form_in_mpmath(fam, nu, a0, J, q, x, u):
+    # the six evaluators the base class derives from (c, d0, d1), against a
+    # 50-digit mpmath route written from the same form (series by
+    # mpmath.taylor); u is both a p and a y in (0, 1], and p = q*(1 - s)**nu
+    # is a series of the kind the series engine evolves
+    pytest.importorskip("mpmath")
+    sf = make_scale_function(ModelParams(nu, a0, fam))
+    form = RATE_FORMS[fam](sf.nu, sf.a0)
+    assert sf.rate_form() == form
+    ref = RateFormMpmath(form, sf.nu)
+    # a few roundings each, which the denominator amplifies by at most 1 + d1/d0;
+    # over 100 random draws the worst error was about a tenth of this bound
+    # pointwise and a quarter of the series bound below
+    _, d0, d1 = form
+    rel = 4.0 * (1.0 + d1 / d0) * 2.0**-52
+    assert type(sf.rate_of_power(u)) is float
+    for got, want in [(sf.sv(x), ref.sv(x)), (sf.rate_of_power(u), ref.rate_of_power(u)),
+                      (sf.index_drift(u), ref.index_drift(u))]:
+        assert abs(got - want) <= rel * want
+    # a series coefficient j carries the rounding of the j + 1 before it, each
+    # relative to the largest of them
+    p = q * _series.binom_series(sf.nu, J)
+    for got, want in [(sf.mechanism_series(J), ref.mechanism_series(J)),
+                      (sf.rate_series(p, J), ref.rate_series(p, J)),
+                      (sf.sv_reciprocal_series(J), ref.sv_reciprocal_series(J))]:
+        want = np.array(want)
+        bound = rel * np.arange(1, J + 2) * np.maximum.accumulate(np.abs(want))
+        assert np.all(np.abs(got - want) <= bound)
+
+
+@pytest.mark.parametrize(
+    "fam, divs",
+    [(Family.CONSTANT, 0), (Family.BINARY_SPLIT, 0), (Family.COUPLED_DRIFT, 1)],
+    ids=["constant", "binary_split", "coupled_drift"],
+)
+def test_a_constant_denominator_is_a_scalar_division(monkeypatch, fam, divs):
+    # at d1 = 0 the denominator d0 + d1*(1 - p) is the scalar d0: no series
+    # (1 - s)**nu is built and nothing is divided as a series, which at
+    # order 2**16 would cost a constant build_sim_model 0.6 s
+    sf = make_scale_function(ModelParams(0.5, 1.3, fam))
+    p = _series.binom_series(sf.nu, 1024)
+    div, binom_series = _series.div, _series.binom_series
+    calls = {"div": 0, "binom_nu": 0}
+
+    def counting_div(*args):
+        calls["div"] += 1
+        return div(*args)
+
+    def counting_binom_series(alpha, order):
+        calls["binom_nu"] += alpha == sf.nu
+        return binom_series(alpha, order)
+
+    monkeypatch.setattr(_series, "div", counting_div)
+    monkeypatch.setattr(_series, "binom_series", counting_binom_series)
+    sf.mechanism_series(2**16 if divs == 0 else 256)
+    assert calls == {"div": divs, "binom_nu": divs}
+    sf.rate_series(p, 1024)
+    assert calls == {"div": 2 * divs, "binom_nu": divs}
+
+
 @given(sf=SCALE_FUNCTIONS, s=st.floats(0.0, 0.99), t=st.floats(0.0, 100.0))
 @example(sf=make_scale_function(ModelParams(0.35, 1.0, Family.COUPLED_DRIFT)), s=0.0, t=5e-324)
 @settings(max_examples=40, deadline=None)
@@ -544,15 +625,16 @@ def test_coupled_root_refuses_non_finite_values_by_name():
 
 @pytest.mark.parametrize("fam", list(Family), ids=lambda f: f.value)
 def test_every_family_supplies_every_required_hook(fam):
-    hooks = [
+    hooks = {
         name
         for name, fn in vars(ScaleFunction).items()
         if inspect.isfunction(fn) and "raise NotImplementedError" in inspect.getsource(fn)
-    ]
-    assert {"rate_of_power", "rate_series", "normalizer", "normalizer_defined",
-            "exact_R", "drift_integral"} <= set(hooks)
-    # the decay rate derives from rate_of_power, written once in the base class
-    assert "decay_rate" not in hooks
+    }
+    assert hooks == {"rate_form", "exact_R", "drift_integral", "normalizer", "normalizer_defined"}
     cls = type(make_scale_function(ModelParams(0.5, 1.0, fam)))
     for name in hooks:
         assert getattr(cls, name) is not getattr(ScaleFunction, name), name
+    # the evaluators derive from the rate form, written once in the base class
+    for name in ("sv", "rate_of_power", "decay_rate", "index_drift", "mechanism_series",
+                 "rate_series", "sv_reciprocal_series"):
+        assert getattr(cls, name) is getattr(ScaleFunction, name), name
