@@ -207,14 +207,12 @@ class ScaleFunction:
     def sv_reciprocal_series(self, order: int) -> np.ndarray:
         """Series of 1/sv(1/(1-s)) in powers of s: the denominator at
         p = (1 - s)**nu, over c."""
-        c, d0, d1 = self._form
-        if d1 == 0.0:
-            return np.concatenate(([d0 / c], np.zeros(order)))
+        c = self._form[0]
         return self._denominator(_series.binom_series(self.nu, order), order) / c
 
     def _denominator(self, p: np.ndarray, order: int) -> np.ndarray:
-        """The series d0 + d1*(1 - p) to ``order``, for d1 != 0 (at d1 = 0 the
-        callers divide by d0); its constant term is exactly d0 at p[0] = 1."""
+        """The series d0 + d1*(1 - p) to ``order``; its constant term is
+        exactly d0 at p[0] = 1."""
         _, d0, d1 = self._form
         den = -d1 * p[: order + 1]
         den[0] = d0 + d1 * (1.0 - p[0])
