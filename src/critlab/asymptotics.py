@@ -18,10 +18,10 @@ Each predictor mirrors one limit statement of the theory:
 * ``d_limit``: the limiting distribution function on [1e-6, 1e14] by fixed
   Talbot inversion, every point checked against Gaver-Stehfest.
 
-Every exact survival probability comes from ``exact_R(sf, 0.0, t)``, every
-time scale (nu*t)**p from ``sv_kernel.nu_t_power``, which refuses a horizon
-where it overflows, and every second-order term from the family's
-``ScaleFunction.second_order``.
+Every exact survival probability comes from ``exact_R(sf, 0.0, t)`` (and P_11
+and G from one quotient of its R), every time scale (nu*t)**p from
+``sv_kernel.nu_t_power``, which refuses a horizon where it overflows, and
+every second-order term from the family's ``ScaleFunction.second_order``.
 ``first_order_ratio`` is the classical first-order check q(t) / (f(1-q) nu t);
 ``fit_rate`` turns times and residuals into a log-log convergence-rate
 estimate.
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _series
 from .errors import DomainError, SolverError
-from .kolmogorov_engine import G_of, exact_R
+from .kolmogorov_engine import G_of, _f_quotient, exact_R
 from .laplace import gaver_stehfest, talbot
 from .sv_kernel import ScaleFunction, nu_t_power, solve_normalizer
 
@@ -103,9 +103,8 @@ def predict_q(sf: ScaleFunction, t: float) -> AsymptoticPrediction:
 
 
 def p11_exact(sf: ScaleFunction, t: float) -> float:
-    """Exact P_11(t) = q(t) * decay_rate(q(t)) / a0 via the survival oracle."""
-    q = exact_R(sf, 0.0, t)
-    return float(q * sf.decay_rate(q) / sf.a0)
+    """Exact P_11(t) = f(1 - q(t))/f(0), the quotient of ``G_of`` at s = y0 = 1."""
+    return _f_quotient(sf, 1.0, 1.0, exact_R(sf, 0.0, t), t)
 
 
 def predict_p11(sf: ScaleFunction, t: float) -> AsymptoticPrediction:

@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .acceptance import run_all
-from .asymptotics import fit_rate, pi_of, predict_p11, predict_q, p11_exact
+from .asymptotics import fit_rate, pi_of, predict_p11, predict_q
 from .errors import ConfigError, CritlabError, DomainError, ParameterError, SolverError
-from .kolmogorov_engine import G_of, exact_R, solve_F
+from .kolmogorov_engine import _f_quotient, exact_R, solve_F
 from .simulator import build_sim_model, estimate_survival, simulate_mbp
 from .sv_kernel import Family, ModelParams, make_scale_function, nu_t_power, solve_normalizer
 
@@ -193,11 +193,11 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     ts = cfg.t_grid()
     # one ODE pass over the distinct s, chained over the sorted distinct
     # horizons (a grid with t_min = t_max repeats one), made at the first row
-    # that needs it; per horizon one oracle call over [0, *s_list] and one
-    # G_of call over the s in (0, 1)
+    # that needs it; per horizon one oracle call over [0, *s_list], whose R gives
+    # q, the R cells, and the quotient that is P11 at s = 1 and G at each s
     horizons, at = np.unique(ts, return_inverse=True)
     s_ode, s_at = np.unique(cfg.s_list, return_inverse=True)
-    g_list = [s for s in cfg.s_list if 0.0 < s < 1.0]
+    s_all, s_map = np.array([0.0, *cfg.s_list]), np.array([1.0, *cfg.s_list])
     r_odes = None
     rows = []
     for i, t in enumerate(ts):
@@ -206,22 +206,21 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
         nu_t = sf.nu * t
         predicted = (t >= 1.0 and sf.normalizer_defined(t)
                      and (nu_t >= 1.0 or nu_t ** (1.0 + 1.0 / sf.nu) > 0.0))
-        q, *r_oracles = exact_R(sf, np.array([0.0, *cfg.s_list]), t).tolist()
+        r = exact_R(sf, s_all, t)
+        q, *r_oracles = r.tolist()
+        p11, *gs = _f_quotient(sf, s_map, 1.0 - s_all, r, t).tolist()
         pred = predict_q(sf, t).value if predicted else None
         rows.append(("solve", "q", t, q, pred, _rel_err(q, pred), "oracle", ""))
         scale = nu_t_power(sf.nu, t, 1.0 + 1.0 / sf.nu, "scaled P11")
-        scaled = scale * p11_exact(sf, t)
+        scaled = scale * p11
         p_pred = predict_p11(sf, t).value if predicted else None
         rows.append(("solve", "P11", t, scaled, p_pred, _rel_err(scaled, p_pred), "oracle", ""))
-        gs = iter(G_of(sf, np.array(g_list), t).tolist() if g_list else ())
-        for j, (s, r_oracle) in enumerate(zip(cfg.s_list, r_oracles)):
+        for j, (s, r_oracle, g) in enumerate(zip(cfg.s_list, r_oracles, gs)):
             if r_odes is None:
                 r_odes = solve_F(sf, s_ode, horizons)
             r_ode = float(r_odes[s_at[j], at[i]])
-            rows.append((f"s={s:g}", "R", t, r_oracle, r_ode,
-                         r_ode / r_oracle - 1.0, "ode", ""))
+            rows.append((f"s={s:g}", "R", t, r_oracle, r_ode, _rel_err(r_ode, r_oracle), "ode", ""))
             if 0.0 < s < 1.0:
-                g = next(gs)
                 gp = pi_of(sf, s) * solve_normalizer(sf, t) / scale if predicted else None
                 rows.append((f"s={s:g}", "G", t, g, gp, _rel_err(g, gp), "oracle", ""))
     out = Path(cfg.out) / "solve.csv"

@@ -17,9 +17,10 @@ satisfies dw/dt = nu + 1/w, so
 a monotone scalar equation solved to machine precision for any t, by one
 Newton iteration over a whole array of starting points. The exact oracles
 themselves live on the family classes (``ScaleFunction.exact_R``,
-``ScaleFunction.drift_integral``); ``exact_R`` and ``G_of`` here validate and
-dispatch, for a scalar or an array of s, and ``identity_residual`` checks
-the identity by quadrature along the ODE path.
+``ScaleFunction.drift_integral``); ``exact_R`` validates and dispatches, for a
+scalar or an array of s. G(t;s) and P_11(t) are one quotient f(1 - R)/f(1 - y0)
+of its R (``_f_quotient``), and ``identity_residual`` checks the identity by
+quadrature along the ODE path.
 Each quantity has one route: q(t) is ``exact_R(sf, 0.0, t)`` (any horizon),
 and ``solve_F`` is the independent ODE route, which integrates to whatever
 horizon it is given, so callers can compare the two there. Given an
@@ -214,7 +215,7 @@ def exact_R(sf: ScaleFunction, s, t: float, *, one_minus_s=None):
     y0 = 1.0 - np.asarray(s, dtype=float) if one_minus_s is None else one_minus_s
     y0 = np.asarray(y0, dtype=float)
     if not np.all((0.0 < y0) & (y0 <= 1.0)) or not t >= 0.0:
-        raise DomainError(f"invalid (s, t) = ({s}, {t})")
+        raise DomainError(f"invalid (s, 1 - s, t) = ({s}, {y0}, {t})")
     r = np.minimum(sf.exact_R(y0, t), y0)
     return float(r) if r.ndim == 0 else r
 
@@ -356,23 +357,23 @@ def size_biased(P: np.ndarray) -> np.ndarray:
     return Q
 
 
-def G_of(sf: ScaleFunction, s, t: float, *, one_minus_s=None):
-    """Generating function of the conditioned chain, G(t;s) = s*f(F(t;s))/f(s).
-
-    Evaluated as s * (R/y0) * (decay_rate(R)/decay_rate(y0)), y0 = 1 - s,
-    with R from the exact oracle: a product of ratios of normal numbers,
-    where f(s) = y0 * decay_rate(y0) itself would underflow for y0 far
-    below 1e-200. s is a float (gives a float) or an array (gives its shape).
-    ``one_minus_s`` may be passed to keep precision when s is within
-    roundoff of 1; the domain check is then made on ``one_minus_s``, since
-    s itself may have rounded to 1.0; a tiny s may round 1 - s to 1.0.
-    """
-    s = np.asarray(s, dtype=float)
-    y0 = 1.0 - s if one_minus_s is None else np.asarray(one_minus_s, dtype=float)
-    if not np.all((s > 0.0) & (0.0 < y0) & (y0 <= 1.0)):
-        raise DomainError(f"G_of requires s > 0 and 0 < 1-s <= 1, got s={s}, 1-s={y0}")
-    if t < 0.0:
-        raise DomainError(f"G_of requires t >= 0, got t={t}")
-    r = exact_R(sf, s, t, one_minus_s=y0)
-    val = s * (r / y0) * (sf.decay_rate(r) / sf.decay_rate(y0))
+def _f_quotient(sf: ScaleFunction, s, y0, r, t: float):
+    """s*f(1 - r)/f(1 - y0) as s * (r/y0) * (decay_rate(r)/decay_rate(y0)), finite where
+    f underflows: G(t;s) at r = R(t;s), y0 = 1 - s; P_11(t) at s = y0 = 1, r = q(t)."""
+    den = sf.decay_rate(y0)
+    if np.any(np.equal(den, 0.0)):
+        s_bad = np.broadcast_to(s, np.shape(den))[np.equal(den, 0.0)][0]
+        raise SolverError(f"f(F)/f(s) at s={s_bad:g}, t={t:g}: decay_rate(1 - s) underflows to 0")
+    val = s * (r / y0) * (sf.decay_rate(r) / den)
     return float(val) if np.ndim(val) == 0 else val
+
+
+def G_of(sf: ScaleFunction, s, t: float, *, one_minus_s=None):
+    """G(t;s) = s*f(F(t;s))/f(s) of the conditioned chain: ``_f_quotient`` of the
+    oracle's R, for a float or an array s. ``one_minus_s`` may carry 1 - s when s
+    is within roundoff of 1 (``exact_R`` checks it); a tiny s may round 1 - s to 1.0."""
+    s = np.asarray(s, dtype=float)
+    if not np.all(s > 0.0):
+        raise DomainError(f"G_of requires s > 0, got s={s}")
+    y0 = 1.0 - s if one_minus_s is None else np.asarray(one_minus_s, dtype=float)
+    return _f_quotient(sf, s, y0, exact_R(sf, s, t, one_minus_s=y0), t)

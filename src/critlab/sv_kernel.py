@@ -384,7 +384,7 @@ class CoupledDriftScale(ScaleFunction):
         a non-finite iterate, or no stop within ``_ROOT_MAXITER`` steps is a
         SolverError naming t and w0.
         """
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             w0 = 1.0 / np.asarray(self.decay_rate(y0), dtype=float)
         if not np.all(np.isfinite(w0)):
             raise SolverError(

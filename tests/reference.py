@@ -9,7 +9,8 @@ root of ``CoupledDriftScale._solve_w``, an ``mpmath`` route to the same R
 at any (nu, a0), the one-point-at-a-time Laplace inversions, a scalar
 Python node sum with ``cmath``/``math`` next to ``laplace``'s array sums,
 the limit law D(x) by ``mpmath``'s Talbot inversion at 30 digits, and the
-evaluators ``ScaleFunction`` derives from a family's rate form, by ``mpmath``
+evaluators ``ScaleFunction`` derives from a family's rate form and the
+quotient f(1 - R)/f(1 - y0) behind ``G_of`` and ``p11_exact``, by ``mpmath``
 at 50 digits with ``mpmath.taylor`` in place of series arithmetic.
 The functions take valid inputs only.
 """
@@ -229,3 +230,9 @@ class RateFormMpmath:
 
     def sv_reciprocal_series(self, order: int) -> list[float]:
         return self._taylor(lambda s: self._den((1 - s) ** self.nu) / self.c, order)
+
+    def f_quotient(self, s: float, y0: float, r: float) -> float:
+        """s * f(1 - r)/f(1 - y0) with f(1 - y) = y * rate(y**nu): G(t;s) at
+        r = R(t;s) and y0 = 1 - s, P_11(t) at s = y0 = 1 and r = q(t)."""
+        r, y0 = self.mp.mpf(r), self.mp.mpf(y0)
+        return float(s * r * self._rate(r**self.nu) / (y0 * self._rate(y0**self.nu)))

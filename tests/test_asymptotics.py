@@ -130,6 +130,22 @@ def test_p11_exact_matches_series():
         assert st.coeffs[1] == pytest.approx(p11_exact(CONST, t), abs=1e-8)
 
 
+@given(fam=st.sampled_from([Family.CONSTANT, Family.COUPLED_DRIFT]), nu=st.floats(0.05, 0.95),
+       a0=st.floats(0.05, 5.0).filter(lambda a0: a0 != 1.0), log10_t=st.floats(-2.0, 6.0))
+@settings(max_examples=60, deadline=None)
+def test_p11_from_the_quotient_matches_mpmath(fam, nu, a0, log10_t):
+    # P_11 = q * decay_rate(q)/decay_rate(1) at the oracle's q, against the
+    # rate form at 50 digits. constant rounds np.power and three operations
+    # (decay_rate(1) = a0 exactly); coupled_drift adds three more in each
+    # denominator, and a scan of 6000 points found one at 4 ulp, so 5 there
+    pytest.importorskip("mpmath")
+    sf = make_scale_function(ModelParams(nu, a0, fam))
+    t = 10.0**log10_t
+    want = reference.RateFormMpmath(sf.rate_form(), sf.nu).f_quotient(1.0, 1.0, exact_R(sf, 0.0, t))
+    bound = 3.0 if fam is Family.CONSTANT else 5.0
+    assert abs(p11_exact(sf, t) - want) <= bound * math.ulp(want)
+
+
 def test_pi_small_s_limit():
     for sf in (CONST, COUPLED):
         for s in (1e-4, 1e-6):

@@ -12,6 +12,7 @@ import pytest
 from critlab import acceptance, cli
 from critlab.cli import CSV_COLUMNS, ExperimentConfig, main, parse_config, read_rows
 from critlab.errors import ConfigError
+from critlab.sv_kernel import CoupledDriftScale
 
 
 def write_cfg(tmp_path: Path, text: str) -> str:
@@ -309,11 +310,20 @@ def test_config_t_grid_validation():
          "exact R at t=2.1e+84: nu*a0*t overflows"),
         ("solve", "family = coupled_drift\na0 = 1e300\nt_min = 1e10\nt_max = 1e10\nt_points = 1\n",
          3, "second-order term at t=1e+10: nu*a0*t overflows"),
+        ("solve", "nu = 0.049\na0 = 2.7e71\nt_min = 1\nt_max = 1\nt_points = 1\ns_list = 0.5\n",
+         3, "normalized_error is not finite"),
+        ("solve", "nu = 0.049\na0 = 2.7e71\nt_min = 1\nt_max = 1\nt_points = 1\n"
+         "s_list = 0, 0.5\n", 3, "normalized_error is not finite"),
+        ("solve", "family = coupled_drift\nnu = 0.5\na0 = 1e-310\nt_min = 0.1\nt_max = 0.5\n"
+         "s_list = 0, 0.5\n", 3, "decay rate underflows"),
+        ("solve", "a0 = 5e-324\nt_min = 0.1\nt_max = 0.5\ns_list = 0, 0.9\n", 3,
+         "at s=0.9, t=0.1: decay_rate(1 - s) underflows to 0"),
     ],
     ids=["mc_n-zero", "mc_n-negative", "seed-negative", "i0-zero", "pop_cap-past-2**62",
          "pop_cap-zero", "pop_cap-at-i0", "t_max-inf", "t_min-nan", "ode-overflow",
          "huge-horizon", "tiny-a0", "huge-decay-rate", "exact-R-overflow",
-         "second-order-overflow"],
+         "second-order-overflow", "R-underflows", "R-underflows-with-s-0",
+         "coupled-rate-underflows", "quotient-rate-underflows"],
 )
 def test_accepted_configs_fail_by_name(tmp_path, capsys, command, extra, code, named):
     # parse_config accepts each of these; the run must end in a named error
@@ -418,18 +428,46 @@ def test_cli_and_simulate_load_no_scipy_or_multiprocessing(tmp_path):
 
 def test_solve_makes_one_ode_pass_and_one_oracle_call_per_horizon(tmp_path, monkeypatch):
     # the README config has 7 horizons and s_list = 0, 0.5, 0.9: one solve_F
-    # call over the 3 values of s, and per horizon one exact_R call over
-    # [0, *s_list] and one G_of call over the s in (0, 1)
-    shapes = {"solve_F": [], "exact_R": [], "G_of": []}
-    for name, calls in shapes.items():
-        def counted(sf, s, *args, _fn=getattr(cli, name), _calls=calls, **kwargs):
-            _calls.append(np.shape(s))
-            return _fn(sf, s, *args, **kwargs)
+    # call over the 3 values of s, and per horizon one oracle solve over
+    # [0, *s_list], whose R gives q, P11 and every R and G cell. The family's
+    # own exact_R is counted, so a solve made inside any other route counts too.
+    shapes = {"solve_F": [], "exact_R": []}
+    family_exact_R = CoupledDriftScale.exact_R
 
-        monkeypatch.setattr(cli, name, counted)
+    def counted_solve_F(sf, s, *args, _fn=cli.solve_F):
+        shapes["solve_F"].append(np.shape(s))
+        return _fn(sf, s, *args)
+
+    def counted_exact_R(self, y0, t):
+        shapes["exact_R"].append(np.shape(y0))
+        return family_exact_R(self, y0, t)
+
+    monkeypatch.setattr(cli, "solve_F", counted_solve_F)
+    monkeypatch.setattr(CoupledDriftScale, "exact_R", counted_exact_R)
     path = write_cfg(tmp_path, README_CFG)
     assert main(["solve", "--config", path, "--out", str(tmp_path / "r")]) == 0
-    assert shapes == {"solve_F": [(3,)], "exact_R": [(4,)] * 7, "G_of": [(2,)] * 7}
+    assert shapes == {"solve_F": [(3,)], "exact_R": [(4,)] * 7}
+
+
+@pytest.mark.parametrize("family", ["constant", "coupled_drift"])
+def test_solve_cells_are_the_library_routes_bit_for_bit(tmp_path, family):
+    # the P11 and G cells come from the one oracle result of their horizon;
+    # they must be p11_exact and G_of, which solve R again, to the bit, also
+    # at a0 != 1 (every frozen case has a0 = 1)
+    from critlab import G_of, p11_exact
+    from critlab.sv_kernel import nu_t_power
+
+    path = write_cfg(tmp_path, README_CFG + f"family = {family}\na0 = 3.7\n")
+    cfg = parse_config(path)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "r")]) == 0
+    sf = cfg.scale_function()
+    rows = read_rows(tmp_path / "r" / "solve.csv")
+    p11 = [r[3] for r in rows if r[1] == "P11"]
+    want = [nu_t_power(sf.nu, t, 1.0 + 1.0 / sf.nu, "P11") * p11_exact(sf, t) for t in cfg.t_grid()]
+    assert np.array(p11).tobytes() == np.array(want).tobytes()
+    for s in (0.5, 0.9):
+        g = [r[3] for r in rows if r[:2] == (f"s={s:g}", "G")]
+        assert np.array(g).tobytes() == np.array([G_of(sf, s, t) for t in cfg.t_grid()]).tobytes()
 
 
 def test_solve_repeats_the_rows_of_a_repeated_s(tmp_path):

@@ -28,6 +28,7 @@ from critlab import (
     exact_R,
     identity_residual,
     make_scale_function,
+    psi_finite,
     solve_F,
     transition_matrix,
 )
@@ -548,6 +549,17 @@ def test_G_domain():
         G_of(CONST, 1.0, 1.0)
     with pytest.raises(DomainError):
         G_of(CONST, 0.5, 1.0, one_minus_s=0.0)
+
+
+def test_G_names_a_decay_rate_that_underflows_at_1_minus_s():
+    # decay_rate(0.1) = a0 * 0.1**0.5 rounds to 0 at a0 = 5e-324: f(F)/f(s)
+    # would be 0/0, for a float s and inside an array alike
+    sf = make_scale_function(ModelParams(0.5, 5e-324, Family.CONSTANT))
+    for s in (0.9, np.array([0.5, 0.9])):
+        with pytest.raises(SolverError, match=r"s=0.9, t=0.1: decay_rate\(1 - s\) underflows to 0"):
+            G_of(sf, s, 0.1)
+    with pytest.raises(SolverError, match="decay_rate"):
+        psi_finite(sf, 1.0, np.array([0.1, 1.0]))
 
 
 def test_G_one_minus_s_survives_rounding_of_s():
