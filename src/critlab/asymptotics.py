@@ -4,8 +4,7 @@ Each predictor mirrors one limit statement of the theory:
 
 * ``predict_q``: q(t) ~ N(t)/(nu*t)**(1/nu) * (1 + correction), where the
   correction is -drift_integral/(nu**2 t) in general and collapses to
-  -log(a0*nu*t + 1)/(nu**3 t) for the coupled-drift family (the family's
-  ``ScaleFunction.second_order`` supplies it).
+  -log(a0*nu*t + 1)/(nu**3 t) for the coupled-drift family.
 * ``predict_p11``: same shape for (nu*t)**(1+1/nu) * P_11(t) with leading
   factor N(t)/a0 and the correction scaled by (1+nu).
 * ``pi_of`` / ``pi_coeffs``: invariant measure of the conditioned chain,
@@ -21,7 +20,9 @@ Each predictor mirrors one limit statement of the theory:
 Every exact survival probability comes from ``exact_R(sf, 0.0, t)`` (and P_11
 and G from one quotient of its R), every time scale (nu*t)**p from
 ``sv_kernel.nu_t_power``, which refuses a horizon where it overflows, and
-every second-order term from the family's ``ScaleFunction.second_order``.
+every second-order term num/den from the family's ``ScaleFunction.second_order``,
+from R(0) = 1 for q and P_11 and R(0) = 1 - s for G(t;s); the three statements
+share one normalized error, (1 - ratio) * den / (k * num).
 ``first_order_ratio`` is the classical first-order check q(t) / (f(1-q) nu t);
 ``fit_rate`` turns times and residuals into a log-log convergence-rate
 estimate.
@@ -97,7 +98,7 @@ def predict_q(sf: ScaleFunction, t: float) -> AsymptoticPrediction:
     if scale == 0.0:
         raise SolverError(f"q prediction at t={t:g}: (nu*t)**{1.0 / nu:g} underflows to 0")
     leading = N / scale
-    num, den = sf.second_order(t)
+    num, den = sf.second_order(1.0, t)
     corr = -num / den
     return AsymptoticPrediction(leading, corr)
 
@@ -114,37 +115,36 @@ def predict_p11(sf: ScaleFunction, t: float) -> AsymptoticPrediction:
     nu = sf.nu
     N = solve_normalizer(sf, t)
     leading = N / sf.a0
-    num, den = sf.second_order(t)
+    num, den = sf.second_order(1.0, t)
     corr = -(1.0 + nu) * num / den
     return AsymptoticPrediction(leading, corr)
 
 
-def _second_order_term(sf: ScaleFunction, t: float) -> tuple[float, float]:
-    num, den = sf.second_order(t)  # a zero num leaves nothing to normalize by
+def _normalized_error(sf: ScaleFunction, y0: float, t: float, ratio: float, k: float) -> float:
+    """(1 - ratio) * den / (k * num) with num/den the second-order term from R(0) = y0."""
+    num, den = sf.second_order(y0, t)  # a zero num leaves nothing to normalize by
     if num == 0.0:
         raise DomainError(f"normalized error at t={t:g}: {sf.family.value} family has no second-order term")
-    return num, den
+    return float((1.0 - ratio) * den / (k * num))
 
 
 def normalized_error_q(sf: ScaleFunction, t: float) -> float:
     """E(t) = (1 - q(t)*(nu*t)**(1/nu)/N(t)) * den / num, with -num/den the
-    family's second-order correction (``ScaleFunction.second_order``).
+    family's second-order correction of q(t).
 
     Converges to 1 for the coupled-drift family; the acceptance band lives
     on this quantity. A family without a second-order term raises DomainError.
     """
     q = exact_R(sf, 0.0, t)
     pred = predict_q(sf, t)
-    num, den = _second_order_term(sf, t)
-    return float((1.0 - q / pred.leading) * den / num)
+    return _normalized_error(sf, 1.0, t, q / pred.leading, 1.0)
 
 
 def normalized_error_p11(sf: ScaleFunction, t: float) -> float:
     """Same normalization for P_11 with the (1+nu) coefficient divided out."""
     val = nu_t_power(sf.nu, t, 1.0 + 1.0 / sf.nu, "scaled P11") * p11_exact(sf, t)
     pred = predict_p11(sf, t)
-    num, den = _second_order_term(sf, t)
-    return float((1.0 - val / pred.leading) * den / ((1.0 + sf.nu) * num))
+    return _normalized_error(sf, 1.0, t, val / pred.leading, 1.0 + sf.nu)
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +287,11 @@ def qproc_gf_ratio(sf: ScaleFunction, s: float, t: float) -> float:
 def qproc_gf_second_order(sf: ScaleFunction, s: float, t: float) -> float:
     """Normalized second-order error of the generating-function expansion.
 
-    (1 - ratio) * nu**3 * t / ((1+nu) * log(decay_rate(1-s)*nu*t + 1));
-    approaches 1 for the coupled-drift family; DomainError for a family without one.
+    (1 - ratio) * den / ((1+nu) * num), num/den the second-order term from
+    R(0) = 1 - s; approaches 1 for the coupled-drift family; DomainError for
+    a family without one.
     """
-    _second_order_term(sf, t)
-    nu = sf.nu
-    ratio = qproc_gf_ratio(sf, s, t)
-    log_ts = math.log(sf.decay_rate(1.0 - s) * nu * t + 1.0)
-    return float((1.0 - ratio) * nu**3 * t / ((1.0 + nu) * log_ts))
+    return _normalized_error(sf, 1.0 - s, t, qproc_gf_ratio(sf, s, t), 1.0 + sf.nu)
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,9 @@ A family is one ``ScaleFunction`` subclass that declares this rate form, from
 which the base class derives sv, the decay rate, the index drift and the
 Taylor series of f, of the decay rate of a series p and of 1/sv. The subclass
 keeps what the form does not give: the exact R(t;s) and drift-integral
-oracles, the normalizer, the second-order term of the survival expansion and,
-where known, the exact tail of the jump law. Adding a family means one
-subclass: its ``rate_form`` and its oracles.
+oracles, the normalizer, the second-order term from R(0;s) = y0 (1 for q and
+P_11, 1 - s for G) and, where known, the exact tail of the jump law. Adding a
+family means one subclass: its ``rate_form`` and its oracles.
 
 The normalizer N(t) used by the survival asymptotics is defined implicitly by
 N**nu * sv((nu*t)**(1/nu) / N) = 1, equivalently N = (nu*t)**(1/nu) * y* with
@@ -119,8 +119,8 @@ class ScaleFunction:
     ``rate_form``, the exact oracles ``exact_R`` and ``drift_integral`` that
     the solvers cross-validate against, ``normalizer`` and
     ``normalizer_defined``. The evaluators and series derive from the rate
-    form, read once; ``second_order`` derives from ``drift_integral``, and
-    ``exact_tail`` is the one hook a family may leave out.
+    form, read once; ``second_order(y0, t)`` from ``drift_integral(y0, t)``,
+    and ``exact_tail`` is the one hook a family may leave out.
     """
 
     def __init__(self, params: ModelParams):
@@ -231,13 +231,13 @@ class ScaleFunction:
         """Exact int_0^t index_drift(R(u;s)) du from R(0;s) = y0 (unchecked)."""
         raise NotImplementedError
 
-    def second_order(self, t: float) -> tuple[float, float]:
-        """(num, den) such that the second-order correction of q(t) is -num/den.
+    def second_order(self, y0: float, t: float) -> tuple[float, float]:
+        """(num, den), the second-order term from R(0;s) = y0; at y0 = 1, -num/den corrects q(t).
 
-        In general num is the accumulated index drift along q(u), u <= t,
+        In general num is the index drift accumulated along R(u;s), u <= t,
         and den = nu**2 * t; a family may substitute a closed form.
         """
-        return self.drift_integral(1.0, t), self.nu**2 * t
+        return self.drift_integral(y0, t), self.nu**2 * t
 
     def exact_tail(self) -> Callable | None:
         """The jump law's exact tail k -> c * a_k for some c > 0 where a_k has
@@ -259,10 +259,10 @@ class ScaleFunction:
         raise NotImplementedError
 
 
-def _scaled_time(nu: float, a0: float, t: float, quantity: str) -> float:
-    """nu*a0*t, the horizon in units of 1/decay_rate(1). A product past the
-    float range is a SolverError naming the quantity and t (``nu_t_power``)."""
-    k = nu * a0 * float(t)
+def _scaled_time(nu: float, rate: float, t: float, quantity: str) -> float:
+    """nu*rate*t, the horizon in units of 1/rate (1/a0 at y0 = 1). A product past
+    the float range is a SolverError naming the quantity and t (``nu_t_power``)."""
+    k = nu * rate * float(t)
     if k == math.inf:
         raise SolverError(f"{quantity} at t={t:g}: nu*a0*t overflows")
     return k
@@ -430,9 +430,9 @@ class CoupledDriftScale(ScaleFunction):
         e = self._solve_w(y0, t)[1]
         return float(e) if e.ndim == 0 else e
 
-    def second_order(self, t):
-        # closed form log(a0*nu*t + 1)/nu**3 of the accumulated drift over nu**2
-        k = _scaled_time(self.nu, self.a0, t, "second-order term")
+    def second_order(self, y0, t):
+        # closed form log(decay_rate(y0)*nu*t + 1)/nu**3 of the accumulated drift over nu**2
+        k = _scaled_time(self.nu, self.decay_rate(y0), t, "second-order term")
         return math.log(k + 1.0), self.nu**3 * t
 
     def normalizer(self, t):

@@ -101,6 +101,33 @@ def test_gf_second_order_refuses_a_family_without_second_order_term():
         qproc_gf_second_order(CONST, 0.5, 1e6)
 
 
+def test_gf_second_order_tends_to_p11s_as_s_goes_to_zero():
+    # G(t;s)/s -> P_11(t) and the term from R(0) = 1 - s -> the one from 1, so
+    # the G statistic tends to P11's, about 1.3*s apart at t = 1e6
+    target = normalized_error_p11(COUPLED, 1e6)
+    ss = (1e-2, 1e-4, 1e-6)
+    gaps = [abs(qproc_gf_second_order(COUPLED, s, 1e6) - target) for s in ss]
+    assert all(a > b for a, b in zip(gaps, gaps[1:]))
+    assert all(g < 2.0 * s for g, s in zip(gaps, ss))
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.97])
+def test_second_order_statements_approach_one_over_the_nu_range(nu):
+    # C4's monotone check, not a band: the approach is about 1/log t (nu = 0.1
+    # reads 0.909 at t = 1e12). At nu = 0.3, s = 0.75 the G statistic first
+    # moves away (1.0171 at t = 1e4, 1.0226 at 1e6), so each gap must shrink
+    # from 1e6 on and end below where it started
+    sf = make_scale_function(ModelParams(nu, 1.0, Family.COUPLED_DRIFT))
+    statements = [("q", lambda t: normalized_error_q(sf, t)),
+                  ("p11", lambda t: normalized_error_p11(sf, t))]
+    statements += [(f"G at s={s}", lambda t, s=s: qproc_gf_second_order(sf, s, t))
+                   for s in (0.25, 0.5, 0.75)]
+    for name, E in statements:
+        gaps = [abs(E(t) - 1.0) for t in (1e4, 1e6, 1e8, 1e10, 1e12)]
+        assert all(a > b for a, b in zip(gaps[1:], gaps[2:])), name
+        assert gaps[-1] < gaps[0], name
+
+
 def test_second_order_not_converged_in_burn_in():
     # at t = 1e4 the normalized error is still ~7.5% away from 1: a 1% band
     # there is expected to fail, which documents the burn-in region

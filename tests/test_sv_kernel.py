@@ -623,6 +623,21 @@ def test_coupled_root_refuses_non_finite_values_by_name():
         exact_R(sf, 1.0, 0.0, one_minus_s=5e-324)
 
 
+@pytest.mark.parametrize("s", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("nu, a0", [(0.5, 1.0), (0.3, 0.05), (0.9, 3.7)])
+def test_coupled_second_order_is_the_drift_from_its_start(nu, a0, s):
+    # the closed form stands for the drift num*nu**2*t/den accumulated from
+    # R(0) = 1 - s; its relative gap to drift_integral(1 - s, t) shrinks over
+    # the horizons (0.0600 at t = 1e12 for nu = 0.9, a0 = 3.7, s = 0)
+    sf = make_scale_function(ModelParams(nu, a0, Family.COUPLED_DRIFT))
+    gaps = []
+    for t in (1e4, 1e6, 1e8, 1e12):
+        num, den = sf.second_order(1.0 - s, t)
+        gaps.append(num * nu**2 * t / den / sf.drift_integral(1.0 - s, t) - 1.0)
+    assert all(a > b for a, b in zip(gaps, gaps[1:]))
+    assert abs(gaps[-1]) < 0.061
+
+
 @pytest.mark.parametrize("fam", list(Family), ids=lambda f: f.value)
 def test_every_family_supplies_every_required_hook(fam):
     hooks = {
