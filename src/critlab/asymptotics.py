@@ -3,8 +3,9 @@
 Each predictor mirrors one limit statement of the theory:
 
 * ``predict_q``: q(t) ~ N(t)/(nu*t)**(1/nu) * (1 + correction), where the
-  correction is -drift_integral/(nu**2 t) in general and collapses to
-  -log(a0*nu*t + 1)/(nu**3 t) for the coupled-drift family.
+  correction is minus the index drift accumulated along R(u; 0), u <= t,
+  over nu**2 t: 0 for the constant family and -log(a0*nu*t + 1)/(nu**3 t)
+  for the coupled-drift family.
 * ``predict_p11``: same shape for (nu*t)**(1+1/nu) * P_11(t) with leading
   factor N(t)/a0 and the correction scaled by (1+nu).
 * ``pi_of`` / ``pi_coeffs``: invariant measure of the conditioned chain,

@@ -182,8 +182,9 @@ def read_rows(path: Path):
 
 
 def _rel_err(value: float, pred: float | None) -> float | None:
-    """value/pred - 1; None (a blank cell) without a prediction, inf if it underflowed to 0."""
-    if pred is None:
+    """value/pred - 1; None (a blank cell) without a prediction or where both
+    are 0, inf where only the prediction underflowed to 0."""
+    if pred is None or value == pred == 0.0:
         return None
     return value / pred - 1.0 if pred != 0.0 else math.inf
 

@@ -15,12 +15,11 @@ satisfies dw/dt = nu + 1/w, so
     w/nu - log(nu*w + 1)/nu**2 = t + (same at w0),       w0 = 1/decay_rate(1-s),
 
 a monotone scalar equation solved to machine precision for any t, by one
-Newton iteration over a whole array of starting points. The exact oracles
-themselves live on the family classes (``ScaleFunction.exact_R``,
-``ScaleFunction.drift_integral``); ``exact_R`` validates and dispatches, for a
-scalar or an array of s. G(t;s) and P_11(t) are one quotient f(1 - R)/f(1 - y0)
-of its R (``_f_quotient``), and ``identity_residual`` checks the identity by
-quadrature along the ODE path.
+Newton iteration over a whole array of starting points. The exact oracle
+itself lives on the family class (``ScaleFunction.exact_R``); ``exact_R``
+validates and dispatches, for a scalar or an array of s. G(t;s) and P_11(t)
+are one quotient f(1 - R)/f(1 - y0) of its R (``_f_quotient``), and
+``identity_residual`` checks the identity by quadrature along the ODE path.
 Each quantity has one route: q(t) is ``exact_R(sf, 0.0, t)`` (any horizon),
 and ``solve_F`` is the independent ODE route, which integrates to whatever
 horizon it is given, so callers can compare the two there. Given an

@@ -36,20 +36,23 @@ Three built-in families provide independent exact oracles:
 Both slowly varying families are linear-fractional in Slack's variable
 p = y**nu: decay_rate(y) = c*p / (d0 + d1*(1 - p)), with (c, d0, d1) equal
 to (a0, 1, 0) for ``constant`` and (nu*a0, nu, a0) for ``coupled_drift``.
-A family is one ``ScaleFunction`` subclass that declares this rate form, from
-which the base class derives sv, the decay rate, the index drift and the
-Taylor series of f, of the decay rate of a series p and of 1/sv. The subclass
-keeps what the form does not give: the exact R(t;s) and drift-integral
-oracles, the normalizer, the second-order term from R(0;s) = y0 (1 for q and
-P_11, 1 - s for G) and, where known, the exact tail of the jump law. Adding a
-family means one subclass: its ``rate_form`` and its oracles.
+A family is one ``ScaleFunction`` subclass that declares this rate form and
+its exact R(t;s) oracle, and, where known, the exact tail of the jump law.
+The base class derives the rest from (c, d0, d1): sv, the decay rate, the
+index drift, the Taylor series of f, of the decay rate of a series p and of
+1/sv, the normalizer N(t) and its domain, and the second-order term from
+R(0;s) = y0 (1 for q and P_11, 1 - s for G). Adding a family means one
+subclass: its ``rate_form`` and its ``exact_R``.
 
 The normalizer N(t) used by the survival asymptotics is defined implicitly by
 N**nu * sv((nu*t)**(1/nu) / N) = 1, equivalently N = (nu*t)**(1/nu) * y* with
-decay_rate(y*) = 1/(nu*t). Every family solves this in closed form
-(``ScaleFunction.normalizer``): a0**(-1/nu) for ``constant`` (1/a0 for
-``binary_split``) and ((nu + a0)/(a0*(nu + 1/(nu*t))))**(1/nu) for
-``coupled_drift``, which never forms y* and so holds at any horizon.
+decay_rate(y*) = 1/(nu*t). In the rate form that is p* = y***nu =
+(d0 + d1)/(nu*t*c + d1), so N**nu = nu*t*p* and
+``ScaleFunction.normalizer`` is ((d0 + d1)/(c + d1/(nu*t)))**(1/nu), which
+never forms y* and so holds at any horizon: a0**(-1/nu) for ``constant``
+(1/a0 for ``binary_split``) and ((nu + a0)/(a0*(nu + 1/(nu*t))))**(1/nu)
+for ``coupled_drift``. sv is evaluated at 1/y*, so a root needs p* <= 1,
+that is nu*t*c >= d0, unless d1 = 0 and sv is constant.
 """
 
 from __future__ import annotations
@@ -115,12 +118,12 @@ class ModelParams:
 class ScaleFunction:
     """Evaluable bundle (sv, decay_rate, index_drift, sv_elasticity) for one family.
 
-    The five hooks that raise NotImplementedError here are required:
-    ``rate_form``, the exact oracles ``exact_R`` and ``drift_integral`` that
-    the solvers cross-validate against, ``normalizer`` and
-    ``normalizer_defined``. The evaluators and series derive from the rate
-    form, read once; ``second_order(y0, t)`` from ``drift_integral(y0, t)``,
-    and ``exact_tail`` is the one hook a family may leave out.
+    The two hooks that raise NotImplementedError here are required:
+    ``rate_form`` and the exact oracle ``exact_R`` that the solvers
+    cross-validate against. Everything else derives from the rate form, read
+    once: the evaluators and series, ``normalizer(t)``,
+    ``normalizer_defined(t)`` and ``second_order(y0, t)``. ``exact_tail`` is
+    the one hook a family may leave out.
     """
 
     def __init__(self, params: ModelParams):
@@ -227,36 +230,43 @@ class ScaleFunction:
         """
         raise NotImplementedError
 
-    def drift_integral(self, y0: float, t: float) -> float:
-        """Exact int_0^t index_drift(R(u;s)) du from R(0;s) = y0 (unchecked)."""
-        raise NotImplementedError
-
-    def second_order(self, y0: float, t: float) -> tuple[float, float]:
-        """(num, den), the second-order term from R(0;s) = y0; at y0 = 1, -num/den corrects q(t).
-
-        In general num is the index drift accumulated along R(u;s), u <= t,
-        and den = nu**2 * t; a family may substitute a closed form.
-        """
-        return self.drift_integral(y0, t), self.nu**2 * t
-
     def exact_tail(self) -> Callable | None:
         """The jump law's exact tail k -> c * a_k for some c > 0 where a_k has
         a tail, or None when only its power-law envelope is known; never
         evaluated where the sampling table's ``tail_mass`` is 0 (nu = 1)."""
         return None
 
-    # normalizer -----------------------------------------------------------
+    # closed forms of the rate form, in Python floats -------------------------
     def normalizer(self, t: float) -> float:
-        """Closed-form N(t) at t > 0 with ``normalizer_defined(t)`` (unchecked).
+        """N(t) = ((d0 + d1) / (c + d1/nu/t))**(1/nu) at t > 0 with
+        ``normalizer_defined(t)`` (unchecked).
 
-        Computed in Python floats, so a value past the float range raises
-        OverflowError; ``solve_normalizer`` names it.
+        A value past the float range raises OverflowError or reads inf;
+        ``solve_normalizer`` names both.
         """
-        raise NotImplementedError
+        c, d0, d1 = self._form
+        return math.pow((d0 + d1) / (c + d1 / self.nu / float(t)), 1.0 / self.nu)
 
     def normalizer_defined(self, t: float) -> bool:
-        """Whether the defining equation of N(t) has a root at t > 0."""
-        raise NotImplementedError
+        """Whether the defining equation of N(t) has a root at t > 0: always at
+        d1 = 0 (sv is constant), else where 1/y* >= 1, i.e. nu*t*c >= d0."""
+        c, d0, d1 = self._form
+        return d1 == 0.0 or self.nu * float(t) * c >= d0
+
+    def second_order(self, y0: float, t: float) -> tuple[float, float]:
+        """(num, den), the second-order term from R(0;s) = y0; at y0 = 1, -num/den corrects q(t).
+
+        num/den stands for the index drift accumulated along R(u;s), u <= t,
+        over nu**2 * t: nu*d1/c * log(k + 1) over nu**3 * t with
+        k = nu*decay_rate(y0)*t, and (0.0, nu**2 * t) at d1 = 0, where there
+        is no drift.
+        """
+        c, _, d1 = self._form
+        t = float(t)
+        if d1 == 0.0:
+            return 0.0, self.nu**2 * t
+        k = _scaled_time(self.nu, self.decay_rate(y0), t, "second-order term")
+        return self.nu * d1 / c * math.log(k + 1.0), self.nu**3 * t
 
 
 def _scaled_time(nu: float, rate: float, t: float, quantity: str) -> float:
@@ -272,7 +282,8 @@ class ConstantScale(ScaleFunction):
     """sv(x) = a0: the rate form (a0, 1, 0), so rate_of_power(p) = a0*p.
 
     There is no index drift, 1/sv is the constant 1/a0, and N**nu * a0 = 1
-    fixes N(t) for every t > 0. At nu = 1 this is ``binary_split``,
+    fixes N(t) for every t > 0. The class holds the form, the separable exact
+    R and the exact binomial tail. At nu = 1 this is ``binary_split``,
     f(s) = a0*(1-s)**2: the binomial series stops at a_2, so the jump law
     has no tail mass and ``exact_tail`` is never drawn.
     """
@@ -289,9 +300,6 @@ class ConstantScale(ScaleFunction):
         val = np.power(np.power(np.asarray(y0, dtype=float), -nu) + k, -1.0 / nu)
         return float(val) if val.ndim == 0 else val
 
-    def drift_integral(self, y0, t):
-        return 0.0
-
     def exact_tail(self):
         return self._binomial_tail
 
@@ -301,12 +309,6 @@ class ConstantScale(ScaleFunction):
         nu = self.nu
         lg = [math.lgamma(kk - 1.0 - nu) - math.lgamma(kk + 1.0) for kk in np.ravel(k).tolist()]
         return np.exp(np.reshape(lg, np.shape(k)))
-
-    def normalizer(self, t):
-        return math.pow(self.a0, -1.0 / self.nu)
-
-    def normalizer_defined(self, t):
-        return True
 
 
 # Newton steps allowed to ``CoupledDriftScale._solve_w``. It stops long before:
@@ -350,7 +352,8 @@ class CoupledDriftScale(ScaleFunction):
     The index relation integrates to the rational form
     decay_rate(y) = nu*a0*y**nu / (nu + a0*(1 - y**nu)), the rate form
     (nu*a0, nu, a0); hence sv(x) = nu*a0 / (nu + a0*(1 - x**(-nu))), which
-    decreases from a0 at x = 1 to nu*a0/(nu + a0) at infinity.
+    decreases from a0 at x = 1 to nu*a0/(nu + a0) at infinity. The class holds
+    the form and the exact R, by the Newton root of ``_solve_w``.
     """
 
     def rate_form(self):
@@ -421,29 +424,12 @@ class CoupledDriftScale(ScaleFunction):
         w0, e = self._solve_w(y0, t)
         w = w0 + self.nu * t + e
         # the inverse of decay_rate at 1/w, formed from w so that nothing
-        # overflows when w is tiny (np.power as in ``ConstantScale.exact_R``)
-        val = np.power((1.0 + self.nu / self.a0) / (1.0 + self.nu * w), 1.0 / self.nu)
+        # overflows when w is tiny (np.power as in ``ConstantScale.exact_R``);
+        # R <= 1, so a base that rounds above 1 (a subnormal nu*a0 leaves w0
+        # a few digits) is 1 rather than a power past the float range
+        base = np.minimum((1.0 + self.nu / self.a0) / (1.0 + self.nu * w), 1.0)
+        val = np.power(base, 1.0 / self.nu)
         return float(val) if val.ndim == 0 else val
-
-    def drift_integral(self, y0, t):
-        # the identity w(t) - w0 = nu*t + int_0^t index_drift(R(u)) du
-        e = self._solve_w(y0, t)[1]
-        return float(e) if e.ndim == 0 else e
-
-    def second_order(self, y0, t):
-        # closed form log(decay_rate(y0)*nu*t + 1)/nu**3 of the accumulated drift over nu**2
-        k = _scaled_time(self.nu, self.decay_rate(y0), t, "second-order term")
-        return math.log(k + 1.0), self.nu**3 * t
-
-    def normalizer(self, t):
-        # decay_rate(y*) = 1/(nu*t) gives N**nu = nu*t*(y*)**nu in closed form,
-        # so y*, which underflows at large t, is never formed
-        nu, a0 = self.nu, self.a0
-        return math.pow((nu + a0) / (a0 * (nu + 1.0 / (nu * float(t)))), 1.0 / nu)
-
-    def normalizer_defined(self, t):
-        # sv is evaluated at (nu*t)**(1/nu)/N = 1/y*, which must be >= 1
-        return 1.0 / (self.nu * t) <= self.a0
 
 
 _FAMILY_CLASSES = {
@@ -491,19 +477,22 @@ def solve_normalizer(sf: ScaleFunction, t: float) -> float:
 
     Requires t > 0 and a root (``sf.normalizer_defined(t)``; for
     ``coupled_drift`` that is t >= 1/(nu*a0), so that sv is evaluated on
-    x >= 1), otherwise raises DomainError or SolverError. A normalizer past
-    the float range raises a SolverError naming it and t.
+    x >= 1), otherwise raises DomainError or SolverError. A normalizer that
+    is not finite raises a SolverError naming it and t.
     """
     if not t > 0.0:
         raise DomainError(f"solve_normalizer requires t > 0, got {t}")
     if not sf.normalizer_defined(t):
         raise SolverError(
-            f"normalizer undefined for t={t}: needs t >= 1/(nu*a0) = {1.0/(sf.nu*sf.a0):g}"
+            f"normalizer undefined for t={t}: needs nu*a0*t >= 1, got {sf.nu * sf.a0 * t:g}"
         )
     try:
-        return sf.normalizer(t)
+        N = sf.normalizer(t)
+        if math.isfinite(N):
+            return N
     except OverflowError:
-        raise SolverError(f"normalizer at t={t:g} overflows") from None
+        pass
+    raise SolverError(f"normalizer at t={t:g} overflows")
 
 
 def perturbation_ratio(sf: ScaleFunction, y: float, K: Callable[[float], float]) -> float:

@@ -5,13 +5,15 @@ numerics, a quantity that ``critlab`` has a production route for: here the
 invariant measure M(s) by quadrature and the time change of the level 1/R
 built on it, a quadrature-and-brentq route to 1/q(t) next to ``exact_R``,
 the scalar ``brentq`` route to the exact R(t;s) next to the array Newton
-root of ``CoupledDriftScale._solve_w``, an ``mpmath`` route to the same R
+root of ``CoupledDriftScale._solve_w``, the exact drift integral that the
+closed-form second-order term stands for, an ``mpmath`` route to the same R
 at any (nu, a0), the one-point-at-a-time Laplace inversions, a scalar
 Python node sum with ``cmath``/``math`` next to ``laplace``'s array sums,
 the limit law D(x) by ``mpmath``'s Talbot inversion at 30 digits, and the
 evaluators ``ScaleFunction`` derives from a family's rate form and the
 quotient f(1 - R)/f(1 - y0) behind ``G_of`` and ``p11_exact``, by ``mpmath``
-at 50 digits with ``mpmath.taylor`` in place of series arithmetic.
+at 50 digits with ``mpmath.taylor`` in place of series arithmetic and
+``mpmath.findroot`` in place of the closed-form normalizer.
 The functions take valid inputs only.
 """
 
@@ -113,6 +115,19 @@ def exact_R_scalar(sf: ScaleFunction, y0: float, t: float) -> float:
     return min(r, y0)
 
 
+def drift_integral(sf: ScaleFunction, y0, t: float):
+    """Exact int_0^t index_drift(R(u;s)) du from R(0;s) = y0, a float or an array.
+
+    0.0 without drift (d1 = 0 in the rate form). Otherwise it is the excess
+    e of ``CoupledDriftScale._solve_w``, by the identity
+    w(t) - w0 = nu*t + int_0^t index_drift(R(u)) du for w = 1/decay_rate(R).
+    """
+    if sf.rate_form()[2] == 0.0:
+        return 0.0
+    e = sf._solve_w(y0, t)[1]
+    return float(e) if e.ndim == 0 else e
+
+
 def coupled_R_mpmath(nu: float, a0: float, y0: float, t: float) -> float:
     """R(t;s) for ``coupled_drift`` from R(0;s) = y0, by mpmath at 360 digits.
 
@@ -184,14 +199,16 @@ def d_limit_mpmath(nu: float, x: float) -> float:
 
 
 class RateFormMpmath:
-    """sv, rate_of_power, index_drift and the three series of the rate form
-    rate_of_power(p) = c*p / (d0 + d1*(1 - p)), p = y**nu, at 50 digits.
+    """sv, rate_of_power, index_drift, the three series and the normalizer of
+    the rate form rate_of_power(p) = c*p / (d0 + d1*(1 - p)), p = y**nu, at
+    50 digits.
 
     Each is written from its formula: sv(x) = c / (d0 + d1*(1 - x**-nu)),
     index_drift(y) = nu*d1*p / (d0 + d1*(1 - p)), f(s) = (1 - s) times the
     decay rate at p = (1 - s)**nu, and 1/sv(1/(1 - s)) = (d0 + d1*(1 - p))/c.
     The series are the Taylor coefficients at s = 0 that ``mpmath.taylor``
-    takes by numerical differentiation, not by any series arithmetic.
+    takes by numerical differentiation, not by any series arithmetic, and
+    N(t) is the root of its defining equation that ``mpmath.findroot`` finds.
     """
 
     def __init__(self, form, nu: float):
@@ -230,6 +247,27 @@ class RateFormMpmath:
 
     def sv_reciprocal_series(self, order: int) -> list[float]:
         return self._taylor(lambda s: self._den((1 - s) ** self.nu) / self.c, order)
+
+    def normalizer(self, t: float) -> float:
+        """N(t), the root of N**nu * sv((nu*t)**(1/nu)/N) = 1 in u = log N,
+        where it exists (nu*t*c >= d0 or d1 = 0).
+
+        sv's argument is x = (nu*t)**(1/nu)/N, so x**-nu = exp(nu*(u - ls))
+        with ls = log(nu*t)/nu, and the log of the left side is
+        h(u) = nu*u + log(c) - log(d0 + d1*(1 - x**-nu)), increasing in u.
+        h < 0 at u0 - 1, u0 = log(d0/c)/nu, because the denominator is at
+        least d0 while x >= 1; with drift h(ls) = log(nu*t*c/d0) >= 0, at
+        x = 1, and without it h is linear with its root at u0.
+        """
+        mp, nu = self.mp, self.nu
+        ls = mp.log(nu * mp.mpf(t)) / nu
+        u0 = mp.log(self.d0 / self.c) / nu
+
+        def h(u):
+            return nu * u + mp.log(self.c) - mp.log(self._den(mp.exp(nu * (u - ls))))
+
+        bracket = (u0 - 1, ls if self.d1 else u0 + 1)
+        return float(mp.exp(mp.findroot(h, bracket, solver="anderson")))
 
     def f_quotient(self, s: float, y0: float, r: float) -> float:
         """s * f(1 - r)/f(1 - y0) with f(1 - y) = y * rate(y**nu): G(t;s) at

@@ -1,13 +1,19 @@
 """Experiment driver: config parsing, report emission, exit codes."""
 
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from critlab import acceptance, cli
 from critlab.cli import CSV_COLUMNS, ExperimentConfig, main, parse_config, read_rows
@@ -310,10 +316,6 @@ def test_config_t_grid_validation():
          "exact R at t=2.1e+84: nu*a0*t overflows"),
         ("solve", "family = coupled_drift\na0 = 1e300\nt_min = 1e10\nt_max = 1e10\nt_points = 1\n",
          3, "second-order term at t=1e+10: nu*a0*t overflows"),
-        ("solve", "nu = 0.049\na0 = 2.7e71\nt_min = 1\nt_max = 1\nt_points = 1\ns_list = 0.5\n",
-         3, "normalized_error is not finite"),
-        ("solve", "nu = 0.049\na0 = 2.7e71\nt_min = 1\nt_max = 1\nt_points = 1\n"
-         "s_list = 0, 0.5\n", 3, "normalized_error is not finite"),
         ("solve", "family = coupled_drift\nnu = 0.5\na0 = 1e-310\nt_min = 0.1\nt_max = 0.5\n"
          "s_list = 0, 0.5\n", 3, "decay rate underflows"),
         ("solve", "a0 = 5e-324\nt_min = 0.1\nt_max = 0.5\ns_list = 0, 0.9\n", 3,
@@ -322,8 +324,7 @@ def test_config_t_grid_validation():
     ids=["mc_n-zero", "mc_n-negative", "seed-negative", "i0-zero", "pop_cap-past-2**62",
          "pop_cap-zero", "pop_cap-at-i0", "t_max-inf", "t_min-nan", "ode-overflow",
          "huge-horizon", "tiny-a0", "huge-decay-rate", "exact-R-overflow",
-         "second-order-overflow", "R-underflows", "R-underflows-with-s-0",
-         "coupled-rate-underflows", "quotient-rate-underflows"],
+         "second-order-overflow", "coupled-rate-underflows", "quotient-rate-underflows"],
 )
 def test_accepted_configs_fail_by_name(tmp_path, capsys, command, extra, code, named):
     # parse_config accepts each of these; the run must end in a named error
@@ -335,6 +336,75 @@ def test_accepted_configs_fail_by_name(tmp_path, capsys, command, extra, code, n
     if code == 3:
         # a numerical failure leaves no partial report behind
         assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "s_list, tags", [("0.5", "q P11 R G"), ("0, 0.5", "q P11 R R G")],
+    ids=["R-underflows", "R-underflows-with-s-0"],
+)
+def test_underflowed_R_and_prediction_leave_the_error_blank(tmp_path, s_list, tags):
+    # R(1; s) and its prediction both underflow to 0 here: every row reads
+    # exact = predicted = 0, and 0/0 is a blank normalized_error, not a refusal
+    path = write_cfg(tmp_path, BASE + "nu = 0.049\na0 = 2.7e71\nt_min = 1\nt_max = 1\n"
+                     f"t_points = 1\ns_list = {s_list}\n")
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "r")]) == 0
+    rows = read_rows(tmp_path / "r" / "solve.csv")
+    assert [row[1] for row in rows] == tags.split()
+    for _, _, _, exact, predicted, err, _, _ in rows:
+        assert exact == predicted == 0.0 and math.isnan(err)
+
+
+@given(
+    family=st.sampled_from(["constant", "coupled_drift", "binary_split"]),
+    nu=st.floats(5e-324, 1.0, exclude_max=True),
+    a0=st.floats(5e-324, 1.7976931348623157e308),
+    t_lo=st.floats(5e-324, 1e300),
+    t_hi=st.floats(5e-324, 1e300),
+    t_points=st.integers(1, 3),
+    s_list=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=3),
+)
+# the fuzz configs that ended in a traceback, as (family, nu, a0, t_lo, t_hi,
+# t_points, s_list): a subnormal nu and a subnormal nu*a0 (coupled_drift's
+# domain check and its power of a base rounded above 1), then the six rows of
+# test_accepted_configs_fail_by_name and the exit-0 test above
+@example("coupled_drift", 5e-324, 1.7e308, 1.0, 3964229918.0875583, 3, [0.9])
+@example("coupled_drift", 6.314137898210718e-129, 3.679665762276231e-186,
+         5.801263953650046, 5.801263953650046, 1, [0.0, 1e-300])
+@example("binary_split", 0.5, 4.2e250, 2.1e84, 2.1e84, 1, [0.0, 0.5])
+@example("coupled_drift", 0.5, 1e300, 1e10, 1e10, 1, [0.0])
+@example("constant", 0.049, 2.7e71, 1.0, 1.0, 1, [0.5])
+@example("constant", 0.049, 2.7e71, 1.0, 1.0, 1, [0.0, 0.5])
+@example("coupled_drift", 0.5, 1e-310, 0.1, 0.5, 2, [0.0, 0.5])
+@example("constant", 0.5, 5e-324, 0.1, 0.5, 2, [0.0, 0.9])
+@settings(max_examples=40, deadline=None)
+def test_every_accepted_solve_config_runs_or_fails_by_name(
+    family, nu, a0, t_lo, t_hi, t_points, s_list
+):
+    # in-process, with every warning an error: exit 0 with finite cells, 2 or
+    # 3 with the error named on stderr and no report, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp.cfg"
+        path.write_text(
+            f"family = {family}\nnu = {nu!r}\na0 = {a0!r}\nt_min = {min(t_lo, t_hi)!r}\n"
+            f"t_max = {max(t_lo, t_hi)!r}\nt_points = {t_points}\n"
+            f"s_list = {', '.join(repr(s) for s in s_list)}\n"
+        )
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(["solve", "--config", str(path), "--out", str(Path(tmp) / "r")])
+        report = Path(tmp) / "r" / "solve.csv"
+        if code == 0:
+            assert err.getvalue() == ""
+            for row in read_rows(report):
+                assert all(math.isfinite(v) for v in row[2:6] if not math.isnan(v)), row
+                assert not math.isnan(row[3]), row
+        else:
+            assert code in (2, 3)
+            prefix = "config error: " if code == 2 else "numerical failure: "
+            assert err.getvalue().startswith(prefix) and "Traceback" not in err.getvalue()
+            assert not report.exists()
 
 
 README_CFG = """

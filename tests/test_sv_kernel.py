@@ -37,6 +37,7 @@ from critlab import _series
 from reference import (
     RateFormMpmath,
     coupled_R_mpmath,
+    drift_integral,
     exact_R_scalar,
     invariant_measure_M,
     level_at_time,
@@ -192,6 +193,10 @@ def test_normalizer_errors():
         solve_normalizer(COUPLED, 0.0)
     with pytest.raises(SolverError):
         solve_normalizer(COUPLED, 0.5)  # below 1/(nu*a0)
+    # 1/nu rounds to inf, so (1/a0)**(1/nu) reads inf without an OverflowError
+    sf = make_scale_function(ModelParams(5e-324, 0.5, Family.CONSTANT))
+    with pytest.raises(SolverError, match="normalizer at t=1 overflows"):
+        solve_normalizer(sf, 1.0)
 
 
 def test_invariant_measure_at_zero():
@@ -389,15 +394,20 @@ RATE_FORMS = {
     q=st.floats(0.05, 1.0),
     x=st.floats(1.0, 1e300),
     u=st.floats(1e-300, 1.0),
+    t=st.floats(1e-2, 1e12),
 )
 # the coefficients of f grow fastest here, by about 4.5 per order
-@example(fam=Family.COUPLED_DRIFT, nu=0.05, a0=5.0, J=32, q=1.0, x=1.0, u=1.0)
+@example(fam=Family.COUPLED_DRIFT, nu=0.05, a0=5.0, J=32, q=1.0, x=1.0, u=1.0, t=1e12)
+# N(t) near 1 at small nu, where the base's rounding dominates
+@example(fam=Family.COUPLED_DRIFT, nu=0.0525418871490958, a0=0.9999998284416911, J=2, q=1.0,
+         x=1.0, u=1.0, t=19.032437284496645)
 @settings(max_examples=15, deadline=None)
-def test_derived_evaluators_match_the_rate_form_in_mpmath(fam, nu, a0, J, q, x, u):
-    # the six evaluators the base class derives from (c, d0, d1), against a
+def test_derived_evaluators_match_the_rate_form_in_mpmath(fam, nu, a0, J, q, x, u, t):
+    # the evaluators the base class derives from (c, d0, d1), against a
     # 50-digit mpmath route written from the same form (series by
-    # mpmath.taylor); u is both a p and a y in (0, 1], and p = q*(1 - s)**nu
-    # is a series of the kind the series engine evolves
+    # mpmath.taylor, N(t) by mpmath.findroot on its defining equation); u is
+    # both a p and a y in (0, 1], and p = q*(1 - s)**nu is a series of the
+    # kind the series engine evolves
     pytest.importorskip("mpmath")
     sf = make_scale_function(ModelParams(nu, a0, fam))
     form = RATE_FORMS[fam](sf.nu, sf.a0)
@@ -421,6 +431,14 @@ def test_derived_evaluators_match_the_rate_form_in_mpmath(fam, nu, a0, J, q, x, 
         want = np.array(want)
         bound = rel * np.arange(1, J + 2) * np.maximum.accumulate(np.abs(want))
         assert np.all(np.abs(got - want) <= bound)
+    # N = base**(1/nu): the rounding of 1/nu scales with |log N| and that of
+    # the base with 1/nu. Over 4000 log-uniform draws (nu in (0.01, 0.99), a0
+    # in [1e-4, 1e4], t in [1e-2, 1e12]) the error stayed within
+    # 3.9 eps*(1 + |log N|), but a base near 1 at small nu needs the 1/nu:
+    # 28 eps*(1 + |log N|) at the second example above
+    if sf.normalizer_defined(t):
+        got, want = sf.normalizer(t), ref.normalizer(t)
+        assert abs(got - want) <= 4.0 * 2.0**-52 * (1.0 / sf.nu + abs(math.log(want))) * want
 
 
 @pytest.mark.parametrize(
@@ -455,12 +473,15 @@ def test_a_constant_denominator_is_a_scalar_division(monkeypatch, fam, divs):
 
 @given(sf=SCALE_FUNCTIONS, s=st.floats(0.0, 0.99), t=st.floats(0.0, 100.0))
 @example(sf=make_scale_function(ModelParams(0.35, 1.0, Family.COUPLED_DRIFT)), s=0.0, t=5e-324)
+@example(sf=BINARY, s=0.5, t=100.0)
 @settings(max_examples=40, deadline=None)
 def test_drift_integral_is_zero_exactly_without_drift(sf, s, t):
-    oracle = sf.drift_integral(1.0 - s, t)
-    if sf.family is not Family.COUPLED_DRIFT:
-        # constant sv: the drift and its integral vanish identically
+    oracle = drift_integral(sf, 1.0 - s, t)
+    if sf.rate_form()[2] == 0.0:
+        # constant sv (binary_split included): the drift, its integral and the
+        # second-order term that stands for it vanish identically
         assert oracle == 0.0
+        assert sf.second_order(1.0 - s, t)[0] == 0.0
         assert np.all(sf.index_drift(Y_GRID) == 0.0)
     elif t > 0.0:
         # the integral is t/w0 + O(t**2), which may round to 0 at subnormal t;
@@ -633,7 +654,7 @@ def test_coupled_second_order_is_the_drift_from_its_start(nu, a0, s):
     gaps = []
     for t in (1e4, 1e6, 1e8, 1e12):
         num, den = sf.second_order(1.0 - s, t)
-        gaps.append(num * nu**2 * t / den / sf.drift_integral(1.0 - s, t) - 1.0)
+        gaps.append(num * nu**2 * t / den / drift_integral(sf, 1.0 - s, t) - 1.0)
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     assert abs(gaps[-1]) < 0.061
 
@@ -645,11 +666,12 @@ def test_every_family_supplies_every_required_hook(fam):
         for name, fn in vars(ScaleFunction).items()
         if inspect.isfunction(fn) and "raise NotImplementedError" in inspect.getsource(fn)
     }
-    assert hooks == {"rate_form", "exact_R", "drift_integral", "normalizer", "normalizer_defined"}
+    assert hooks == {"rate_form", "exact_R"}
     cls = type(make_scale_function(ModelParams(0.5, 1.0, fam)))
     for name in hooks:
         assert getattr(cls, name) is not getattr(ScaleFunction, name), name
     # the evaluators derive from the rate form, written once in the base class
     for name in ("sv", "rate_of_power", "decay_rate", "index_drift", "mechanism_series",
-                 "rate_series", "sv_reciprocal_series"):
+                 "rate_series", "sv_reciprocal_series", "normalizer", "normalizer_defined",
+                 "second_order"):
         assert getattr(cls, name) is getattr(ScaleFunction, name), name
