@@ -95,7 +95,8 @@ def expand_coeffs(sf: ScaleFunction, J: int) -> OffspringCoeffs:
     roundoff slack (possible for coupled_drift at larger a0), and records
     mass/criticality deficits of the truncation.
     """
-    a = mechanism_series(sf, J)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite a_j is refused by name
+        a = mechanism_series(sf, J)
     _validate_coeffs(a, sf.family)
     a = a.copy()
     np.clip(a[2:], 0.0, None, out=a[2:])
@@ -240,8 +241,10 @@ class OffspringDistribution:
         self._tail_accept_scale = 1.0
         if self.tail_mass > 0.0:
             # the accept ratio target/(scale*m) needs scale >= max_k target/m
+            # (inf where m rounds to 0, which ``_sample_tail`` refuses)
             ks = np.arange(self.tail_cutoff + 1, self.tail_cutoff + 4000, dtype=float)
-            ratio = self._tail_target(ks) / self._envelope_mass(ks)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = self._tail_target(ks) / self._envelope_mass(ks)
             self._tail_accept_scale = float(np.max(ratio)) * (1.0 + 1e-9)
 
     @property
@@ -261,11 +264,19 @@ class OffspringDistribution:
     def _sample_tail(self, rng: np.random.Generator, size: int) -> np.ndarray:
         J = self.tail_cutoff
         beta = self.tail_exponent
+        if not np.isfinite(self._tail_accept_scale):
+            # (k -/+ 1/2)**(1 - beta) differ by about (beta - 1)/k, below their rounding
+            raise ParameterError(
+                f"tail exponent {beta!r} (1 + nu for the size-biased law) needs tail exponent"
+                f" - 1 above about eps*J = {np.finfo(float).eps * J:.1e}: the envelope mass"
+                f" rounds to 0 past the table order J = {J}, so no tail draw is accepted"
+            )
         out = np.empty(size, dtype=np.int64)
         todo = size
         while todo:
             u = rng.random(todo)
-            x = (J + 0.5) * u ** (-1.0 / (beta - 1.0))
+            with np.errstate(over="ignore"):  # an inf draw is clipped at EXACT_POP_CAP
+                x = (J + 0.5) * u ** (-1.0 / (beta - 1.0))
             k = np.minimum(np.floor(x + 0.5), float(EXACT_POP_CAP)).astype(np.int64)
             k = np.maximum(k, J + 1)
             kf = k.astype(float)

@@ -19,21 +19,16 @@ Newton iteration over a whole array of starting points. The exact oracle
 itself lives on the family class (``ScaleFunction.exact_R``); ``exact_R``
 validates and dispatches, for a scalar or an array of s. G(t;s) and P_11(t)
 are one quotient f(1 - R)/f(1 - y0) of its R (``_f_quotient``), and
-``identity_residual`` checks the identity by quadrature along the ODE path.
+``identity_residual`` checks the identity along the ODE path, carrying the
+drift integral as one more component of the same integration.
 Each quantity has one route: q(t) is ``exact_R(sf, 0.0, t)`` (any horizon),
 and ``solve_F`` is the independent ODE route, which integrates to whatever
-horizon it is given, so callers can compare the two there. Given an
-increasing grid of horizons it chains them by the semigroup property
-F(t_k; s) = F(t_k - t_{k-1}; F(t_{k-1}; s)), integrating each segment from
-the end point of the one before. Given an array of starting points s it
-integrates their log R together as one vector, one ``solve_ivp`` call per
-segment: the flow is autonomous and its right-hand side elementwise, and
-the tolerances are divided by the square root of the number of points, so
-each one keeps the accuracy of its own pass. The right-hand side,
-d x/dt = -decay_rate(e^x), only needs R**nu = (e^x)**nu, so it is the
-family's ``rate_of_power`` of that, computed in Python floats. It reads
-only the end points and skips the dense interpolant, which
-``identity_residual`` keeps for its quadrature along the path.
+horizon it is given, so callers can compare the two there. It chains a grid
+of horizons by the semigroup property F(t_k; s) = F(t_k - t_{k-1}; F(t_{k-1}; s))
+and integrates an array of starting points as one vector. Its right-hand
+side, d x/dt = -decay_rate(e^x), only needs R**nu = (e^x)**nu, so it is the
+family's ``rate_of_power`` of that, computed in Python floats. Every
+integration, the series evolution below included, is one ``_integrate`` call.
 
 Transition probabilities P_1j(t) are the coefficients of F(t;s).
 ``evolve_series`` integrates them in the variable of the log-R flow,
@@ -54,9 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy.integrate is imported where it is used (the ODE solves and the identity
-# quadrature): it costs about 0.2 s at start-up, and neither the Monte Carlo
-# commands nor the exact oracles integrate.
+# scipy.integrate is imported in ``_integrate``: it costs about 0.2 s at
+# start-up, and neither the Monte Carlo commands nor the exact oracles integrate.
 
 from . import _series
 from .errors import DomainError, SolverError, TruncationError
@@ -113,25 +107,48 @@ def _check_ts(s, t) -> np.ndarray:
     return s_arr
 
 
-def _solve_log_path(sf: ScaleFunction, x0, span: float, cfg: SolveConfig, *, dense: bool = True):
-    """Solution of x(u) = log R on [0, span] from x(0) = x0, with its
-    interpolant when ``dense``.
+def _integrate(rhs, y0, span: float, rtol: float, atol: float, stage: str, where: str):
+    """End state of the DOP853 integration of y' = rhs(u, y) on [0, span]: the
+    module's one ``solve_ivp`` call, with no dense interpolant. An rtol below
+    scipy's floor of 100 eps, which scipy would raise with a warning, is
+    refused. numpy's overflow, invalid and divide raise, so a huge decay rate
+    stops in scipy's first-step estimate instead of stepping on with inf and
+    nan; that FloatingPointError, the OverflowError and ZeroDivisionError of a
+    Python-float right-hand side, and a failed status are each a SolverError
+    naming ``stage`` and ``where``."""
+    if rtol < _RTOL_FLOOR:
+        raise DomainError(
+            f"{stage} {where} needs rel_tol >= {_RTOL_FLOOR:g} per component, got {rtol:g}"
+        )
+    from scipy.integrate import solve_ivp
+
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            sol = solve_ivp(rhs, (0.0, span), y0, method=_ODE_METHOD, rtol=rtol, atol=atol)
+    except OverflowError as exc:
+        raise SolverError(f"{stage} overflowed {where}: {exc}") from None
+    except (FloatingPointError, ZeroDivisionError) as exc:
+        raise SolverError(f"{stage} {where}: floating-point {exc}") from None
+    if not sol.success:
+        raise SolverError(f"{stage} failed {where}: {sol.message}")
+    return sol.y[:, -1]
+
+
+def _solve_log_path(sf: ScaleFunction, x0, span: float, cfg: SolveConfig) -> np.ndarray:
+    """End values of x(u) = log R on [0, span] from x(0) = x0.
 
     x0 is a float or a 1-D array of m start values, integrated together as
     one m-vector: the flow is autonomous and elementwise, so a segment of a
     longer path starts at u = 0 from its start values. scipy's error norm is
     the RMS over the components, so both tolerances are divided by sqrt(m),
-    which bounds each component's local error by the configured ones (m = 1
-    divides by 1.0). The right-hand side is d x/dt = -rate_of_power(R**nu)
-    with R**nu = math.exp(x)**nu, all in Python floats: no numpy call per
-    element, and each element is computed alone, so one start value keeps
-    the bits of the scalar route. (``math.exp(nu*x)`` would round nu*x with
-    an error that grows with |x|.) A float error in it raises where numpy
-    would warn: exp past log R = 709 overflows, and a trial stage can hit a
-    zero denominator (``coupled_drift`` at nu = 1/2, a0 = 1 and R**nu = 1.5);
-    each is a SolverError. The interpolant costs DOP853 3 more right-hand
-    sides on each 12-stage step. It is built after each step and never
-    steers the next, so ``sol.y`` has the same bits either way.
+    which bounds each component's local error by the configured ones. The
+    right-hand side is d x/dt = -rate_of_power(R**nu) with R**nu =
+    math.exp(x)**nu, all in Python floats: no numpy call per element, and
+    each element is computed alone, so one start value keeps the bits of the
+    scalar route. (``math.exp(nu*x)`` would round nu*x with an error that
+    grows with |x|.) A float error in it raises where numpy would warn: exp
+    past log R = 709 overflows, and a trial stage can hit a zero denominator
+    (``coupled_drift`` at nu = 1/2, a0 = 1 and R**nu = 1.5).
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     root_m = math.sqrt(x0.size)
@@ -140,31 +157,9 @@ def _solve_log_path(sf: ScaleFunction, x0, span: float, cfg: SolveConfig, *, den
     def rhs(u, x):
         return [-rate(exp(v) ** nu) for v in x.tolist()]
 
-    from scipy.integrate import solve_ivp
-
-    log_r = ", ".join(f"{v:g}" for v in x0.tolist())
-    where = f"from log R=[{log_r}] over t={span:g}"
-    try:
-        # a huge decay rate overflows scipy's first-step estimate; raise there
-        # instead of stepping on with inf and nan
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            sol = solve_ivp(
-                rhs,
-                (0.0, span),
-                x0,
-                method=_ODE_METHOD,
-                rtol=cfg.rel_tol / root_m,
-                atol=cfg.abs_tol / root_m,
-                dense_output=dense,
-            )
-    except OverflowError as exc:
-        # a trial step past log R = 709 overflows exp in the right-hand side
-        raise SolverError(f"backward integration overflowed {where}: {exc}") from None
-    except (FloatingPointError, ZeroDivisionError) as exc:
-        raise SolverError(f"backward integration {where}: floating-point {exc}") from None
-    if not sol.success:
-        raise SolverError(f"backward integration failed {where}: {sol.message}")
-    return sol
+    where = f"from log R=[{', '.join(f'{v:g}' for v in x0.tolist())}] over t={span:g}"
+    return _integrate(rhs, x0, span, cfg.rel_tol / root_m, cfg.abs_tol / root_m,
+                      "backward integration", where)
 
 
 def solve_F(sf: ScaleFunction, s, t, cfg: SolveConfig = DEFAULT_CFG):
@@ -193,7 +188,7 @@ def solve_F(sf: ScaleFunction, s, t, cfg: SolveConfig = DEFAULT_CFG):
         if tk == 0.0:  # only the first horizon can be 0
             cols.append(1.0 - s_arr)
             continue
-        x = _solve_log_path(sf, x, tk - prev, cfg, dense=False).y[:, -1]
+        x = _solve_log_path(sf, x, tk - prev, cfg)
         prev = tk
         cols.append(np.array([math.exp(v) for v in x.tolist()]))
     r = np.stack(cols, axis=-1) if np.ndim(t) else cols[0]
@@ -224,27 +219,24 @@ def identity_residual(
 ) -> float:
     """Residual of the exact integral identity along the ODE solution.
 
-    Computes [1/decay_rate(R(t;s)) - 1/decay_rate(1-s)] minus
-    [nu*t + int_0^t index_drift(R(u;s)) du] with R from the adaptive solver
-    and the integral by adaptive quadrature over the dense output. Must
-    vanish to solver tolerance.
+    Computes [1/decay_rate(R(t;s)) - 1/decay_rate(1-s)] minus [nu*t + int_0^t
+    index_drift(R(u;s)) du], integrating y = (log R, the drift integral) as one
+    2-vector with both tolerances divided by sqrt(2) (``_solve_log_path``'s
+    sqrt(m) rule). Must vanish to solver tolerance.
     """
     _check_ts(s, t)
     if t == 0.0:
         return 0.0
-    sol = _solve_log_path(sf, math.log1p(-s), t, cfg)
-    r_end = math.exp(float(sol.y[0, -1]))
-    lhs = 1.0 / sf.decay_rate(r_end) - 1.0 / sf.decay_rate(1.0 - s)
-    from scipy.integrate import quad
 
-    integral, _ = quad(
-        lambda u: sf.index_drift(math.exp(float(sol.sol(u)[0]))),
-        0.0,
-        t,
-        epsabs=1e-12,
-        epsrel=1e-11,
-        limit=400,
-    )
+    def rhs(u, y):
+        r = math.exp(y[0])
+        return [-sf.rate_of_power(r**sf.nu), sf.index_drift(r)]
+
+    root_2 = math.sqrt(2.0)
+    x, integral = _integrate(rhs, [math.log1p(-s), 0.0], t, cfg.rel_tol / root_2,
+                             cfg.abs_tol / root_2, "identity integration",
+                             f"from s={s:g} over t={t:g}").tolist()
+    lhs = 1.0 / sf.decay_rate(math.exp(x)) - 1.0 / sf.decay_rate(1.0 - s)
     return float(lhs - (sf.nu * t + integral))
 
 
@@ -304,24 +296,14 @@ def evolve_series(
     def rhs(u, p):
         return -nu * _series.mul(p, sf.rate_series(p, J), J)
 
-    from scipy.integrate import solve_ivp
-
-    where = f"{sf.family.value} series evolution with J={J} to t={t:g}"
+    stage = f"{sf.family.value} series evolution"
+    where = f"with J={J} to t={t:g}"
+    p = _integrate(rhs, _series.binom_series(nu, J), t, cfg.rel_tol, cfg.abs_tol, stage, where)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            sol = solve_ivp(
-                rhs,
-                (0.0, t),
-                _series.binom_series(nu, J),
-                method=_ODE_METHOD,
-                rtol=cfg.rel_tol,
-                atol=cfg.abs_tol,
-            )
-            if not sol.success:
-                raise SolverError(f"{where} failed: {sol.message}")
-            coeffs = -_series.powf(sol.y[:, -1], 1.0 / nu)
+            coeffs = -_series.powf(p, 1.0 / nu)
     except (FloatingPointError, ZeroDivisionError) as exc:
-        raise SolverError(f"{where}: floating-point {exc}") from None
+        raise SolverError(f"{stage} {where}: floating-point {exc}") from None
     coeffs[0] += 1.0
     state = SeriesState(t, coeffs)
     if state.defect > 1e-2:

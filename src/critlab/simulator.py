@@ -118,7 +118,7 @@ def _check_seed(seed) -> None:
         raise ParameterError(f"a seed >= 0 is mandatory for Monte Carlo runs, got {seed}")
 
 
-def _check_start(i0: int, pop_cap: int) -> None:
+def _check_start(model: SimModel, i0: int, pop_cap: int) -> None:
     if i0 < 1:
         raise DomainError(f"i0 must be >= 1, got {i0}")
     if pop_cap > EXACT_POP_CAP:
@@ -128,6 +128,9 @@ def _check_start(i0: int, pop_cap: int) -> None:
     if pop_cap <= i0:
         # the engine assumes pop < pop_cap at the start
         raise DomainError(f"pop_cap must exceed i0, got pop_cap = {pop_cap} and i0 = {i0}")
+    if model.coeffs.total_rate * pop_cap == math.inf:
+        # the event rate |a1| * Z below the cap stays finite, so time advances
+        raise DomainError(f"event rate |a1| * pop_cap overflows at pop_cap = {pop_cap}")
 
 
 def _record(out, gidx, h_from, h_to, values):
@@ -210,9 +213,10 @@ def _simulate_population_batch(
         L = _first(stop, B)
         # sizes up to the cut are >= 1; mask the rest before dividing
         held = np.where(np.arange(B) <= L[:, None], before, 1)
-        dt = wait / (rate * held)
-        dt[:, 0] += tnow
-        tc = np.cumsum(dt, axis=1)
+        with np.errstate(over="ignore"):  # a wait past the largest float crosses every horizon
+            dt = wait / (rate * held)
+            dt[:, 0] += tnow
+            tc = np.cumsum(dt, axis=1)
         L = np.minimum(L, _first(tc >= horizons[h_a][:, None], B))
         # events 0..L-1 in bulk
         events += int(L.sum())
@@ -285,7 +289,7 @@ def population_at(
     _check_seed(seed)
     if n < 1:
         raise DomainError(f"population_at needs n >= 1, got {n}")
-    _check_start(i0, pop_cap)
+    _check_start(model, i0, pop_cap)
     horizons = np.sort(np.atleast_1d(np.asarray(horizons, dtype=float)))
     if horizons.size == 0 or not np.all(horizons >= 0.0):
         raise DomainError("horizons must be nonnegative and nonempty")
@@ -357,7 +361,7 @@ def sample_qprocess_exact(sf: ScaleFunction, t: float, n: int, seed: int) -> Pop
 
 
 def _simulate_path(model, conditioned, i0, horizon, rng, pop_cap, max_events) -> Trajectory:
-    _check_start(i0, pop_cap)
+    _check_start(model, i0, pop_cap)
     path = [(0.0, i0)]
     s = _simulate_population_batch(
         model, conditioned, i0, np.array([horizon]), 1, rng, pop_cap, max_events, path

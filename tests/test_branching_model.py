@@ -7,6 +7,7 @@ circle (cross-check oracle).
 
 import hashlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -277,6 +278,30 @@ def test_size_biased_distribution():
     rng = np.random.default_rng(2)
     k = sb.sample(rng, 10**5)
     assert int(k.min()) >= 2
+
+
+def test_size_biased_sampler_draws_or_refuses_a_tiny_nu_by_name():
+    # the size-biased tail exponent is 1 + nu; at nu = 1e-13 its envelope
+    # mass (k - 1/2)**-nu - (k + 1/2)**-nu rounds to 0 past the table, where
+    # no accept test can pass, and almost all the mass is in the tail, so 10
+    # draws reach the tail sampler; an alarm turns a regressed refusal, which
+    # would loop forever, into a failure
+    def expire(*_):
+        raise TimeoutError("the tail sampler did not return")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    try:
+        tiny = build_sim_model(make_scale_function(ModelParams(1e-13, 1.0, Family.CONSTANT)))
+        with pytest.raises(ParameterError, match="rounds to 0 past the table order J = 65536"):
+            tiny.size_biased.sample(np.random.default_rng(0), 10)
+        # at nu = 1e-9 the envelope still resolves: every tail draw lands at the 2**62 clip
+        small = build_sim_model(make_scale_function(ModelParams(1e-9, 1.0, Family.CONSTANT)))
+        k = small.size_biased.sample(np.random.default_rng(0), 10)
+        assert np.all(k >= 2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @settings(max_examples=50, deadline=None)

@@ -380,31 +380,102 @@ def test_underflowed_R_and_prediction_leave_the_error_blank(tmp_path, s_list, ta
 def test_every_accepted_solve_config_runs_or_fails_by_name(
     family, nu, a0, t_lo, t_hi, t_points, s_list
 ):
-    # in-process, with every warning an error: exit 0 with finite cells, 2 or
-    # 3 with the error named on stderr and no report, never a traceback
+    # exit 0 with finite cells, or 2 or 3 with the error named and no report
+    text = (
+        f"family = {family}\nnu = {nu!r}\na0 = {a0!r}\nt_min = {min(t_lo, t_hi)!r}\n"
+        f"t_max = {max(t_lo, t_hi)!r}\nt_points = {t_points}\n"
+        f"s_list = {', '.join(repr(s) for s in s_list)}\n"
+    )
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "exp.cfg"
-        path.write_text(
-            f"family = {family}\nnu = {nu!r}\na0 = {a0!r}\nt_min = {min(t_lo, t_hi)!r}\n"
-            f"t_max = {max(t_lo, t_hi)!r}\nt_points = {t_points}\n"
-            f"s_list = {', '.join(repr(s) for s in s_list)}\n"
-        )
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            warnings.simplefilter("error")
-            code = main(["solve", "--config", str(path), "--out", str(Path(tmp) / "r")])
-        report = Path(tmp) / "r" / "solve.csv"
+        code = _run_or_fail_by_name("solve", text, Path(tmp))
         if code == 0:
-            assert err.getvalue() == ""
-            for row in read_rows(report):
+            for row in read_rows(Path(tmp) / "r" / "solve.csv"):
                 assert all(math.isfinite(v) for v in row[2:6] if not math.isnan(v)), row
                 assert not math.isnan(row[3]), row
-        else:
-            assert code in (2, 3)
-            prefix = "config error: " if code == 2 else "numerical failure: "
-            assert err.getvalue().startswith(prefix) and "Traceback" not in err.getvalue()
-            assert not report.exists()
+
+
+def _run_or_fail_by_name(command: str, text: str, tmp: Path) -> int:
+    """Exit code of ``command`` on the config ``text``, run in-process with every
+    warning an error into ``tmp / "r"``, after checking that it ends in 0 with an
+    empty stderr or in 2 or 3 with the error named, no traceback and no report."""
+    path = tmp / "exp.cfg"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main([command, "--config", str(path), "--out", str(tmp / "r")])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code in (2, 3)
+        prefix = "config error: " if code == 2 else "numerical failure: "
+        assert err.getvalue().startswith(prefix) and "Traceback" not in err.getvalue()
+        assert not (tmp / "r" / f"{command}.csv").exists()
+    return code
+
+
+# bounds on the expected event counts of a `simulate` draw (a critical chain
+# makes about |a1| * i0 * t events to t, and |a1| is at most 2 * a0 here)
+MC_EVENT_BUDGET = 1.5e4  # mc_n * i0 * a0 * t_max, the survival estimate
+PATH_EVENT_BUDGET = 2e3  # trajectories * i0 * a0 * t_max, the path dump
+
+
+@st.composite
+def simulate_configs(draw):
+    mc_n = draw(st.integers(1, 20))
+    i0 = draw(st.integers(1, 2**62 - 1))
+    trajectories = draw(st.integers(0, 2))
+    # a0 small enough that some t >= 5e-324 meets both budgets
+    a0_max = min(1.7976931348623157e308, MC_EVENT_BUDGET / (mc_n * i0) / 5e-324)
+    a0 = draw(st.floats(5e-324, a0_max))
+    t_cap = MC_EVENT_BUDGET / (mc_n * i0 * a0)
+    if trajectories:
+        t_cap = min(t_cap, PATH_EVENT_BUDGET / (trajectories * i0 * a0))
+    t_max = draw(st.floats(5e-324, max(5e-324, min(1e300, t_cap))))
+    return {
+        "family": draw(st.sampled_from(["constant", "coupled_drift", "binary_split"])),
+        "nu": draw(st.floats(5e-324, 1.0, exclude_max=True)),
+        "a0": a0,
+        "t_min": draw(st.floats(5e-324, t_max)),
+        "t_max": t_max,
+        "t_points": draw(st.integers(1, 3)),
+        "mc_n": mc_n,
+        "seed": draw(st.integers(0, 2**32)),
+        "i0": i0,
+        "pop_cap": draw(st.integers(i0 + 1, 2**62)),
+        "trajectories": trajectories,
+    }
+
+
+@given(cfg=simulate_configs())
+# the fuzz configs that ended in a traceback: the size-biased envelope mass
+# rounding to 0 at a tiny nu, a waiting time past the largest float (twice),
+# then a mechanism whose coefficients overflow, an event rate |a1| * pop_cap
+# that overflows, and an event time whose cumsum overflows
+@example({"family": "constant", "nu": 1e-20, "a0": 1.0, "t_min": 1.0, "t_max": 1.0,
+          "t_points": 1, "mc_n": 1, "seed": 1})
+@example({"family": "constant", "nu": 0.3436426431051331, "a0": 1.1324592475827242e-305,
+          "t_min": 9.93138277705977e-277, "t_max": 5.705930234900704e-209, "t_points": 3,
+          "mc_n": 1, "seed": 0, "pop_cap": 2**62})
+@example({"family": "coupled_drift", "nu": 0.14091270548894783, "a0": 1.20789564282444e-310,
+          "t_min": 7.79301613583e-312, "t_max": 1.2352193484448827e-272, "t_points": 3,
+          "mc_n": 50, "seed": 2147483648, "pop_cap": 100})
+@example({"family": "constant", "nu": 0.5, "a0": 1.7e308, "t_min": 5e-324, "t_max": 5e-324,
+          "t_points": 1, "mc_n": 1, "seed": 1, "trajectories": 1})
+@example({"family": "constant", "nu": 0.5, "a0": 1e300, "t_min": 5e-324, "t_max": 5e-324,
+          "t_points": 1, "mc_n": 1, "seed": 1, "i0": 10**10, "pop_cap": 2**62})
+@example({"family": "constant", "nu": 0.4593643714444605, "a0": 2.129924760958669e-306,
+          "t_min": 5.259084528798952e-178, "t_max": 2.4791657677840062e-05, "t_points": 3,
+          "mc_n": 36, "seed": 3951215857, "i0": 3, "pop_cap": 2**62, "trajectories": 3})
+@settings(max_examples=12, deadline=None)
+def test_every_accepted_simulate_config_runs_or_fails_by_name(cfg):
+    # exit 0 with finite cells, or 2 or 3 with the error named and no report
+    text = "".join(f"{key} = {value}\n" for key, value in cfg.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        if _run_or_fail_by_name("simulate", text, Path(tmp)) == 0:
+            for row in read_rows(Path(tmp) / "r" / "simulate.csv"):
+                assert all(math.isfinite(v) for v in row[2:6]), row
 
 
 README_CFG = """

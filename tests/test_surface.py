@@ -3,6 +3,7 @@ frozen list of names, so a removal, an addition or a rename is a deliberate
 change."""
 
 import importlib
+import inspect
 import pkgutil
 import types
 from pathlib import Path
@@ -54,3 +55,16 @@ def test_src_uses_no_scipy_root_finder_or_special_function():
         text = path.read_text()
         for word in ("brentq", "scipy.optimize", "scipy.special", "scipy.interpolate", "Pchip"):
             assert word not in text, f"{path.name} mentions {word}"
+
+
+def test_src_integrates_through_one_solve_ivp_call():
+    # every adaptive integration is kolmogorov_engine._integrate, and none
+    # builds an interpolant or runs a quadrature beside it
+    calls = []
+    for path in sorted(Path(critlab.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        calls += [line for line in text.splitlines() if "solve_ivp(" in line]
+        for word in ("import quad", "dense_output"):
+            assert word not in text, f"{path.name} mentions {word}"
+    integrate = inspect.getsource(critlab.kolmogorov_engine._integrate).splitlines()
+    assert len(calls) == 1 and calls[0] in integrate
