@@ -38,8 +38,9 @@ product per right-hand side. The coefficient system is triangular
 (coefficient j only involves coefficients 0..j), so a truncated solve is
 exact for every kept column, and one series power at the end gives
 F = 1 - p**(1/nu).
-``transition_matrix`` builds the rows for i initial individuals as series
-powers of F, and ``size_biased`` turns them into the conditioned chain's Q.
+``transition_matrix`` builds the rows for i initial individuals, the powers
+F**i, by doubling: rows k+1..2k are rows 1..k times row k, as tiled matrix
+products. ``size_biased`` turns them into the conditioned chain's Q.
 """
 
 from __future__ import annotations
@@ -72,6 +73,15 @@ __all__ = [
 _ODE_METHOD = "DOP853"  # the Runge-Kutta pair of every adaptive integration
 # scipy raises a smaller rtol to this floor with a warning; refuse it instead
 _RTOL_FLOOR = 100.0 * np.finfo(float).eps
+# transition_matrix multiplies _TILE_ROWS x _TILE tiles of rows by _TILE x _TILE
+# Toeplitz tiles: m*n*k = 2**17, half the size at which OpenBLAS (x86_64)
+# splits a GEMM over its threads
+_TILE = 64
+_TILE_ROWS = 32
+# rows per chunk of a doubling level
+_CHUNK_ROWS = 128
+# lag n - m of entry (m, n) of a Toeplitz tile
+_TILE_LAG = np.arange(_TILE)[None, :] - np.arange(_TILE)[:, None]
 
 
 @dataclass(frozen=True)
@@ -314,16 +324,59 @@ def evolve_series(
 
 
 def transition_matrix(state: SeriesState, imax: int | None = None) -> np.ndarray:
-    """Matrix P[i, j] = P_ij(t) for 0 <= i <= imax via cumulative products."""
+    """Matrix P[i, j] = P_ij(t) = [s**j] F(t;s)**i for 0 <= i <= imax, j <= order.
+
+    The rows are built by doubling. Once rows 1..k are known, rows
+    k+1..min(2k, imax) are P[i] * P[k] truncated at the order, that is
+    P[1..r] @ U(P[k]) with U(v) the upper-triangular Toeplitz matrix
+    U[m, n] = v[n - m]. U is cut into ``_TILE`` x ``_TILE`` tiles, and tile
+    (a, b) depends only on its block diagonal d = b - a. So for each d in
+    increasing order one stacked matmul multiplies the ``_TILE_ROWS`` x
+    ``_TILE`` tiles of the input rows by U_d and adds the result into the
+    output. Every GEMM is ``_TILE_ROWS`` x ``_TILE`` x ``_TILE``, too small
+    for OpenBLAS to thread, so the bits do not depend on the BLAS thread
+    count. A level goes through its rows in chunks of ``_CHUNK_ROWS``, so the
+    two accumulators take about 1 MB each at order 1024.
+
+    The result is a view of a buffer padded to whole tiles: up to
+    ``_TILE_ROWS - 1`` rows past imax and whole column tiles past the order.
+    """
     J = state.order
     imax = J if imax is None else imax
-    P = np.zeros((imax + 1, J + 1))
-    P[0, 0] = 1.0
+    nb = -(-(J + 1) // _TILE)
+    # the rows past imax and the columns past J complete the last tiles;
+    # the columns stay zero, so they add nothing to the kept columns
+    buf = np.zeros((imax + _TILE_ROWS, nb * _TILE))
+    buf[0, 0] = 1.0
     if imax >= 1:
-        P[1] = state.coeffs
-    for i in range(2, imax + 1):
-        P[i] = _series.mul(P[i - 1], state.coeffs, J)
-    return P
+        buf[1, : J + 1] = state.coeffs
+    acc = np.empty((_CHUNK_ROWS // _TILE_ROWS, nb, _TILE_ROWS, _TILE))
+    part = np.empty_like(acc)
+
+    def tiles(i, rows):
+        # rows i..i+rows-1 of buf as (row tile, column tile, row in tile, column in tile)
+        return buf[i : i + rows].reshape(rows // _TILE_ROWS, _TILE_ROWS, nb, _TILE).transpose(0, 2, 1, 3)
+
+    k = 1
+    while k < imax:
+        # U_d[m, n] = P[k, d*_TILE + n - m], zero where n < m in the diagonal tile
+        v = np.zeros(_TILE - 1 + nb * _TILE)
+        v[_TILE - 1 : _TILE + J] = buf[k, : J + 1]
+        U = v[_TILE - 1 + _TILE * np.arange(nb)[:, None, None] + _TILE_LAG]
+        r = min(k, imax - k)
+        for i0 in range(1, r + 1, _CHUNK_ROWS):
+            n = min(_CHUNK_ROWS, r + 1 - i0)
+            rows = -(-n // _TILE_ROWS) * _TILE_ROWS
+            X = tiles(i0, rows)
+            Y, T = acc[: rows // _TILE_ROWS], part[: rows // _TILE_ROWS]
+            np.matmul(X, U[0], out=Y)
+            for d in range(1, nb):
+                np.matmul(X[:, : nb - d], U[d], out=T[:, : nb - d])
+                Y[:, d:] += T[:, : nb - d]
+            tiles(k + i0, rows)[...] = Y
+            buf[k + i0 : k + i0 + rows, J + 1 :] = 0.0
+        k += r
+    return buf[: imax + 1, : J + 1]
 
 
 def size_biased(P: np.ndarray) -> np.ndarray:

@@ -13,7 +13,8 @@ the limit law D(x) by ``mpmath``'s Talbot inversion at 30 digits, and the
 evaluators ``ScaleFunction`` derives from a family's rate form and the
 quotient f(1 - R)/f(1 - y0) behind ``G_of`` and ``p11_exact``, by ``mpmath``
 at 50 digits with ``mpmath.taylor`` in place of series arithmetic and
-``mpmath.findroot`` in place of the closed-form normalizer.
+``mpmath.findroot`` in place of the closed-form normalizer, and the
+transition matrix by the sequential row loop in ``np.longdouble``.
 The functions take valid inputs only.
 """
 
@@ -274,3 +275,21 @@ class RateFormMpmath:
         r = R(t;s) and y0 = 1 - s, P_11(t) at s = y0 = 1 and r = q(t)."""
         r, y0 = self.mp.mpf(r), self.mp.mpf(y0)
         return float(s * r * self._rate(r**self.nu) / (y0 * self._rate(y0**self.nu)))
+
+
+def transition_matrix_longdouble(coeffs, imax=None) -> np.ndarray:
+    """P[i, j] = [s**j] F(s)**i for 0 <= i <= imax in ``np.longdouble``.
+
+    The sequential row loop P[i] = P[i-1] * F, each product truncated at the
+    order of F, with every operation in extended precision.
+    """
+    F = np.asarray(coeffs, dtype=np.longdouble)
+    J = len(F) - 1
+    imax = J if imax is None else imax
+    P = np.zeros((imax + 1, J + 1), dtype=np.longdouble)
+    P[0, 0] = 1
+    if imax >= 1:
+        P[1] = F
+    for i in range(2, imax + 1):
+        P[i] = np.convolve(P[i - 1], F)[: J + 1]
+    return P

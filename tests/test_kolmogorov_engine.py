@@ -7,6 +7,7 @@ route cross-validate each other everywhere both are defined.
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,8 +33,14 @@ from critlab import (
     transition_matrix,
 )
 from critlab import _series, kolmogorov_engine
-from critlab.kolmogorov_engine import _solve_log_path, size_biased
-from reference import drift_integral, invariant_measure_M, level_at_time, time_to_level
+from critlab.kolmogorov_engine import SeriesState, _solve_log_path, size_biased
+from reference import (
+    drift_integral,
+    invariant_measure_M,
+    level_at_time,
+    time_to_level,
+    transition_matrix_longdouble,
+)
 
 CONST = make_scale_function(ModelParams(0.5, 1.0, Family.CONSTANT))
 COUPLED = make_scale_function(ModelParams(0.5, 1.0, Family.COUPLED_DRIFT))
@@ -466,11 +473,11 @@ def test_series_blow_up_is_a_named_solver_error():
 SERIES_DIGESTS = {
     Family.CONSTANT: (
         "1fafb98db63b2fc26093870c2f730f431b22bb0d7cae84f89b687578990811da",
-        "5046250f7387ec0446890e6e008d76c5aef2d7dbff453758e2a229dbfc17d58d",
+        "7afec21c0a79a03fd179f70443273693f1477e03a352549114e1a6c7265126a1",
     ),
     Family.COUPLED_DRIFT: (
         "a658a09f540648344a9305af266a610b50d086d47680128e38bca70ad518936f",
-        "ece2c7f911c530ca249e3903e844ff27c4286205ad950962c841105f70d6eea6",
+        "7172256d6b592b8ce4a253c74299331e217f2bddb19924d2735db452003a1cde",
     ),
 }
 
@@ -498,7 +505,41 @@ def test_power_row_binary_exponentiation():
     # row for i initial individuals is the i-fold convolution: from i the
     # chance of extinction by t is (1-q)^i
     q1 = exact_R(CONST, 0.0, 1.0)
-    assert P[3, 0] == pytest.approx((1.0 - q1) ** 3, abs=1e-9)
+    for i in range(2, 10):
+        assert P[i, 0] == pytest.approx((1.0 - q1) ** i, abs=1e-9)
+
+
+def test_transition_rows_match_the_catalan_closed_form():
+    # F = 1 - (1 - s)**(1/2) satisfies F = s/(2 - F), so Lagrange inversion
+    # gives [s**n] F**i = 2**i * (i/n) * C(2n - i - 1, n - 1) / 4**n for
+    # n >= i, and 0 below. The rows are the first one of every doubling
+    # level, and the last. Entries below 1e-290 lose digits to underflow, so
+    # they are held to 1e-300 absolute.
+    J = 1024
+    F = -_series.binom_series(0.5, J)
+    F[0] = 0.0
+    P = transition_matrix(SeriesState(1.0, F))
+    for i in [2] + [2**m + 1 for m in range(1, 10)] + [J]:
+        exact = np.array([
+            float(Fraction(2**i * i * math.comb(2 * n - i - 1, n - 1), n * 4**n)) if n >= i else 0.0
+            for n in range(J + 1)
+        ])
+        assert np.all(P[i, :i] == 0.0)
+        bound = np.where(exact > 1e-290, 1e-14 * exact, 1e-300)
+        assert np.all(np.abs(P[i] - exact) <= bound), i
+
+
+@pytest.mark.parametrize("sf", [CONST, COUPLED], ids=lambda sf: sf.family.value)
+def test_transition_matrix_matches_the_long_double_row_loop(sf):
+    # doubling compounds the rounding of P[k] over the log2 J levels: at
+    # J = 1024 it is within 3.0e-14 relative and 1.1e-16 absolute of the
+    # reference, the float64 row loop within 2.0e-15 and 2.6e-17
+    st = evolve_series(sf, 256, 1.0, SolveConfig(rel_tol=1e-11, abs_tol=1e-13))
+    ref = transition_matrix_longdouble(st.coeffs)
+    err = np.abs(transition_matrix(st) - ref)
+    kept = np.abs(ref) >= 1e-290
+    assert float(np.max(err[kept] / np.abs(ref[kept]))) < 1e-13
+    assert float(np.max(err)) < 5e-16
 
 
 def test_q_matrix_structure():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 from scipy.special import binom
 
-from critlab import _series
+from critlab import _series, kolmogorov_engine
 
 
 def test_binom_series_matches_scipy():
@@ -201,6 +201,9 @@ for out in (_series.powf(y, 1.5), _series.div(a, y), _series.mul(y, y)):
 F = -_series.binom_series(0.5, 1024)
 F[0] = 0.0
 print(hashlib.sha256(transition_matrix(SeriesState(1.0, F)).tobytes()).hexdigest())
+# C8's narrow shape, and a ragged one that fills no tile or chunk
+print(hashlib.sha256(transition_matrix(SeriesState(1.0, F[:51]), imax=1024).tobytes()).hexdigest())
+print(hashlib.sha256(transition_matrix(SeriesState(1.0, F[:1001]), imax=700).tobytes()).hexdigest())
 # the limit law, inverted in one Talbot and one Gaver-Stehfest call
 print(hashlib.sha256(d_limit(0.5, np.logspace(-6, 14, 801))[0].tobytes()).hexdigest())
 # the series engine's coefficients, evolved in p = (1 - F)**nu
@@ -212,9 +215,10 @@ print(hashlib.sha256(evolve_series(sf, 1024, 1.0).coeffs.tobytes()).hexdigest())
 def test_kernels_do_not_depend_on_blas_threads():
     # OpenBLAS splits a dot product longer than 10000 terms over its threads,
     # which changes the summation order; order 2**15 reaches that length.
-    # transition_matrix at J = 1024 runs a thousand products per call, the
-    # series engine a div and a mul per right-hand side, and
-    # d_limit's Gaver-Stehfest row sums must not become a BLAS product.
+    # transition_matrix runs a few thousand GEMMs per call at J = 1024, each
+    # a tile too small for OpenBLAS to thread; the series engine runs a div
+    # and a mul per right-hand side, and d_limit's Gaver-Stehfest row sums
+    # must not become a BLAS product.
     src = str(Path(_series.__file__).resolve().parents[1])
     procs = []
     for threads in ("1", "2"):
@@ -231,8 +235,15 @@ def test_kernels_do_not_depend_on_blas_threads():
         for p in procs:
             p.kill()
     assert [p.returncode for p in procs] == [0, 0]
-    assert len(outs[0].split()) == 6
+    assert len(outs[0].split()) == 8
     assert outs[0] == outs[1]
+
+
+def test_transition_matrix_tiles_stay_below_the_gemm_threading_size():
+    # OpenBLAS (x86_64) runs a GEMM on one thread while m*n*k <= 65536 * 4
+    m, n, k = kolmogorov_engine._TILE_ROWS, kolmogorov_engine._TILE, kolmogorov_engine._TILE
+    assert m * n * k <= 2**17
+    assert kolmogorov_engine._CHUNK_ROWS % m == 0
 
 
 def test_div_memory_is_linear_in_order():
