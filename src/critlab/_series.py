@@ -6,14 +6,18 @@ the shorter operand's order, which is exact for the leading coefficients:
 multiplication, division by a unit, and fractional powers of a unit are all
 triangular in the coefficient index.
 
-The product is a direct convolution. The quotient and the fractional power
-solve lower-triangular linear systems in the coefficients by blocked forward
-substitution: each block of rows subtracts the columns already solved with a
-compiled convolution, then solves its small diagonal block with LAPACK
-``trtrs``, resolved on the first solve: ``scipy.linalg`` costs about 0.05 s
-to import, and the Monte Carlo commands on a closed-form family never solve.
-The unscaled part of the diagonal block is built once per solve, so the
+The product is a direct convolution. The quotient, the fractional power and
+``square_ratio``, k*p**2/(a - d*p), solve lower-triangular linear systems in
+the coefficients by blocked forward substitution: each block of rows
+subtracts the columns already solved with a compiled convolution, then
+solves its small diagonal block with LAPACK ``trtrs`` (``_solve_block``),
+resolved on the first solve: ``scipy.linalg`` costs about 0.05 s to import,
+and the Monte Carlo commands on a closed-form family never solve. The
+unscaled part of the diagonal block is built once per solve, so the
 per-block Python work stays small next to the convolutions.
+``square_ratio`` never forms the product k*p**2 in full: the history of
+a*g = p*(d*g + k*p) carries it, and its part inside each block comes from
+small matrix products made before the loop.
 """
 
 from __future__ import annotations
@@ -22,13 +26,16 @@ from functools import cache
 
 import numpy as np
 
-# rows per block of the triangular solves in div and powf
+# rows per block of the triangular solves in div, powf and square_ratio
 _BLOCK = 64
 # longest dot product in a product or history term; OpenBLAS (x86_64)
 # splits a dot product longer than 10000 terms over its threads
 _DOT_CHUNK = 8192
 # lag i - j of entry (i, j) of a diagonal block
 _LAG = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
+# blocks per matrix product in square_ratio: m*n*k = 32*64*64 = 2**17, half the
+# size at which OpenBLAS (x86_64) splits a GEMM over its threads
+_GEMM_ROWS = 32
 
 
 @cache
@@ -120,6 +127,56 @@ def powf(y: np.ndarray, alpha: float, order: int | None = None) -> np.ndarray:
     return _lower_triangular_solve(w, np.zeros(n), terms)
 
 
+def square_ratio(p: np.ndarray, k: float, a: float, d: float, order: int) -> np.ndarray:
+    """Series g = k * p**2 / (a - d*p) to ``order``; requires a - d*p[0] != 0.
+
+    With h = d*g + k*p, a*g = p*h, so row n reads
+
+        (a - d*p[0]) * g[n] - d * sum_{m<n} p[n-m] * g[m] = k * sum_{m<=n} p[n-m] * p[m],
+
+    solved by blocks of rows in the layout of ``_lower_triangular_solve``.
+    A block's history, the rows already solved, is the one convolution
+    ``_history(p, h, s, e)``: it carries both the d*g and the k*p*p columns.
+    The part of k*p*p inside each block is a row of p's block times the
+    upper-triangular Toeplitz block of p, and all blocks' rows are made
+    before the loop by one stacked ``np.matmul`` of ``_GEMM_ROWS`` x
+    ``_BLOCK`` x ``_BLOCK`` GEMMs, too small for OpenBLAS to thread. The
+    diagonal block a - d*T(p) is built once. So the full product k*p*p,
+    which a ``mul`` would form to order 2*order, is never formed.
+    """
+    n = order + 1
+    pp = _padded(p, n)
+    den0 = a - d * pp[0]
+    if den0 == 0.0:
+        raise ZeroDivisionError("series division by a non-unit (a - d*p[0] == 0)")
+    g = np.empty(n)
+    g[0] = k * pp[0] * pp[0] / den0
+    B = min(_BLOCK, n)
+    # p[1:] cut into one row of B per block of the solve, zero-padded to whole GEMMs
+    nb = -(-(n - 1) // B)
+    X = np.zeros((-(-nb // _GEMM_ROWS), _GEMM_ROWS, B))
+    X.reshape(-1)[: n - 1] = pp[1:]
+    v = np.zeros(2 * B - 1)
+    v[:B] = pp[:B]
+    T = v[_LAG[:B, :B]]  # T[i, j] = p[i - j], zero above the diagonal
+    # within[s - 1 + i] = k * sum_{s<=m<=s+i} p[s+i-m] * p[m] for the block at row s
+    within = np.matmul(X, k * T.T).reshape(-1)
+    v[:B] = -d * pp[:B]
+    v[0] = den0
+    A = v[_LAG[:B, :B]]
+    h = k * pp
+    h[0] += d * g[0]
+    trtrs = _trtrs()
+    for s in range(1, n, B):
+        e = min(s + B, n)
+        m = e - s
+        rhs = _history(pp, h, s, e)
+        rhs += within[s - 1 : e - 1]
+        g[s:e] = sol = _solve_block(trtrs, A[:m, :m], rhs, s)
+        h[s:e] += d * sol
+    return g
+
+
 def _padded(c: np.ndarray, n: int) -> np.ndarray:
     """The first n coefficients of c, zero-padded past its end."""
     out = np.zeros(n)
@@ -164,17 +221,24 @@ def _lower_triangular_solve(x, r, terms):
         A = shared[:m, :m]
         for d, T in scaled:
             A = d[s:e, None] * T[:m, :m] + A
-        # the arguments solve_triangular(A, rhs, lower=True) passes for a
-        # C-ordered A: the transposed upper-triangular system
-        sol, info = trtrs(A.T, rhs, lower=0, trans=1, overwrite_b=1)
-        if info > 0:
-            raise np.linalg.LinAlgError(
-                f"singular matrix: resolution failed at diagonal {s + info - 1}"
-            )
-        if info < 0:
-            raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
-        x[s:e] = sol
+        x[s:e] = _solve_block(trtrs, A, rhs, s)
     return x
+
+
+def _solve_block(trtrs, A, rhs, s):
+    """The solution of A @ x = rhs for a lower-triangular diagonal block A
+    (C-ordered) whose first row is row s of the whole system, by LAPACK
+    ``trtrs`` with its ``info`` checked; rhs is overwritten."""
+    # the arguments solve_triangular(A, rhs, lower=True) passes for a
+    # C-ordered A: the transposed upper-triangular system
+    sol, info = trtrs(A.T, rhs, lower=0, trans=1, overwrite_b=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {s + info - 1}"
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return sol
 
 
 def _history(p, x, s, e):

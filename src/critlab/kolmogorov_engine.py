@@ -33,8 +33,9 @@ integration, the series evolution below included, is one ``_integrate`` call.
 Transition probabilities P_1j(t) are the coefficients of F(t;s).
 ``evolve_series`` integrates them in the variable of the log-R flow,
 p = (1 - F)**nu = R**nu, whose backward equation dp/dt = -nu*p*rate_of_power(p)
-needs no fractional power of a series: the family's ``rate_series`` and one
-product per right-hand side. The coefficient system is triangular
+needs no fractional power of a series: a right-hand side is the family's
+``flow_series(p)``, one product for ``constant`` and one triangular solve for
+``coupled_drift``. The coefficient system is triangular
 (coefficient j only involves coefficients 0..j), so a truncated solve is
 exact for every kept column, and one series power at the end gives
 F = 1 - p**(1/nu).
@@ -282,8 +283,9 @@ def evolve_series(
     """Coefficients F_j(t), j <= J, from the coefficient system of p = (1 - F)**nu.
 
     Along the backward flow p = R**nu obeys dp/dt = -nu * p * rate_of_power(p),
-    so the right-hand side is one ``mul`` of p by the family's ``rate_series(p)``
-    (a scaled copy of p for ``constant``, one ``div`` for ``coupled_drift``) and
+    so the right-hand side is the family's ``flow_series(p)`` (one ``mul`` of p
+    by a scaled copy of p for ``constant``; for ``coupled_drift`` one blocked
+    triangular solve, ``_series.square_ratio``, with no full product) and
     needs no fractional power. The integration starts from p(0) = (1 - s)**nu,
     the solver's tolerances act on p's coefficients, and one ``powf`` at the
     end gives F = 1 - p**(1/nu). Raises SolverError, naming the family, J and
@@ -304,7 +306,7 @@ def evolve_series(
     nu = sf.nu
 
     def rhs(u, p):
-        return -nu * _series.mul(p, sf.rate_series(p, J), J)
+        return sf.flow_series(p, J)
 
     stage = f"{sf.family.value} series evolution"
     where = f"with J={J} to t={t:g}"

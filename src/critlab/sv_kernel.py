@@ -39,10 +39,10 @@ to (a0, 1, 0) for ``constant`` and (nu*a0, nu, a0) for ``coupled_drift``.
 A family is one ``ScaleFunction`` subclass that declares this rate form and
 its exact R(t;s) oracle, and, where known, the exact tail of the jump law.
 The base class derives the rest from (c, d0, d1): sv, the decay rate, the
-index drift, the Taylor series of f, of the decay rate of a series p and of
-1/sv, the normalizer N(t) and its domain, and the second-order term from
-R(0;s) = y0 (1 for q and P_11, 1 - s for G). Adding a family means one
-subclass: its ``rate_form`` and its ``exact_R``.
+index drift, the Taylor series of f and of 1/sv, the flow
+-nu*p*rate_of_power(p) of a series p, the normalizer N(t) and its domain,
+and the second-order term from R(0;s) = y0 (1 for q and P_11, 1 - s for G).
+Adding a family means one subclass: its ``rate_form`` and its ``exact_R``.
 
 The normalizer N(t) used by the survival asymptotics is defined implicitly by
 N**nu * sv((nu*t)**(1/nu) / N) = 1, equivalently N = (nu*t)**(1/nu) * y* with
@@ -198,14 +198,18 @@ class ScaleFunction:
             return num / d0
         return _series.div(num, self._denominator(_series.binom_series(self.nu, J), J))
 
-    def rate_series(self, p: np.ndarray, J: int) -> np.ndarray:
-        """``rate_of_power`` in series arithmetic: the coefficients of the
-        decay rate as a function of a series p = y**nu, to order J."""
+    def flow_series(self, p: np.ndarray, J: int) -> np.ndarray:
+        """The coefficients of -nu*p*rate_of_power(p) for a series p = y**nu,
+        to order J: dp/dt along the backward flow.
+
+        At d1 = 0 this is -nu times one ``mul`` of p by the scaled copy
+        c*p/d0. Otherwise it is -nu*c*p**2 / ((d0 + d1) - d1*p), one
+        ``_series.square_ratio``, which forms no full product.
+        """
         c, d0, d1 = self._form
-        num = c * p[: J + 1]
         if d1 == 0.0:
-            return num / d0
-        return _series.div(num, self._denominator(p, J), J)
+            return -self.nu * _series.mul(p, c * p[: J + 1] / d0, J)
+        return _series.square_ratio(p, -self.nu * c, d0 + d1, d1, J)
 
     def sv_reciprocal_series(self, order: int) -> np.ndarray:
         """Series of 1/sv(1/(1-s)) in powers of s: the denominator at

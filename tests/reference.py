@@ -206,7 +206,8 @@ class RateFormMpmath:
 
     Each is written from its formula: sv(x) = c / (d0 + d1*(1 - x**-nu)),
     index_drift(y) = nu*d1*p / (d0 + d1*(1 - p)), f(s) = (1 - s) times the
-    decay rate at p = (1 - s)**nu, and 1/sv(1/(1 - s)) = (d0 + d1*(1 - p))/c.
+    decay rate at p = (1 - s)**nu, the flow -nu*p*rate_of_power(p) of a
+    series p, and 1/sv(1/(1 - s)) = (d0 + d1*(1 - p))/c.
     The series are the Taylor coefficients at s = 0 that ``mpmath.taylor``
     takes by numerical differentiation, not by any series arithmetic, and
     N(t) is the root of its defining equation that ``mpmath.findroot`` finds.
@@ -242,9 +243,14 @@ class RateFormMpmath:
     def mechanism_series(self, J: int) -> list[float]:
         return self._taylor(lambda s: (1 - s) * self._rate((1 - s) ** self.nu), J)
 
-    def rate_series(self, p, J: int) -> list[float]:
+    def flow_series(self, p, J: int) -> list[float]:
         coeffs = [self.mp.mpf(float(v)) for v in p[: J + 1]]
-        return self._taylor(lambda s: self._rate(self.mp.polyval(coeffs[::-1], s)), J)
+
+        def flow(s):
+            ps = self.mp.polyval(coeffs[::-1], s)
+            return -self.nu * ps * self._rate(ps)
+
+        return self._taylor(flow, J)
 
     def sv_reciprocal_series(self, order: int) -> list[float]:
         return self._taylor(lambda s: self._den((1 - s) ** self.nu) / self.c, order)

@@ -423,13 +423,18 @@ def test_series_route_in_p_matches_the_oracle(fam, nu, a0, t, J):
         assert val == pytest.approx(1.0 - exact_R(sf, s, t), abs=DEFAULT_CFG.rel_tol)
 
 
-def test_series_route_makes_one_power_and_one_rate_series_per_rhs(monkeypatch):
-    calls = {"powf": 0, "rate_series": 0, "exact_R": 0, "normalizer": 0, "nfev": 0}
+@pytest.mark.parametrize(
+    "sf, muls_per_rhs", [(CONST, 1), (COUPLED, 0)], ids=["constant", "coupled_drift"]
+)
+def test_series_route_makes_one_power_and_one_flow_series_per_rhs(monkeypatch, sf, muls_per_rhs):
+    # coupled_drift's right-hand side is one square_ratio solve, with no
+    # product and no division; constant's is one product
+    calls = dict.fromkeys(("powf", "mul", "div", "flow_series", "exact_R", "normalizer", "nfev"), 0)
 
-    class CountingScale(type(COUPLED)):
-        def rate_series(self, p, J):
-            calls["rate_series"] += 1
-            return super().rate_series(p, J)
+    class CountingScale(type(sf)):
+        def flow_series(self, p, J):
+            calls["flow_series"] += 1
+            return super().flow_series(p, J)
 
         def exact_R(self, y0, t):
             calls["exact_R"] += 1
@@ -439,23 +444,28 @@ def test_series_route_makes_one_power_and_one_rate_series_per_rhs(monkeypatch):
             calls["normalizer"] += 1
             return super().normalizer(t)
 
-    powf, solve_ivp = _series.powf, scipy.integrate.solve_ivp
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
 
-    def counting_powf(*args):
-        calls["powf"] += 1
-        return powf(*args)
+        return wrapped
+
+    for name in ("powf", "mul", "div"):
+        monkeypatch.setattr(_series, name, counting(name, getattr(_series, name)))
+    solve_ivp = scipy.integrate.solve_ivp
 
     def solve_ivp_nfev(*args, **kwargs):
         sol = solve_ivp(*args, **kwargs)
         calls["nfev"] += sol.nfev
         return sol
 
-    monkeypatch.setattr(_series, "powf", counting_powf)
     monkeypatch.setattr(scipy.integrate, "solve_ivp", solve_ivp_nfev)
-    evolve_series(CountingScale(COUPLED.params), 128, 1.0)
+    evolve_series(CountingScale(sf.params), 128, 1.0)
     assert calls["powf"] == 1
-    assert calls["nfev"] > 0 and calls["rate_series"] == calls["nfev"]
-    assert calls["exact_R"] == calls["normalizer"] == 0
+    assert calls["nfev"] > 0 and calls["flow_series"] == calls["nfev"]
+    assert calls["mul"] == muls_per_rhs * calls["nfev"]
+    assert calls["div"] == calls["exact_R"] == calls["normalizer"] == 0
 
 
 def test_series_blow_up_is_a_named_solver_error():
@@ -476,8 +486,8 @@ SERIES_DIGESTS = {
         "7afec21c0a79a03fd179f70443273693f1477e03a352549114e1a6c7265126a1",
     ),
     Family.COUPLED_DRIFT: (
-        "a658a09f540648344a9305af266a610b50d086d47680128e38bca70ad518936f",
-        "7172256d6b592b8ce4a253c74299331e217f2bddb19924d2735db452003a1cde",
+        "0757eb63bdfc2d8090391a7b7c2b3d6a2bb79fd71b6b4e0445d52824216715a6",
+        "6a5862f36f7bfbd60df6ac613af06d5cd4fa7a968f3e1540e89ae63c3f660dcf",
     ),
 }
 

@@ -17,6 +17,7 @@ from scipy.linalg import LinAlgError
 from scipy.special import binom
 
 from critlab import _series, kolmogorov_engine
+from critlab.kolmogorov_engine import SeriesState
 
 
 def test_binom_series_matches_scipy():
@@ -69,6 +70,8 @@ def test_div_inverts_mul():
 def test_div_rejects_non_unit():
     with pytest.raises(ZeroDivisionError):
         _series.div(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    with pytest.raises(ZeroDivisionError):
+        _series.square_ratio(np.array([2.0, 1.0]), 1.0, 1.0, 0.5, 1)
 
 
 # the long order spans three column chunks of a history term
@@ -89,6 +92,19 @@ def test_div_matches_binomial():
     for order in LONG_ORDERS:
         q = _series.div(_series.binom_series(1.1, order), _series.binom_series(0.4, order))
         assert np.allclose(q, _series.binom_series(0.7, order), rtol=1e-11, atol=0)
+
+
+def test_square_ratio_matches_the_quotient_of_the_product():
+    # k*p**2/(a - d*p) as div(k*mul(p, p), a - d*p), over the chunked history
+    # of the long order, and at d = 0 as k*mul(p, p)/a
+    for order in LONG_ORDERS:
+        p = _series.binom_series(0.5, order) + 0.5 ** np.arange(order + 1)
+        for k, a, d in ((-0.25, 4.0, 1.0), (0.7, 2.0, 0.0)):
+            den = -d * p
+            den[0] += a
+            want = _series.div(k * _series.mul(p, p), den)
+            got = _series.square_ratio(p, k, a, d, order)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum.accumulate(np.abs(want)))
 
 
 def test_powf_integer_power_matches_convolution():
@@ -195,7 +211,8 @@ from critlab.kolmogorov_engine import SeriesState, evolve_series, transition_mat
 n = 2**15
 y = _series.binom_series(0.5, n) + 0.5 ** np.arange(n + 1)
 a = _series.binom_series(-1.3, n)
-for out in (_series.powf(y, 1.5), _series.div(a, y), _series.mul(y, y)):
+for out in (_series.powf(y, 1.5), _series.div(a, y), _series.mul(y, y),
+            _series.square_ratio(y, -0.25, 4.0, 1.0, n)):
     print(hashlib.sha256(out.tobytes()).hexdigest())
 # a synthetic state: F(s) = 1 - (1 - s)**0.5 at J = 1024
 F = -_series.binom_series(0.5, 1024)
@@ -215,10 +232,10 @@ print(hashlib.sha256(evolve_series(sf, 1024, 1.0).coeffs.tobytes()).hexdigest())
 def test_kernels_do_not_depend_on_blas_threads():
     # OpenBLAS splits a dot product longer than 10000 terms over its threads,
     # which changes the summation order; order 2**15 reaches that length.
-    # transition_matrix runs a few thousand GEMMs per call at J = 1024, each
-    # a tile too small for OpenBLAS to thread; the series engine runs a div
-    # and a mul per right-hand side, and d_limit's Gaver-Stehfest row sums
-    # must not become a BLAS product.
+    # transition_matrix runs a few thousand GEMMs per call at J = 1024, and
+    # square_ratio a few per call, each too small for OpenBLAS to thread; the
+    # series engine runs a square_ratio or a mul per right-hand side, and
+    # d_limit's Gaver-Stehfest row sums must not become a BLAS product.
     src = str(Path(_series.__file__).resolve().parents[1])
     procs = []
     for threads in ("1", "2"):
@@ -235,15 +252,39 @@ def test_kernels_do_not_depend_on_blas_threads():
         for p in procs:
             p.kill()
     assert [p.returncode for p in procs] == [0, 0]
-    assert len(outs[0].split()) == 8
+    assert len(outs[0].split()) == 9
     assert outs[0] == outs[1]
 
 
-def test_transition_matrix_tiles_stay_below_the_gemm_threading_size():
-    # OpenBLAS (x86_64) runs a GEMM on one thread while m*n*k <= 65536 * 4
-    m, n, k = kolmogorov_engine._TILE_ROWS, kolmogorov_engine._TILE, kolmogorov_engine._TILE
-    assert m * n * k <= 2**17
-    assert kolmogorov_engine._CHUNK_ROWS % m == 0
+def test_every_gemm_stays_below_the_threading_size(monkeypatch):
+    # OpenBLAS (x86_64) runs a GEMM on one thread while m*n*k <= 65536 * 4, so
+    # its bits cannot depend on the thread count; a stacked np.matmul runs one
+    # GEMM per matrix of its leading dimensions. The thread test above cannot
+    # see a GEMM that is too large (it hashed the same under one and two
+    # threads with 128 x 256 x 256 tiles), so the shapes are checked here.
+    matmul, sizes = np.matmul, []
+
+    def recording_matmul(x, y, *args, **kwargs):
+        (m, k), n = x.shape[-2:], y.shape[-1]
+        assert y.shape[-2] == k
+        sizes.append(m * n * k)
+        return matmul(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    F = -_series.binom_series(0.5, 1024)
+    F[0] = 0.0
+    n = 2**15
+    y = _series.binom_series(0.5, n) + 0.5 ** np.arange(n + 1)
+    for caller, run in [
+        ("transition_matrix", lambda: kolmogorov_engine.transition_matrix(SeriesState(1.0, F))),
+        ("ragged", lambda: kolmogorov_engine.transition_matrix(SeriesState(1.0, F[:1001]), imax=700)),
+        ("square_ratio", lambda: _series.square_ratio(y, -0.25, 4.0, 1.0, n)),
+    ]:
+        sizes.clear()
+        run()
+        assert sizes and max(sizes) <= 2**17, caller
+    # a chunk of transition_matrix's rows is a whole number of row tiles
+    assert kolmogorov_engine._CHUNK_ROWS % kolmogorov_engine._TILE_ROWS == 0
 
 
 def test_div_memory_is_linear_in_order():
@@ -266,8 +307,10 @@ def test_div_memory_is_linear_in_order():
 KERNEL_DIGESTS = {
     ("powf", 1024): "2b4624c1a47a068b86cb3e1f7addae114602f6b822224a62d1171b55434c20a5",
     ("div", 1024): "3d4ee2a906d41db09694041ab1bc6ed21b993bb952a96cdf054071620978d352",
+    ("square_ratio", 1024): "12987644094f485fb7fc9752ebe65589fa266d52176211e292ee169c5dc7b23f",
     ("powf", 4096): "fbe800eb91e7fa8d2db8b7c308e4a5cd267a73440abb71c78218ad220a9cc732",
     ("div", 4096): "0b4dbddfc3397a22ea36f7d0139646fe0727385960ff846a31a619d5305ff7f8",
+    ("square_ratio", 4096): "3183d6f7c2ca1d1d5449d0cbcd7cf8834d6d1fe3f0481d9cd1272b0e6963b024",
 }
 
 
@@ -276,8 +319,10 @@ def test_kernels_match_frozen_digests(kernel, n):
     y = _series.binom_series(0.5, n) + 0.5 ** np.arange(n + 1)
     if kernel == "powf":
         out = _series.powf(y, 1.5)
-    else:
+    elif kernel == "div":
         out = _series.div(_series.binom_series(-1.3, n), y)
+    else:
+        out = _series.square_ratio(y, -0.25, 4.0, 1.0, n)
     assert hashlib.sha256(out.tobytes()).hexdigest() == KERNEL_DIGESTS[kernel, n]
 
 

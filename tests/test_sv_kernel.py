@@ -352,14 +352,16 @@ TIGHT = SolveConfig(rel_tol=1e-12, abs_tol=1e-14)
 
 @given(sf=SCALE_FUNCTIONS)
 @settings(max_examples=60, deadline=None)
-def test_rate_series_of_the_identity_matches_mechanism_series(sf):
-    # at F(s) = s, p = (1 - s)**nu, and f(s) = (1 - s) * rate_of_power(p)
+def test_flow_series_of_the_identity_matches_mechanism_series(sf):
+    # at F(s) = s, p = (1 - s)**nu and f(s) = (1 - s) * rate_of_power(p), so
+    # (1 - s) * flow = -nu * p * f(s)
     J = 12
-    rate = sf.rate_series(_series.binom_series(sf.nu, J), J)
-    f = rate.copy()
-    f[1:] -= rate[:-1]
-    a = mechanism_series(sf, J)
-    assert np.max(np.abs(f - a)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
+    p = _series.binom_series(sf.nu, J)
+    flow = sf.flow_series(p, J)
+    lhs = flow.copy()
+    lhs[1:] -= flow[:-1]
+    rhs = -sf.nu * _series.mul(p, mechanism_series(sf, J), J)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
 
 @given(sf=SCALE_FUNCTIONS, s=st.floats(0.0, 0.99), t=st.floats(0.0, 100.0))
@@ -426,7 +428,7 @@ def test_derived_evaluators_match_the_rate_form_in_mpmath(fam, nu, a0, J, q, x, 
     # relative to the largest of them
     p = q * _series.binom_series(sf.nu, J)
     for got, want in [(sf.mechanism_series(J), ref.mechanism_series(J)),
-                      (sf.rate_series(p, J), ref.rate_series(p, J)),
+                      (sf.flow_series(p, J), ref.flow_series(p, J)),
                       (sf.sv_reciprocal_series(J), ref.sv_reciprocal_series(J))]:
         want = np.array(want)
         bound = rel * np.arange(1, J + 2) * np.maximum.accumulate(np.abs(want))
@@ -441,6 +443,34 @@ def test_derived_evaluators_match_the_rate_form_in_mpmath(fam, nu, a0, J, q, x, 
         assert abs(got - want) <= 4.0 * 2.0**-52 * (1.0 / sf.nu + abs(math.log(want))) * want
 
 
+@given(
+    fam=st.sampled_from(list(Family)),
+    nu=st.floats(0.05, 0.95),
+    a0=st.floats(0.05, 5.0),
+    q=st.floats(0.05, 1.0),
+    J=st.sampled_from([_series._BLOCK - 1, _series._BLOCK, _series._BLOCK + 1,
+                       2 * _series._BLOCK, 2 * _series._BLOCK + 1]),
+)
+@settings(max_examples=12, deadline=None)
+def test_flow_series_matches_mpmath_at_the_block_edges(fam, nu, a0, q, J):
+    # coupled_drift's flow is a blocked solve, so its first, second and third
+    # blocks are checked at their edges against the 50-digit mpmath.taylor
+    # route, with the series bound of the test above: a coefficient j carries
+    # the rounding of the j + 1 before it, which the denominator amplifies by
+    # at most 1 + d1/d0. Over 300 random draws and the 120 corners of these
+    # ranges the worst error was 0.29 of this bound (1.2 eps for constant,
+    # 4.1 eps for coupled_drift, relative to the largest coefficient so far)
+    pytest.importorskip("mpmath")
+    sf = make_scale_function(ModelParams(nu, a0, fam))
+    _, d0, d1 = sf.rate_form()
+    p = q * _series.binom_series(sf.nu, J)
+    got = sf.flow_series(p, J)
+    want = np.array(RateFormMpmath(sf.rate_form(), sf.nu).flow_series(p, J))
+    bound = 4.0 * (1.0 + d1 / d0) * 2.0**-52 * np.arange(1, J + 2) * np.maximum.accumulate(np.abs(want))
+    assert got.shape == (J + 1,)
+    assert np.all(np.abs(got - want) <= bound)
+
+
 @pytest.mark.parametrize(
     "fam, divs",
     [(Family.CONSTANT, 0), (Family.BINARY_SPLIT, 0), (Family.COUPLED_DRIFT, 1)],
@@ -449,26 +479,32 @@ def test_derived_evaluators_match_the_rate_form_in_mpmath(fam, nu, a0, J, q, x, 
 def test_a_constant_denominator_is_a_scalar_division(monkeypatch, fam, divs):
     # at d1 = 0 the denominator d0 + d1*(1 - p) is the scalar d0: no series
     # (1 - s)**nu is built and nothing is divided as a series, which at
-    # order 2**16 would cost a constant build_sim_model 0.6 s
+    # order 2**16 would cost a constant build_sim_model 0.6 s; the flow of
+    # coupled_drift is one square_ratio, with no div
     sf = make_scale_function(ModelParams(0.5, 1.3, fam))
     p = _series.binom_series(sf.nu, 1024)
-    div, binom_series = _series.div, _series.binom_series
-    calls = {"div": 0, "binom_nu": 0}
+    div, square_ratio, binom_series = _series.div, _series.square_ratio, _series.binom_series
+    calls = {"div": 0, "square_ratio": 0, "binom_nu": 0}
 
     def counting_div(*args):
         calls["div"] += 1
         return div(*args)
+
+    def counting_square_ratio(*args):
+        calls["square_ratio"] += 1
+        return square_ratio(*args)
 
     def counting_binom_series(alpha, order):
         calls["binom_nu"] += alpha == sf.nu
         return binom_series(alpha, order)
 
     monkeypatch.setattr(_series, "div", counting_div)
+    monkeypatch.setattr(_series, "square_ratio", counting_square_ratio)
     monkeypatch.setattr(_series, "binom_series", counting_binom_series)
     sf.mechanism_series(2**16 if divs == 0 else 256)
-    assert calls == {"div": divs, "binom_nu": divs}
-    sf.rate_series(p, 1024)
-    assert calls == {"div": 2 * divs, "binom_nu": divs}
+    assert calls == {"div": divs, "square_ratio": 0, "binom_nu": divs}
+    sf.flow_series(p, 1024)
+    assert calls == {"div": divs, "square_ratio": divs, "binom_nu": divs}
 
 
 @given(sf=SCALE_FUNCTIONS, s=st.floats(0.0, 0.99), t=st.floats(0.0, 100.0))
@@ -672,6 +708,6 @@ def test_every_family_supplies_every_required_hook(fam):
         assert getattr(cls, name) is not getattr(ScaleFunction, name), name
     # the evaluators derive from the rate form, written once in the base class
     for name in ("sv", "rate_of_power", "decay_rate", "index_drift", "mechanism_series",
-                 "rate_series", "sv_reciprocal_series", "normalizer", "normalizer_defined",
+                 "flow_series", "sv_reciprocal_series", "normalizer", "normalizer_defined",
                  "second_order"):
         assert getattr(cls, name) is getattr(ScaleFunction, name), name
