@@ -51,10 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy.integrate is imported in ``_integrate``: it costs about 0.2 s at
-# start-up, and neither the Monte Carlo commands nor the exact oracles integrate.
-
-from . import _series
+from . import _dop853, _series
 from .errors import DomainError, SolverError, TruncationError
 from .sv_kernel import ScaleFunction
 
@@ -71,8 +68,8 @@ __all__ = [
     "G_of",
 ]
 
-_ODE_METHOD = "DOP853"  # the Runge-Kutta pair of every adaptive integration
-# scipy raises a smaller rtol to this floor with a warning; refuse it instead
+# scipy's DOP853 solver, whose bits _dop853 keeps, raises a smaller rtol to
+# this floor with a warning; refuse it instead
 _RTOL_FLOOR = 100.0 * np.finfo(float).eps
 # transition_matrix multiplies _TILE_ROWS x _TILE tiles of rows by _TILE x _TILE
 # Toeplitz tiles: m*n*k = 2**17, half the size at which OpenBLAS (x86_64)
@@ -120,29 +117,28 @@ def _check_ts(s, t) -> np.ndarray:
 
 def _integrate(rhs, y0, span: float, rtol: float, atol: float, stage: str, where: str):
     """End state of the DOP853 integration of y' = rhs(u, y) on [0, span]: the
-    module's one ``solve_ivp`` call, with no dense interpolant. An rtol below
-    scipy's floor of 100 eps, which scipy would raise with a warning, is
-    refused. numpy's overflow, invalid and divide raise, so a huge decay rate
-    stops in scipy's first-step estimate instead of stepping on with inf and
-    nan; that FloatingPointError, the OverflowError and ZeroDivisionError of a
-    Python-float right-hand side, and a failed status are each a SolverError
+    module's one ``_dop853.dop853`` call, with no dense interpolant. An rtol
+    below the floor of 100 eps, which scipy's DOP853 solver (whose bits the
+    stepper keeps) would raise with a warning, is refused. numpy's overflow,
+    invalid and divide raise, so a huge decay rate stops in the first-step
+    estimate instead of stepping on with inf and nan; that FloatingPointError,
+    the OverflowError and ZeroDivisionError of a Python-float right-hand side,
+    and a step that shrinks below the spacing of floats are each a SolverError
     naming ``stage`` and ``where``."""
     if rtol < _RTOL_FLOOR:
         raise DomainError(
             f"{stage} {where} needs rel_tol >= {_RTOL_FLOOR:g} per component, got {rtol:g}"
         )
-    from scipy.integrate import solve_ivp
-
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            sol = solve_ivp(rhs, (0.0, span), y0, method=_ODE_METHOD, rtol=rtol, atol=atol)
+            y, _, failure = _dop853.dop853(rhs, y0, span, rtol, atol)
     except OverflowError as exc:
         raise SolverError(f"{stage} overflowed {where}: {exc}") from None
     except (FloatingPointError, ZeroDivisionError) as exc:
         raise SolverError(f"{stage} {where}: floating-point {exc}") from None
-    if not sol.success:
-        raise SolverError(f"{stage} failed {where}: {sol.message}")
-    return sol.y[:, -1]
+    if failure is not None:
+        raise SolverError(f"{stage} failed {where}: {failure}")
+    return y
 
 
 def _solve_log_path(sf: ScaleFunction, x0, span: float, cfg: SolveConfig) -> np.ndarray:
@@ -150,8 +146,8 @@ def _solve_log_path(sf: ScaleFunction, x0, span: float, cfg: SolveConfig) -> np.
 
     x0 is a float or a 1-D array of m start values, integrated together as
     one m-vector: the flow is autonomous and elementwise, so a segment of a
-    longer path starts at u = 0 from its start values. scipy's error norm is
-    the RMS over the components, so both tolerances are divided by sqrt(m),
+    longer path starts at u = 0 from its start values. DOP853's error norm
+    is the RMS over the components, so both tolerances are divided by sqrt(m),
     which bounds each component's local error by the configured ones. The
     right-hand side is d x/dt = -rate_of_power(R**nu) with R**nu =
     math.exp(x)**nu, all in Python floats: no numpy call per element, and
@@ -179,9 +175,9 @@ def solve_F(sf: ScaleFunction, s, t, cfg: SolveConfig = DEFAULT_CFG):
     t is a horizon or an increasing 1-D array of them, and s a starting
     point or a nonempty 1-D array of m of them; a float s gives a float or
     shape (len(t),), an array s gives shape (m,) or (m, len(t)). The m
-    values of log R are integrated together, one ``solve_ivp`` call per
+    values of log R are integrated together, one ``_integrate`` call per
     segment, each within the configured tolerances (see ``_solve_log_path``),
-    so m is refused where rel_tol/sqrt(m) would fall below scipy's floor of
+    so m is refused where rel_tol/sqrt(m) would fall below the floor of
     100 eps. A float s is the one-element array, bit for bit. Each segment
     [t_{k-1}, t_k] is integrated from the end point of the one before, so a
     value on a grid depends, within the solver tolerance, on the horizons

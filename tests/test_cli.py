@@ -538,6 +538,12 @@ tauberian_ratio(sf, 64)
 print("tauberian", scipy_modules())
 from critlab.acceptance import run_criterion
 print("C11", run_criterion("C11").passed, scipy_modules())
+code = main(["solve", "--config", sys.argv[3], "--out", sys.argv[2]])
+print("solve", code, scipy_modules())
+from critlab import evolve_series
+evolve_series(sf, 64, 1.0)
+print("series", sorted({m.split(".")[1] for m in scipy_modules()
+                        if "." in m and not m.split(".")[1].startswith("_")} - {"version"}))
 """
 
 
@@ -548,23 +554,30 @@ def test_cli_and_simulate_load_no_scipy_or_multiprocessing(tmp_path):
     # without scipy: its series are closed form (no triangular solve), and
     # the sampling tables' rejection targets need no normalizer. Neither
     # exact_R, G_of and delta_sup on coupled_drift nor tauberian_ratio nor
-    # C11 (exact W(t) draws and a numpy interpolant of D) needs scipy at all.
+    # C11 (exact W(t) draws and a numpy interpolant of D) needs scipy at all,
+    # and neither does `critlab solve`, whose ODE pass is critlab's own
+    # DOP853 stepper. coupled_drift's evolve_series needs scipy.linalg for
+    # LAPACK trtrs, and no other scipy subpackage.
     path = write_cfg(tmp_path, SIMULATE_SMALL_CFG)
+    readme = tmp_path / "readme.cfg"
+    readme.write_text(README_CFG)
     src = str(Path(acceptance.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _SIMULATE_IMPORTS_SCRIPT, path, str(tmp_path / "r")],
+        [sys.executable, "-c", _SIMULATE_IMPORTS_SCRIPT, path, str(tmp_path / "r"), str(readme)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    at_import, after_simulate = lines[0], lines[-4]
+    oracles = lines.index("oracles []")
+    at_import, after_simulate = lines[0], lines[oracles - 1]
     assert at_import == "[] False"
     assert after_simulate == "0 []"
     # the exact oracles (the coupled-drift root included), the Tauberian
-    # check and C11 run on numpy and math alone
-    assert lines[-3:] == ["oracles []", "tauberian []", "C11 True []"]
+    # check, C11 and `critlab solve` run on numpy and math alone
+    assert lines[oracles + 1 : oracles + 3] == ["tauberian []", "C11 True []"]
+    assert lines[-2:] == ["solve 0 []", "series ['linalg']"]
 
 
 def test_solve_makes_one_ode_pass_and_one_oracle_call_per_horizon(tmp_path, monkeypatch):
@@ -629,10 +642,11 @@ def test_solve_repeats_the_rows_of_a_repeated_s(tmp_path):
 
 def test_solve_readme_config_is_frozen(tmp_path):
     # The CSV contract: `critlab solve` on the README example config must
-    # reproduce tests/data/solve_readme.csv byte for byte. A numpy or scipy
-    # upgrade may change the last digits and require regenerating the file
-    # (run solve on README_CFG and copy solve.csv); log any regeneration,
-    # with the reason, in CHANGES.md.
+    # reproduce tests/data/solve_readme.csv byte for byte. solve loads no
+    # scipy (its ODE pass is critlab's own DOP853 stepper), but a numpy or
+    # BLAS upgrade may change the last digits and require regenerating the
+    # file (run solve on README_CFG and copy solve.csv); log any
+    # regeneration, with the reason, in CHANGES.md.
     path = write_cfg(tmp_path, README_CFG)
     out = tmp_path / "r"
     assert main(["solve", "--config", path, "--out", str(out)]) == 0

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +31,7 @@ from critlab import (
     solve_F,
     transition_matrix,
 )
-from critlab import _series, kolmogorov_engine
+from critlab import _dop853, _series, kolmogorov_engine
 from critlab.kolmogorov_engine import SeriesState, _solve_log_path, size_biased
 from reference import (
     drift_integral,
@@ -56,8 +55,9 @@ def test_solve_config_validation():
 
 
 def test_solve_config_refuses_a_rel_tol_that_scipy_would_raise():
-    # scipy raises an rtol below 100 eps to 100 eps with a warning; the
-    # config refuses it, and at the floor itself neither integration warns
+    # scipy's solve_ivp, whose steps _dop853 keeps, raises an rtol below
+    # 100 eps to 100 eps with a warning; the config refuses it, and at the
+    # floor itself neither integration warns
     # (pytest turns every warning into an error)
     with pytest.raises(DomainError, match="rel_tol must lie in"):
         SolveConfig(rel_tol=1e-14)
@@ -203,7 +203,7 @@ def test_drift_integral_routes_agree(monkeypatch):
 
 
 def test_identity_residual_names_its_stage_on_a_float_failure():
-    # a decay rate of 1e300 overflows scipy's first-step estimate
+    # a decay rate of 1e300 overflows the stepper's first-step estimate
     huge = make_scale_function(ModelParams(0.5, 1e300, Family.CONSTANT))
     with pytest.raises(SolverError, match="identity integration from s=0 over t=1: floating-point"):
         identity_residual(huge, 0.0, 1.0)
@@ -453,14 +453,14 @@ def test_series_route_makes_one_power_and_one_flow_series_per_rhs(monkeypatch, s
 
     for name in ("powf", "mul", "div"):
         monkeypatch.setattr(_series, name, counting(name, getattr(_series, name)))
-    solve_ivp = scipy.integrate.solve_ivp
+    dop853 = _dop853.dop853
 
-    def solve_ivp_nfev(*args, **kwargs):
-        sol = solve_ivp(*args, **kwargs)
-        calls["nfev"] += sol.nfev
-        return sol
+    def dop853_nfev(*args):
+        y, nfev, failure = dop853(*args)
+        calls["nfev"] += nfev
+        return y, nfev, failure
 
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", solve_ivp_nfev)
+    monkeypatch.setattr(_dop853, "dop853", dop853_nfev)
     evolve_series(CountingScale(sf.params), 128, 1.0)
     assert calls["powf"] == 1
     assert calls["nfev"] > 0 and calls["flow_series"] == calls["nfev"]

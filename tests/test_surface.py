@@ -58,13 +58,16 @@ def test_src_uses_no_scipy_root_finder_or_special_function():
 
 
 def test_src_integrates_through_one_solve_ivp_call():
-    # every adaptive integration is kolmogorov_engine._integrate, and none
-    # builds an interpolant or runs a quadrature beside it
+    # every adaptive integration is one call of the private DOP853 stepper,
+    # made by kolmogorov_engine._integrate: src neither imports
+    # scipy.integrate nor calls solve_ivp, and nothing builds an interpolant
+    # or runs a quadrature beside it
     calls = []
     for path in sorted(Path(critlab.__file__).parent.glob("*.py")):
         text = path.read_text()
-        calls += [line for line in text.splitlines() if "solve_ivp(" in line]
-        for word in ("import quad", "dense_output"):
+        calls += [line for line in text.splitlines()
+                  if "dop853(" in line and not line.startswith("def dop853(")]
+        for word in ("scipy.integrate", "solve_ivp", "import quad", "dense_output"):
             assert word not in text, f"{path.name} mentions {word}"
     integrate = inspect.getsource(critlab.kolmogorov_engine._integrate).splitlines()
     assert len(calls) == 1 and calls[0] in integrate
