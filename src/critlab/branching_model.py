@@ -144,11 +144,13 @@ class AliasTable:
         self.prob, self.alias = _vose_tables(w * (len(w) / w.sum()))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        n = len(self.prob)
-        x = rng.random(size) * n
+        x = rng.random(size)
+        x *= len(self.prob)
         idx = x.astype(np.int64)
-        frac = x - idx
-        return np.where(frac < self.prob[idx], idx, self.alias[idx])
+        x -= idx  # the fraction of the slot
+        out = self.alias.take(idx)
+        np.copyto(out, idx, where=x < self.prob.take(idx))
+        return out
 
 
 def _vose_tables(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

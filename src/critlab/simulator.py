@@ -65,6 +65,11 @@ DEFAULT_POP_CAP = 10**9
 DEFAULT_SAMPLING_ORDER = 2**16
 _BATCHES = 16  # seed-split batches per population_at call; part of the seed-to-sample map
 _BLOCK_DRAWS = 4096  # draws per engine round, shared by the live lanes; part of the same map
+# a round's row scans loop over its B columns while B * 32 <= m, so at about
+# 4096 draws while B <= 11: numpy's axis-1 scans pay per row, a column pass per
+# column, and the loop measured faster up to B = 12 (cumsum) and B = 5 (first
+# True); whole mc_survival runs did not tell 16, 32 and 64 apart
+_SCAN_ROWS_PER_COLUMN = 32
 
 
 @dataclass(frozen=True)
@@ -141,9 +146,33 @@ def _record(out, gidx, h_from, h_to, values):
             out[gidx[rows], h] = values[rows]
 
 
-def _first(mask: np.ndarray, B: int) -> np.ndarray:
-    """Index of the first True in each row of mask, or B where there is none."""
-    return np.where(mask.any(axis=1), mask.argmax(axis=1), B)
+def _by_columns(x: np.ndarray) -> bool:
+    """Whether a row scan of the (m, B) array x loops over its columns."""
+    m, B = x.shape
+    return B * _SCAN_ROWS_PER_COLUMN <= m
+
+
+def _cumsum_rows(x: np.ndarray) -> np.ndarray:
+    """np.cumsum(x, axis=1) in place, bit for bit: both add the running sum and
+    the next entry, in that order, left to right within a row."""
+    if not _by_columns(x):
+        return np.cumsum(x, axis=1, out=x)
+    for j in range(1, x.shape[1]):
+        np.add(x[:, j - 1], x[:, j], out=x[:, j])
+    return x
+
+
+def _first(mask: np.ndarray) -> np.ndarray:
+    """Index of the first True in each row of mask, or B = mask.shape[1] where there is none."""
+    m, B = mask.shape
+    if _by_columns(mask):
+        first = np.full(m, B, dtype=np.intp)
+        for j in range(B - 1, -1, -1):
+            np.copyto(first, j, where=mask[:, j])
+        return first
+    first = mask.argmax(axis=1)
+    first[~mask.take(first + B * np.arange(m))] = B
+    return first
 
 
 def _simulate_population_batch(
@@ -161,7 +190,8 @@ def _simulate_population_batch(
 
     Each round draws, for its m live lanes, B = _BLOCK_DRAWS // m offspring
     counts, waiting times and (conditioned chain) pick uniforms per lane,
-    and builds each lane's ordinary path with cumsum. A lane's block is cut
+    and builds each lane's ordinary path and clock by running sums along
+    its row (``_cumsum_rows``; ``_first`` finds the cut). A lane's block is cut
     at its first state-dependent event L: a size-biased pick, a waiting time
     that crosses the lane's next horizon, a death or the cap. Events before
     L are applied in bulk, event L is applied alone with the values already
@@ -171,8 +201,9 @@ def _simulate_population_batch(
 
     ``events`` counts the waiting times drawn and used, so it includes the
     horizon crossing that ends a lane, and a batch never applies more than
-    ``max_events``. With n = 1, ``path`` (if given) receives (time, size)
-    after every event.
+    ``max_events``. The horizon slots the rounds fill are written by one
+    ``_record`` call at the end. With n = 1, ``path`` (if given) receives
+    (time, size) after every event.
     """
     H = len(horizons)
     out = np.zeros((n, H), dtype=np.int64)
@@ -182,6 +213,7 @@ def _simulate_population_batch(
     tnow = np.zeros(n)
     h_a = np.zeros(n, dtype=np.int64)  # horizons recorded so far
     gidx = np.arange(n)
+    slots = []  # (rows, h_from, h_to, values) for one _record call at the end
     rate = model.coeffs.total_rate
     events = 0
     exhausted = False
@@ -192,7 +224,7 @@ def _simulate_population_batch(
             B = min(B, (max_events - events) // m)
             if B == 0:
                 censored[gidx] = True
-                _record(out, gidx, h_a, H, pop)
+                slots.append((gidx, h_a, np.full(m, H), pop))
                 exhausted = True
                 break
         # tentative ordinary path; pop < pop_cap <= 2**62 and k <= 2**62 keep
@@ -202,7 +234,7 @@ def _simulate_population_batch(
         wait = rng.exponential(1.0, (m, B))
         steps = k - 1
         steps[:, 0] += pop
-        after = np.cumsum(steps, axis=1)
+        after = _cumsum_rows(steps)
         before = np.concatenate((pop[:, None], after[:, :-1]), axis=1)
         stop = after >= pop_cap
         if conditioned:
@@ -210,14 +242,14 @@ def _simulate_population_batch(
             stop |= u * before < 1.0
         else:
             stop |= after == 0
-        L = _first(stop, B)
-        # sizes up to the cut are >= 1; mask the rest before dividing
-        held = np.where(np.arange(B) <= L[:, None], before, 1)
-        with np.errstate(over="ignore"):  # a wait past the largest float crosses every horizon
-            dt = wait / (rate * held)
+        L = _first(stop)
+        # sizes up to the cut are >= 1; past it before may be 0 or wrapped,
+        # and the clock there (inf, nan or negative) is never read
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dt = wait / (rate * before)
             dt[:, 0] += tnow
-            tc = np.cumsum(dt, axis=1)
-        L = np.minimum(L, _first(tc >= horizons[h_a][:, None], B))
+            tc = _cumsum_rows(dt)
+        L = np.minimum(L, _first(tc >= horizons[h_a][:, None]))
         # events 0..L-1 in bulk
         events += int(L.sum())
         bulk = np.flatnonzero(L)
@@ -237,7 +269,7 @@ def _simulate_population_batch(
         crossed = h_new > h_a[cut]
         if crossed.any():
             lanes = cut[crossed]
-            _record(out, gidx[lanes], h_a[lanes], h_new[crossed], pop[lanes])
+            slots.append((gidx[lanes], h_a[lanes], h_new[crossed], pop[lanes]))
             h_a[lanes] = h_new[crossed]
         go = h_a[cut] < H
         live, Lg = cut[go], Lc[go]
@@ -258,13 +290,18 @@ def _simulate_population_batch(
         over = (stop_pop >= pop_cap) & ~dead
         ext[gidx[live[dead]]] = tnow[live[dead]]
         lanes = live[over]
-        censored[gidx[lanes]] = True
-        _record(out, gidx[lanes], h_a[lanes], H, stop_pop[over])
+        if lanes.size:
+            censored[gidx[lanes]] = True
+            slots.append((gidx[lanes], h_a[lanes], np.full(lanes.size, H), stop_pop[over]))
         keep = np.ones(m, dtype=bool)
         keep[cut[~go]] = False
         keep[live[over | dead]] = False
         if not keep.all():
             gidx, pop, tnow, h_a = gidx[keep], pop[keep], tnow[keep], h_a[keep]
+    if slots:
+        # each slot is written at most once: h_a only grows, and a lane is
+        # recorded to H only as it leaves
+        _record(out, *map(np.concatenate, zip(*slots)))
     return PopulationSample(horizons, out, censored, ext, events, exhausted)
 
 

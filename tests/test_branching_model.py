@@ -352,10 +352,13 @@ def _binomial_tail_gammaln(nu, k):
 @pytest.mark.parametrize("nu", [0.3, 0.5, 0.8])
 @pytest.mark.parametrize("J", [4, 2**16])
 def test_binomial_tail_matches_gammaln_and_mpmath(nu, J):
-    # Both routes exponentiate lgamma(k-1-nu) - lgamma(k+1), a difference of
-    # two values near L = lgamma(k+1) whose rounding (an ulp of L each) the
-    # subtraction keeps, so neither is closer to the truth than a few eps*L
-    # relative: about 1e-10 at k = 2**16 and 1e-6 at k = 1e9.
+    # The tail is a difference of Stirling's series in log(k + 1) and
+    # log1p(-(2 + nu)/(k + 1)), so it keeps about 1e-14 relative where
+    # gammaln(k-1-nu) - gammaln(k+1), a difference of two values near
+    # L = lgamma(k+1), keeps only a few eps*L (about 1e-10 at k = 2**16 and
+    # 1e-6 at k = 1e9) and also rounds its argument k - 1 - nu to the ulp
+    # of k. mpmath takes k - 1 - nu exactly; over every k below, both J and
+    # every nu, the largest relative error is 1.2e-14 (at k = 2**53 + 2).
     mpmath = pytest.importorskip("mpmath")
     sf = make_scale_function(ModelParams(nu, 1.0, Family.CONSTANT))
     scattered = [1e5, 3.3e6, 1.7e7, 123456789.0, 5e8, 1e9]
@@ -364,10 +367,14 @@ def test_binomial_tail_matches_gammaln_and_mpmath(nu, J):
     scale = np.array([math.lgamma(v + 1.0) for v in k]) * 2.0**-52
     ref = _binomial_tail_gammaln(nu, k)
     assert np.all(np.abs(got / ref - 1.0) <= 1e-14 + 8.0 * scale)
+    huge = [2.0**40, 2.0**53 + 2.0, 2.0**62]  # k - 1 - nu keeps less of nu, none at 2**62
+    got = np.concatenate([got, sf.exact_tail()(np.array(huge))])
+    k = np.concatenate([k, huge])
     with mpmath.workprec(120):
         for i in list(range(0, 4000, 97)) + list(range(4000, len(k))):
-            exact = mpmath.exp(mpmath.loggamma(k[i] - 1.0 - nu) - mpmath.loggamma(k[i] + 1.0))
-            assert abs(float(got[i] / exact) - 1.0) <= 1e-14 + 4.0 * scale[i]
+            kk = mpmath.mpf(k[i])
+            exact = mpmath.exp(mpmath.loggamma(kk - 1 - nu) - mpmath.loggamma(kk + 1))
+            assert abs(float(got[i] / exact) - 1.0) <= 1.5e-14
 
 
 @pytest.mark.parametrize("order", [4, 2**16])

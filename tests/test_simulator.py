@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critlab import (
     DomainError,
@@ -33,6 +35,7 @@ from critlab import (
     simulate_qprocess,
 )
 
+from critlab import simulator
 from critlab.acceptance import _c11_verdict, _limit_cdf
 from critlab.simulator import EXACT_POP_CAP
 
@@ -264,6 +267,20 @@ POPULATION_DIGESTS = {
 }
 
 
+def _population_digest(s):
+    h = hashlib.sha256()
+    for a in (s.horizons, s.sizes, s.censored, s.extinction_time):
+        h.update(a.tobytes())
+    h.update(f"{s.events},{s.budget_exhausted}".encode())
+    return h.hexdigest()
+
+
+def _frozen_population(model, key, threads=1):
+    conditioned, pop_cap, max_events = key
+    return population_at(model, [3.0, 1.0, 0.0, 1.0], 300, seed=2024, conditioned=conditioned,
+                         i0=3, pop_cap=pop_cap, max_events=max_events, threads=threads)
+
+
 @pytest.mark.parametrize("key", list(POPULATION_DIGESTS), ids=lambda k: "cond=%s-cap=%s-max=%s" % k)
 @pytest.mark.parametrize("threads", [1, 2])
 def test_population_at_is_frozen(model, key, threads):
@@ -271,15 +288,84 @@ def test_population_at_is_frozen(model, key, threads):
     # thread count. A numpy upgrade may change the random streams and
     # require regenerating the digests; log any regeneration, with the
     # reason, in CHANGES.md.
-    conditioned, pop_cap, max_events = key
-    s = population_at(model, [3.0, 1.0, 0.0, 1.0], 300, seed=2024, conditioned=conditioned,
-                      i0=3, pop_cap=pop_cap, max_events=max_events, threads=threads)
-    assert 0.0 < s.censored.mean() < 1.0 and s.budget_exhausted == (max_events is not None)
-    h = hashlib.sha256()
-    for a in (s.horizons, s.sizes, s.censored, s.extinction_time):
-        h.update(a.tobytes())
-    h.update(f"{s.events},{s.budget_exhausted}".encode())
-    assert h.hexdigest() == POPULATION_DIGESTS[key]
+    s = _frozen_population(model, key, threads)
+    assert 0.0 < s.censored.mean() < 1.0 and s.budget_exhausted == (key[2] is not None)
+    assert _population_digest(s) == POPULATION_DIGESTS[key]
+
+
+@pytest.mark.parametrize("key", list(POPULATION_DIGESTS), ids=lambda k: "cond=%s-cap=%s-max=%s" % k)
+def test_population_at_is_frozen_under_raising_float_errors(model, key):
+    # Past a lane's cut the tentative size may be 0 (a death in the ordinary
+    # chain) and the clock divides by it; the engine keeps such entries
+    # inside its own errstate, so a caller's raising settings change nothing
+    with np.errstate(all="raise"):
+        s = _frozen_population(model, key)
+    assert _population_digest(s) == POPULATION_DIGESTS[key]
+
+
+@pytest.mark.parametrize("conditioned", [False, True])
+def test_wrapped_sizes_past_a_cut_do_not_raise(model, conditioned):
+    # one offspring draw in 4 clipped at 2**62: a block whose lane crosses
+    # the cap keeps adding draws past its cut, so the tentative sizes there
+    # wrap past 2**63 and the clock divides by negative sizes and by 0
+    class Clipping:
+        def sample(self, rng, size):
+            k = model.offspring.sample(rng, size)
+            k[rng.random(size) < 0.25] = EXACT_POP_CAP
+            return k
+
+    clipping = dataclasses.replace(model, offspring=Clipping())
+
+    def run():
+        return population_at(clipping, [0.5, 2.0], 64, seed=19, conditioned=conditioned,
+                             pop_cap=10**6)
+
+    with np.errstate(all="raise"):
+        raising = run()
+    plain = run()
+    assert raising.censored.any() and not raising.censored.all()
+    assert _population_digest(raising) == _population_digest(plain)
+
+
+_R = simulator._SCAN_ROWS_PER_COLUMN
+# both sides of the switch between the column loop (B * _R <= m) and numpy's
+# axis-1 routines, with B = 1 and m = 1 on each side where they exist
+_TALL = st.integers(1, 5).flatmap(
+    lambda B: st.tuples(st.integers(B * _R, B * _R + 40), st.just(B))
+)
+_WIDE = st.integers(1, 60).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(m // _R + 1, m // _R + 60))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=_TALL | _WIDE,
+    seed=st.integers(0, 2**32 - 1),
+    p=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+)
+def test_row_scans_match_numpys_axis_1_routines(shape, seed, p):
+    # the round's running sums and first-True search, byte for byte, on the
+    # entries a round makes past a cut: int64 sums that wrap past 2**63 and
+    # clock values that are inf, nan or negative
+    m, B = shape
+    assert simulator._by_columns(np.empty(shape)) == (B * _R <= m)
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(-(2**62), 2**62, shape, endpoint=True)
+    sizes[:, ::2] = rng.integers(2**61, 2**62, (m, (B + 1) // 2), endpoint=True)
+    clock = rng.exponential(1.0, shape)
+    cut = rng.integers(0, B + 1, m)
+    past = np.arange(B) > cut[:, None]
+    clock[past] = rng.choice([np.inf, -np.inf, np.nan, -2.5, 1e308], int(past.sum()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in (sizes, clock):
+            want = np.cumsum(x, axis=1)
+            got = simulator._cumsum_rows(x.copy())
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    mask = rng.random(shape) < p
+    want = np.where(mask.any(axis=1), mask.argmax(axis=1), B)
+    got = simulator._first(mask)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("simulate, digest", [
