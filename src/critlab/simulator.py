@@ -138,12 +138,18 @@ def _check_start(model: SimModel, i0: int, pop_cap: int) -> None:
         raise DomainError(f"event rate |a1| * pop_cap overflows at pop_cap = {pop_cap}")
 
 
+def _check_budget(max_events: int | None) -> None:
+    if max_events is not None and max_events < 0:
+        raise DomainError(f"max_events must be >= 0, got {max_events}")
+
+
 def _record(out, gidx, h_from, h_to, values):
     """Write values[i] into the horizon slots h_from[i] <= h < h_to[i] of row gidx[i]."""
-    if gidx.size:
-        for h in range(h_from.min(), np.max(h_to)):
-            rows = (h_from <= h) & (h < h_to)
-            out[gidx[rows], h] = values[rows]
+    span = h_to - h_from
+    i = np.repeat(np.arange(span.size), span)
+    # the j-th repeat of slot set i fills horizon h_from[i] + j
+    h = np.arange(i.size) + (h_from + span - np.cumsum(span)).take(i)
+    out[gidx.take(i), h] = values.take(i)
 
 
 def _by_columns(x: np.ndarray) -> bool:
@@ -156,7 +162,7 @@ def _cumsum_rows(x: np.ndarray) -> np.ndarray:
     """np.cumsum(x, axis=1) in place, bit for bit: both add the running sum and
     the next entry, in that order, left to right within a row."""
     if not _by_columns(x):
-        return np.cumsum(x, axis=1, out=x)
+        return x.cumsum(axis=1, out=x)
     for j in range(1, x.shape[1]):
         np.add(x[:, j - 1], x[:, j], out=x[:, j])
     return x
@@ -191,13 +197,17 @@ def _simulate_population_batch(
     Each round draws, for its m live lanes, B = _BLOCK_DRAWS // m offspring
     counts, waiting times and (conditioned chain) pick uniforms per lane,
     and builds each lane's ordinary path and clock by running sums along
-    its row (``_cumsum_rows``; ``_first`` finds the cut). A lane's block is cut
-    at its first state-dependent event L: a size-biased pick, a waiting time
-    that crosses the lane's next horizon, a death or the cap. Events before
-    L are applied in bulk, event L is applied alone with the values already
-    drawn (a picked lane draws its size-biased count then), and the draws
-    past L are discarded. L is a stopping time of an i.i.d. draw sequence,
-    so the law of the jump chain is that of one event at a time.
+    its row (``_cumsum_rows``). A lane's block is cut at its first
+    state-dependent event L: a size-biased pick, a waiting time that
+    crosses the lane's next horizon, a death or the cap. All four go into
+    one stop mask, so a round searches for its cuts once (``_first``).
+    Events before L are applied in bulk, event L is applied alone with the
+    values already drawn (a picked lane draws its size-biased count then),
+    and the draws past L are discarded. L is a stopping time of an i.i.d.
+    draw sequence, so the law of the jump chain is that of one event at a
+    time. The bulk and cut values are read from the (m, B) arrays at flat
+    indices row * B + L, and the lanes that go on are gathered by the
+    indices of one keep mask.
 
     ``events`` counts the waiting times drawn and used, so it includes the
     horizon crossing that ends a lane, and a batch never applies more than
@@ -238,57 +248,65 @@ def _simulate_population_batch(
         before = np.concatenate((pop[:, None], after[:, :-1]), axis=1)
         stop = after >= pop_cap
         if conditioned:
-            u = rng.random((m, B))
-            stop |= u * before < 1.0
+            pick = rng.random((m, B)) * before < 1.0
+            stop |= pick
         else:
             stop |= after == 0
-        L = _first(stop)
         # sizes up to the cut are >= 1; past it before may be 0 or wrapped,
         # and the clock there (inf, nan or negative) is never read
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             dt = wait / (rate * before)
             dt[:, 0] += tnow
             tc = _cumsum_rows(dt)
-        L = np.minimum(L, _first(tc >= horizons[h_a][:, None]))
-        # events 0..L-1 in bulk
+        # horizon crossings join the stop mask: the first True of an OR is
+        # the earlier of the two firsts, so one search finds every cut
+        cross = tc >= horizons.take(h_a)[:, None]
+        stop |= cross
+        L = _first(stop)
+        # events 0..L-1 in bulk; the (m, B) arrays are read at flat index
+        # row * B + column
         events += int(L.sum())
-        bulk = np.flatnonzero(L)
-        pop[bulk] = after[bulk, L[bulk] - 1]
-        tnow[bulk] = tc[bulk, L[bulk] - 1]
+        bulk = L.nonzero()[0]
+        at = bulk * B + L.take(bulk) - 1
+        pop[bulk] = after.take(at)
+        tnow[bulk] = tc.take(at)
         if path is not None:
             path.extend(zip(tc[0, : L[0]].tolist(), after[0, : L[0]].tolist()))
-        cut = np.flatnonzero(L < B)
+        cut = (L < B).nonzero()[0]
         if cut.size == 0:
             continue
         # event L alone: record the state held across every horizon its
         # waiting time crosses
-        Lc = L[cut]
         events += cut.size
-        tnew = tc[cut, Lc]
-        h_new = np.searchsorted(horizons, tnew, side="right")
-        crossed = h_new > h_a[cut]
+        at = cut * B + L.take(cut)
+        tnew = tc.take(at)
+        crossed = cross.take(at)
         if crossed.any():
             lanes = cut[crossed]
-            slots.append((gidx[lanes], h_a[lanes], h_new[crossed], pop[lanes]))
-            h_a[lanes] = h_new[crossed]
-        go = h_a[cut] < H
-        live, Lg = cut[go], Lc[go]
-        kk = k[live, Lg]
+            h_new = np.searchsorted(horizons, tnew[crossed], side="right")
+            slots.append((gidx[lanes], h_a[lanes], h_new, pop[lanes]))
+            h_a[lanes] = h_new
+        go = h_a.take(cut) < H
+        live, at = cut[go], at[go]
+        kk = k.take(at)
         if conditioned:
-            biased = u[live, Lg] * pop[live] < 1.0
+            # before[L] is the lane's size now, so the pick is the mask's entry
+            biased = pick.take(at)
             nb = int(biased.sum())
             if nb:
                 kk[biased] = model.size_biased.sample(rng, nb)
-        pop[live] = pop[live] + kk - 1
-        tnow[live] = tnew[go]
+        stop_pop = pop.take(live) + kk - 1
+        pop[live] = stop_pop
+        tnew = tnew[go]
+        tnow[live] = tnew
         if path is not None and live.size:
             path.append((tnow[0], pop[0]))
         # stop lanes that finished their horizons, reached the cap or died;
         # the remaining horizons of a dead lane keep the initialized 0
-        stop_pop = pop[live]
         dead = stop_pop == 0  # never in the conditioned chain
         over = (stop_pop >= pop_cap) & ~dead
-        ext[gidx[live[dead]]] = tnow[live[dead]]
+        if dead.any():
+            ext[gidx[live[dead]]] = tnew[dead]
         lanes = live[over]
         if lanes.size:
             censored[gidx[lanes]] = True
@@ -296,8 +314,9 @@ def _simulate_population_batch(
         keep = np.ones(m, dtype=bool)
         keep[cut[~go]] = False
         keep[live[over | dead]] = False
-        if not keep.all():
-            gidx, pop, tnow, h_a = gidx[keep], pop[keep], tnow[keep], h_a[keep]
+        kept = keep.nonzero()[0]
+        if kept.size < m:
+            gidx, pop, tnow, h_a = gidx.take(kept), pop.take(kept), tnow.take(kept), h_a.take(kept)
     if slots:
         # each slot is written at most once: h_a only grows, and a lane is
         # recorded to H only as it leaves
@@ -327,13 +346,15 @@ def population_at(
     if n < 1:
         raise DomainError(f"population_at needs n >= 1, got {n}")
     _check_start(model, i0, pop_cap)
+    _check_budget(max_events)
     horizons = np.sort(np.atleast_1d(np.asarray(horizons, dtype=float)))
     if horizons.size == 0 or not np.all(horizons >= 0.0):
         raise DomainError("horizons must be nonnegative and nonempty")
     batches = min(_BATCHES, n)
     sizes = [n // batches + (1 if b < n % batches else 0) for b in range(batches)]
     seqs = np.random.SeedSequence(seed).spawn(batches)
-    per_batch = None if max_events is None else max(1, max_events // batches)
+    # an equal share per batch, so the batches never run more than max_events
+    per_batch = None if max_events is None else max_events // batches
     args = [
         (model, conditioned, i0, horizons, nb, np.random.default_rng(sq), pop_cap, per_batch)
         for nb, sq in zip(sizes, seqs)
@@ -399,6 +420,7 @@ def sample_qprocess_exact(sf: ScaleFunction, t: float, n: int, seed: int) -> Pop
 
 def _simulate_path(model, conditioned, i0, horizon, rng, pop_cap, max_events) -> Trajectory:
     _check_start(model, i0, pop_cap)
+    _check_budget(max_events)
     path = [(0.0, i0)]
     s = _simulate_population_batch(
         model, conditioned, i0, np.array([horizon]), 1, rng, pop_cap, max_events, path

@@ -13,8 +13,9 @@ the limit law D(x) by ``mpmath``'s Talbot inversion at 30 digits, and the
 evaluators ``ScaleFunction`` derives from a family's rate form and the
 quotient f(1 - R)/f(1 - y0) behind ``G_of`` and ``p11_exact``, by ``mpmath``
 at 50 digits with ``mpmath.taylor`` in place of series arithmetic and
-``mpmath.findroot`` in place of the closed-form normalizer, and the
-transition matrix by the sequential row loop in ``np.longdouble``.
+``mpmath.findroot`` in place of the closed-form normalizer, the
+transition matrix by the sequential row loop in ``np.longdouble``, and the
+event engine's horizon slots written by a loop over the horizons.
 The functions take valid inputs only.
 """
 
@@ -299,3 +300,15 @@ def transition_matrix_longdouble(coeffs, imax=None) -> np.ndarray:
     for i in range(2, imax + 1):
         P[i] = np.convolve(P[i - 1], F)[: J + 1]
     return P
+
+
+def record_by_horizons(out, gidx, h_from, h_to, values) -> None:
+    """Write values[i] into the horizon slots h_from[i] <= h < h_to[i] of row gidx[i].
+
+    One boolean row mask over every slot set per horizon, the route of
+    ``simulator._record`` before it became one repeat and one scatter.
+    """
+    if gidx.size:
+        for h in range(h_from.min(), np.max(h_to)):
+            rows = (h_from <= h) & (h < h_to)
+            out[gidx[rows], h] = values[rows]

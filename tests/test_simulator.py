@@ -6,6 +6,7 @@ fixed seeds so runs are reproducible bit for bit.
 
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import math
 
@@ -38,6 +39,8 @@ from critlab import (
 from critlab import simulator
 from critlab.acceptance import _c11_verdict, _limit_cdf
 from critlab.simulator import EXACT_POP_CAP
+
+import reference
 
 CONST = make_scale_function(ModelParams(0.5, 1.0, Family.CONSTANT))
 COUPLED = make_scale_function(ModelParams(0.5, 0.1, Family.COUPLED_DRIFT))
@@ -242,6 +245,31 @@ def test_event_budget_censors_explicitly(model):
     assert sample.events <= 2000  # block cuts never overrun the budget
 
 
+@pytest.mark.parametrize("k", [-1, 0, 1, 15, 16, 17])
+def test_event_budget_is_named_and_never_overrun(model, k):
+    # a negative budget is refused by name on every entry point; any other
+    # budget, also one below the 16 seed-split batches of one trajectory
+    # each, bounds the events run in total (no trajectory ends in one event)
+    rng = np.random.default_rng(11)
+    samples = [
+        functools.partial(population_at, model, [50.0], 16, seed=13, conditioned=c, i0=2,
+                          max_events=k)
+        for c in (False, True)
+    ]
+    paths = [functools.partial(sim, model, 2, 50.0, rng, max_events=k)
+             for sim in (simulate_mbp, simulate_qprocess)]
+    if k < 0:
+        for run in samples + paths:
+            with pytest.raises(DomainError, match="max_events"):
+                run()
+        return
+    for run in samples:
+        s = run()
+        assert s.budget_exhausted and s.censored.any() and s.events <= k
+    for run in paths:
+        assert len(run().times) - 1 <= k
+
+
 def test_qprocess_cells_match_engine_with_cap_hit(model):
     # the straggler regime: at t = 10 a cap of 1e3 censors a large share of
     # the conditioned trajectories, and the uncensored cells still match
@@ -366,6 +394,51 @@ def test_row_scans_match_numpys_axis_1_routines(shape, seed, p):
     want = np.where(mask.any(axis=1), mask.argmax(axis=1), B)
     got = simulator._first(mask)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=_TALL | _WIDE,
+    seed=st.integers(0, 2**32 - 1),
+    p=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+    q=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+)
+def test_first_of_an_or_is_the_earlier_first(shape, seed, p, q):
+    # a round searches once for the cut of its merged stop mask (cap, death
+    # or pick, OR horizon crossing); that is the earlier of the two cuts,
+    # also where one mask or both have rows with no True
+    rng = np.random.default_rng(seed)
+    a, b = rng.random(shape) < p, rng.random(shape) < q
+    want = np.minimum(simulator._first(a), simulator._first(b))
+    got = simulator._first(a | b)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(0, 30),
+    H=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_record_matches_the_loop_over_horizons(n, H, seed):
+    # the slot sets a batch collects: per row, disjoint runs of horizons
+    # h_from <= h < h_to in order, of spans 0..H, the last one possibly up
+    # to H; recorded in shuffled order, and none at all for n = 0
+    rng = np.random.default_rng(seed)
+    rows, h_from, h_to = [], [], []
+    for row in range(n):
+        edges = np.sort(rng.integers(0, H + 1, rng.integers(1, H + 3)))
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            if rng.random() < 0.8:
+                rows.append(row), h_from.append(lo), h_to.append(hi)
+    order = rng.permutation(len(rows))
+    gidx, h_from, h_to = (np.array(x, dtype=np.int64)[order] for x in (rows, h_from, h_to))
+    values = rng.integers(-(2**63), 2**63 - 1, gidx.size, endpoint=True)
+    base = rng.integers(0, 100, (n, H))
+    want, got = base.copy(), base.copy()
+    reference.record_by_horizons(want, gidx, h_from, h_to, values)
+    simulator._record(got, gidx, h_from, h_to, values)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("simulate, digest", [
