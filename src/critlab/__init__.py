@@ -67,15 +67,12 @@ from .simulator import (
     population_at,
     sample_qprocess_exact,
     simulate_mbp,
-    simulate_qprocess,
 )
 from .sv_kernel import (
     Family,
     ModelParams,
     ScaleFunction,
     make_scale_function,
-    perturbation_ratio,
-    remainder_rho,
     solve_normalizer,
 )
 

@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("command", choices=["solve", "simulate", "verify", "rates", "report"])
     p.add_argument("report_file", nargs="?", help="input CSV for rates/report")
     p.add_argument("--config", type=str, default=None, help="flat key = value config file")
-    p.add_argument("--only", type=str, default=None, help="run one acceptance criterion (id or tag)")
+    p.add_argument("--only", type=str, default=None, help="verify: run one acceptance criterion (id or tag)")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", type=str, default=None, help="output directory")
     p.add_argument("--threads", type=int, default=None, help="worker processes")
@@ -321,6 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.report_file is not None and args.command not in ("rates", "report"):
+            raise ConfigError(
+                f"{args.command} takes no positional argument, got {args.report_file!r}; "
+                f"pass a config file as --config {args.report_file}"
+            )
+        if args.only is not None and args.command != "verify":
+            raise ConfigError(f"--only selects an acceptance criterion for verify, not {args.command}")
         cfg = parse_config(args.config) if args.config else ExperimentConfig()
         if args.seed is not None:
             cfg.seed = args.seed

@@ -9,14 +9,16 @@ in R all the way down and is what makes the exact integral identity
 
 testable to 1e-6 at t = 1e3.
 
-For the coupled-drift family the same identity closes: w = 1/decay_rate(R)
-satisfies dw/dt = nu + 1/w, so
+For every family with drift the same identity closes: in the rate form
+(c, d0, d1) the drift is beta*decay_rate with beta = nu*d1/c (1 for
+``coupled_drift``), so w = 1/decay_rate(R) satisfies dw/dt = nu + beta/w and
+v = w/beta, in tau = t/beta,
 
-    w/nu - log(nu*w + 1)/nu**2 = t + (same at w0),       w0 = 1/decay_rate(1-s),
+    v/nu - log(nu*v + 1)/nu**2 = tau + (same at v0),     v0 = 1/(beta*decay_rate(1-s)),
 
 a monotone scalar equation solved to machine precision for any t, by one
 Newton iteration over a whole array of starting points. The exact oracle
-itself lives on the family class (``ScaleFunction.exact_R``); ``exact_R``
+itself is derived from the rate form (``ScaleFunction.exact_R``); ``exact_R``
 validates and dispatches, for a scalar or an array of s. G(t;s) and P_11(t)
 are one quotient f(1 - R)/f(1 - y0) of its R (``_f_quotient``), and
 ``identity_residual`` checks the identity along the ODE path, carrying the

@@ -20,7 +20,8 @@ random walk with i.i.d. steps, so each vectorized round applies a block of
 exact events per trajectory, cut at its first such event; this is the exact
 stochastic simulation algorithm (Gillespie 1977), not tau-leaping. The
 engine serves ``population_at`` and, run on a single trajectory that records
-every event, the paths of ``simulate_mbp`` and ``simulate_qprocess``.
+every event, the paths of ``simulate_mbp`` and of the conditioned chain
+(``_simulate_path``).
 
 For the ``constant`` family the law of W(t) is also drawn directly, at a
 cost that does not grow with W(t) (``sample_qprocess_exact``); the event
@@ -53,7 +54,6 @@ __all__ = [
     "SimModel",
     "build_sim_model",
     "simulate_mbp",
-    "simulate_qprocess",
     "population_at",
     "sample_qprocess_exact",
     "estimate_survival",
@@ -443,18 +443,6 @@ def simulate_mbp(
 ) -> Trajectory:
     """Exact event simulation of the branching chain to extinction or horizon."""
     return _simulate_path(model, False, i0, horizon, rng, pop_cap, max_events)
-
-
-def simulate_qprocess(
-    model: SimModel,
-    i0: int,
-    horizon: float,
-    rng: np.random.Generator,
-    pop_cap: int = DEFAULT_POP_CAP,
-    max_events: int = 10**8,
-) -> Trajectory:
-    """Exact event simulation of the conditioned chain (never absorbs at 0)."""
-    return _simulate_path(model, True, i0, horizon, rng, pop_cap, max_events)
 
 
 def estimate_survival(

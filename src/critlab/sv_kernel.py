@@ -14,35 +14,38 @@ The local index of ``decay_rate`` drifts away from ``nu`` by
     index_drift(y) = y * decay_rate'(y) / decay_rate(y) - nu,
 
 which tends to 0 as y -> 0, and the elasticity of the slowly varying part is
-sv_elasticity(x) = x * sv'(x) / sv(x) = -index_drift(1/x).
+x * sv'(x) / sv(x) = -index_drift(1/x).
 
-Three built-in families provide independent exact oracles:
+Every family is linear-fractional in Slack's variable p = y**nu,
 
-``constant``
+    decay_rate(y) = rate_of_power(p) = c*p / (d0 + d1*(1 - p)),
+
+and a family is one row of ``_RATE_FORMS``, (nu, a0) -> (c, d0, d1):
+
+``constant``, (a0, 1, 0)
     sv(x) = a0 identically, index_drift = 0. Everything is closed form.
 
-``coupled_drift``
+``coupled_drift``, (nu*a0, nu, a0)
     The index drift coincides with the decay rate itself. Integrating the
     index relation y*D'(y)/D(y) = nu + D(y) with D(1) = a0 gives the unique
     rational closed form
 
         decay_rate(y) = nu*a0*y**nu / (nu + a0*(1 - y**nu)).
 
-``binary_split``
+``binary_split``, the row of ``constant``
     ``constant`` at nu = 1: the finite-variance quadratic mechanism
-    f(s) = a0*(1-s)**2, the classical baseline. ``ModelParams`` pins nu to 1,
-    and the tag maps to the ``constant`` class.
+    f(s) = a0*(1-s)**2, the classical baseline. ``ModelParams`` pins nu to 1.
 
-Both slowly varying families are linear-fractional in Slack's variable
-p = y**nu: decay_rate(y) = c*p / (d0 + d1*(1 - p)), with (c, d0, d1) equal
-to (a0, 1, 0) for ``constant`` and (nu*a0, nu, a0) for ``coupled_drift``.
-A family is one ``ScaleFunction`` subclass that declares this rate form and
-its exact R(t;s) oracle, and, where known, the exact tail of the jump law.
-The base class derives the rest from (c, d0, d1): sv, the decay rate, the
-index drift, the Taylor series of f and of 1/sv, the flow
--nu*p*rate_of_power(p) of a series p, the normalizer N(t) and its domain,
-and the second-order term from R(0;s) = y0 (1 for q and P_11, 1 - s for G).
-Adding a family means one subclass: its ``rate_form`` and its ``exact_R``.
+``ScaleFunction`` reads its row once and derives the rest from (c, d0, d1):
+sv, the decay rate, the index drift, the Taylor series of f and of 1/sv, the
+flow -nu*p*rate_of_power(p) of a series p, the normalizer N(t) and its
+domain, the second-order term from R(0;s) = y0 (1 for q and P_11, 1 - s for
+G), the exact R(t;s) and, at d1 = 0, the exact tail of the jump law. Along
+the backward flow w = 1/decay_rate(R) obeys dw/dt = nu + beta/w with
+beta = nu*d1/c (1 for ``coupled_drift``): at d1 = 0 it separates to
+R**-nu = y0**-nu + nu*(c/d0)*t, and otherwise it is one scalar equation per
+point, solved by a Newton iteration. Adding a family means one row of
+``_RATE_FORMS`` and its ``Family`` tag.
 
 The normalizer N(t) used by the survival asymptotics is defined implicitly by
 N**nu * sv((nu*t)**(1/nu) / N) = 1, equivalently N = (nu*t)**(1/nu) * y* with
@@ -64,7 +67,7 @@ from typing import Callable
 
 import numpy as np
 
-# No scipy here: the coupled-drift root is a numpy Newton iteration and the
+# No scipy here: the exact R at d1 > 0 is a numpy Newton iteration and the
 # exact binomial tail is a difference of Stirling's series.
 
 from . import _series
@@ -75,10 +78,8 @@ __all__ = [
     "ModelParams",
     "ScaleFunction",
     "make_scale_function",
-    "remainder_rho",
     "nu_t_power",
     "solve_normalizer",
-    "perturbation_ratio",
 ]
 
 
@@ -115,20 +116,31 @@ class ModelParams:
             )
 
 
-class ScaleFunction:
-    """Evaluable bundle (sv, decay_rate, index_drift, sv_elasticity) for one family.
+def _constant_form(nu: float, a0: float) -> tuple[float, float, float]:
+    return a0, 1.0, 0.0
 
-    The two hooks that raise NotImplementedError here are required:
-    ``rate_form`` and the exact oracle ``exact_R`` that the solvers
-    cross-validate against. Everything else derives from the rate form, read
-    once: the evaluators and series, ``normalizer(t)``,
-    ``normalizer_defined(t)`` and ``second_order(y0, t)``. ``exact_tail`` is
-    the one hook a family may leave out.
+
+# each family's rate form, rate_of_power(p) = c*p / (d0 + d1*(1 - p)) at
+# p = y**nu, as (nu, a0) -> (c, d0, d1)
+_RATE_FORMS: dict[Family, Callable[[float, float], tuple[float, float, float]]] = {
+    Family.CONSTANT: _constant_form,
+    Family.COUPLED_DRIFT: lambda nu, a0: (nu * a0, nu, a0),
+    Family.BINARY_SPLIT: _constant_form,
+}
+
+
+class ScaleFunction:
+    """Evaluable bundle (sv, decay_rate, index_drift, exact R) for one family.
+
+    Everything derives from the family's rate form (c, d0, d1), read once
+    from ``_RATE_FORMS``: the evaluators and series, ``normalizer(t)``,
+    ``normalizer_defined(t)``, ``second_order(y0, t)``, the exact oracle
+    ``exact_R`` that the solvers cross-validate against, and ``exact_tail``.
     """
 
     def __init__(self, params: ModelParams):
         self.params = params
-        self._form = self.rate_form()
+        self._form = _RATE_FORMS[params.family](params.nu, params.a0)
 
     @property
     def nu(self) -> float:
@@ -144,7 +156,7 @@ class ScaleFunction:
 
     def rate_form(self) -> tuple[float, float, float]:
         """(c, d0, d1) with rate_of_power(p) = c*p / (d0 + d1*(1 - p)) at p = y**nu."""
-        raise NotImplementedError
+        return self._form
 
     # evaluators derived from the rate form -------------------------------
     def sv(self, x):
@@ -174,19 +186,6 @@ class ScaleFunction:
         _, d0, d1 = self._form
         p = np.power(y, self.nu)
         val = self.nu * d1 * p / (d0 + d1 * (1.0 - p))
-        return float(val) if np.ndim(val) == 0 else val
-
-    def sv_elasticity(self, x):
-        """x * sv'(x) / sv(x) = -index_drift(1/x) on x >= 1."""
-        return -self.index_drift(1.0 / np.asarray(x, dtype=float))
-
-    def f(self, s):
-        """Infinitesimal generating function on [0, 1)."""
-        s = np.asarray(s, dtype=float)
-        if np.any(s >= 1.0) or np.any(s < 0.0):
-            raise DomainError("f(s) requires 0 <= s < 1; the limit at 1- is 0")
-        y = 1.0 - s
-        val = y * self.decay_rate(y)
         return float(val) if np.ndim(val) == 0 else val
 
     def mechanism_series(self, J: int) -> np.ndarray:
@@ -226,19 +225,116 @@ class ScaleFunction:
         return den
 
     # exact oracles ----------------------------------------------------------
-    def exact_R(self, y0, t: float):
+    def exact_R(self, y0, t):
         """Exact R(t;s) from R(0;s) = y0 = 1 - s in (0, 1], t >= 0 (unchecked).
 
-        y0 is a float (gives a float) or an array (gives its shape); a float
-        is computed as the one-element array, so both give the same bits.
+        At d1 = 0, dR/dt = -(c/d0)*R**(1 + nu) separates to
+        R**-nu = y0**-nu + nu*(c/d0)*t. Otherwise w = 1/decay_rate(R) comes
+        from ``_solve_w`` and R**nu = (1 + d0/d1) / (1 + (nu/beta)*w), the
+        inverse of decay_rate at 1/w, formed from w so that nothing overflows
+        when w is tiny. y0 is a float (gives a float) or an array (gives its
+        shape); a float is computed as the one-element array, so both give
+        the same bits.
         """
-        raise NotImplementedError
+        c, d0, d1 = self._form
+        nu = self.nu
+        y0 = np.asarray(y0, dtype=float)
+        if d1 == 0.0:
+            k = _scaled_time(nu, c / d0, t, "exact R")
+            # np.power throughout: ** on a numpy scalar would round as libm
+            # does, not as the array loop, and a float y0 is the one-element array
+            val = np.power(np.power(y0, -nu) + k, -1.0 / nu)
+        elif not y0.size:
+            # no point, so no finite w0 shows that c > 0 (c is 0 where nu*a0
+            # underflows, and beta would divide by it)
+            val = np.empty(y0.shape)
+        else:
+            w0, e = self._solve_w(y0, t)
+            w = w0 + nu * t + e
+            # nu/beta, not c/d1, which rounds away from nu at beta = 1; R <= 1,
+            # so a base that rounds above 1 (a subnormal c leaves w0 a few
+            # digits) is 1 rather than a power past the float range
+            beta = nu * d1 / c
+            base = np.minimum((1.0 + d0 / d1) / (1.0 + nu / beta * w), 1.0)
+            val = np.power(base, 1.0 / nu)
+        return float(val) if val.ndim == 0 else val
+
+    def _solve_w(self, y0, t):
+        """(w0, e): w0 = 1/decay_rate(y0) = 1/decay_rate(R(0)) and the excess
+        e = w - w0 - nu*t of w = 1/decay_rate(R(t)), for a float or an array
+        y0, at d1 > 0 (unchecked).
+
+        Every point is solved at once. w obeys dw/dt = nu + beta/w with
+        beta = nu*d1/c, formed only once every w0 is finite (c underflows to
+        0 with nu*a0). Rescaled, v = w/beta obeys dv/dtau = nu + 1/v in
+        tau = t/beta (exactly the w-flow at beta = 1, where every rescaling
+        is exact), which integrates to g(v) = tau + g(v0) with
+        g(v) = v/nu - log(nu*v + 1)/nu**2. Subtracting g(v0) by hand leaves
+        nu*e' = log1p(a*(nu*tau + e')) for the excess e' = e/beta of v, with
+        a = nu/(1 + nu*v0); unlike g(v) - g(v0), this loses no digits when v0
+        is far above tau. The root is found for x = e'/tau, so nothing
+        underflows at subnormal tau: with u0 = nu*v0, z = a*tau*(nu + x) and
+        L(z) = log1p(z)/z it is the root of
+
+            H(x) = (nu + x)*L(z) - (1 + u0)*x,    H'(x) = -(u0 + z/(1 + z)),
+
+        concave and decreasing from H(0) > 0. Newton's step is formed as
+        x <- ((nu + x)*L(z) - x/(1 + z)) / (u0 + z/(1 + z)), which never
+        subtracts a step from x, and on z <= 1 the numerator is taken as
+        nu*L + x*(z/(1 + z) - M) with M = 1 - L from its series: no form
+        cancels, even where nu*v0 << 1 makes the root near-double. The start
+        min(1/v0, sqrt(nu**2 + 2/tau)) lies above the root (log1p(y) <= y
+        gives the first bound; u - log1p(u) >= d**2/(2(1 + d)) with
+        d = u - nu*v0, u = nu*v, the second), so the iterates decrease; a
+        point stops once its iterate no longer does. For tiny tau the root is
+        within rounding of 1/v0, where the iteration starts. A decay rate
+        that underflows at y0, a non-finite iterate, or no stop within
+        ``_ROOT_MAXITER`` steps is a SolverError naming the family, t and w0.
+        """
+        fam = self.family.value
+        with np.errstate(divide="ignore", over="ignore"):
+            w0 = 1.0 / np.asarray(self.decay_rate(y0), dtype=float)
+        if not np.all(np.isfinite(w0)):
+            raise SolverError(f"{fam} decay rate underflows at {_at_point(t, w0, ~np.isfinite(w0))}")
+        if t == 0.0:
+            return w0, np.zeros(w0.shape)
+        c, _, d1 = self._form
+        nu = self.nu
+        beta = nu * d1 / c
+        v0, tau = w0 / beta, t / beta
+        u0 = nu * v0
+        at = nu / (1.0 + u0) * tau
+        with np.errstate(all="ignore"):  # every iterate is checked for finiteness
+            x = np.minimum(1.0 / v0, math.sqrt(nu * nu * tau + 2.0) / math.sqrt(tau))
+            for _ in range(_ROOT_MAXITER):
+                z = at * (nu + x)
+                L, M = _log1p_ratio(z)
+                zr = z / (1.0 + z)
+                num = np.where(z <= 1.0, nu * L + x * (zr - M), (nu + x) * L - x / (1.0 + z))
+                x_new = num / (u0 + zr)
+                bad = ~np.isfinite(x_new)
+                if bad.any():
+                    raise SolverError(f"{fam} root is not finite at {_at_point(t, w0, bad)}")
+                down = x_new < x
+                if not down.any():
+                    return w0, beta * (tau * x)
+                x = np.where(down, x_new, x)
+        raise SolverError(
+            f"{fam} root did not converge in {_ROOT_MAXITER} steps at {_at_point(t, w0, down)}"
+        )
 
     def exact_tail(self) -> Callable | None:
-        """The jump law's exact tail k -> c * a_k for some c > 0 where a_k has
-        a tail, or None when only its power-law envelope is known; never
-        evaluated where the sampling table's ``tail_mass`` is 0 (nu = 1)."""
-        return None
+        """The jump law's exact tail k -> C * a_k for some C > 0: at d1 = 0, where
+        f is (c/d0)*(1 - s)**(1 + nu), the binomial tail; None otherwise, where
+        only its power-law envelope is known. Never evaluated where the
+        sampling table's ``tail_mass`` is 0 (nu = 1: the binomial series of
+        ``binary_split`` stops at a_2)."""
+        return self._binomial_tail if self._form[2] == 0.0 else None
+
+    def _binomial_tail(self, k):
+        # a_k = (c/d0) |C(1+nu, k)| = (c/d0) Gamma(k-1-nu) / (Gamma(k+1) |Gamma(-1-nu)|)
+        # at nu < 1; at nu = 1 Gamma(-2) is a pole, a_k = 0 past k = 2, tail_mass is 0
+        return np.exp(_lgamma_ratio(np.asarray(k, dtype=float) + 1.0, 2.0 + self.nu))
 
     # closed forms of the rate form, in Python floats -------------------------
     def normalizer(self, t: float) -> float:
@@ -282,37 +378,6 @@ def _scaled_time(nu: float, rate: float, t: float, quantity: str) -> float:
     return k
 
 
-class ConstantScale(ScaleFunction):
-    """sv(x) = a0: the rate form (a0, 1, 0), so rate_of_power(p) = a0*p.
-
-    There is no index drift, 1/sv is the constant 1/a0, and N**nu * a0 = 1
-    fixes N(t) for every t > 0. The class holds the form, the separable exact
-    R and the exact binomial tail. At nu = 1 this is ``binary_split``,
-    f(s) = a0*(1-s)**2: the binomial series stops at a_2, so the jump law
-    has no tail mass and ``exact_tail`` is never drawn.
-    """
-
-    def rate_form(self):
-        return self.a0, 1.0, 0.0
-
-    def exact_R(self, y0, t):
-        # dR/dt = -a0 R**(1+nu) separates to R**-nu = y0**-nu + nu*a0*t
-        nu = self.nu
-        k = _scaled_time(nu, self.a0, t, "exact R")
-        # np.power throughout: ** on a numpy scalar would round as libm does,
-        # not as the array loop, and a float y0 is the one-element array
-        val = np.power(np.power(np.asarray(y0, dtype=float), -nu) + k, -1.0 / nu)
-        return float(val) if val.ndim == 0 else val
-
-    def exact_tail(self):
-        return self._binomial_tail
-
-    def _binomial_tail(self, k):
-        # a_k = a0 |C(1+nu, k)| = a0 Gamma(k-1-nu) / (Gamma(k+1) |Gamma(-1-nu)|) at
-        # nu < 1; at nu = 1 Gamma(-2) is a pole, a_k = 0 past k = 2, tail_mass is 0
-        return np.exp(_lgamma_ratio(np.asarray(k, dtype=float) + 1.0, 2.0 + self.nu))
-
-
 # Stirling's series of lgamma(x) - (x - 1/2) log x + x - log(2 pi)/2,
 # sum_n B_2n / (2n (2n - 1) x**(2n - 1)); past n = 5 its terms are below
 # 2e-19 at x >= _STIRLING_FROM - 3
@@ -348,7 +413,7 @@ def _lgamma_ratio(b, delta):
     return out
 
 
-# Newton steps allowed to ``CoupledDriftScale._solve_w``. It stops long before:
+# Newton steps allowed to ``ScaleFunction._solve_w``. It stops long before:
 # at most 7 evaluations of the step over 20 000 random points with nu in
 # [1e-3, 0.999], a0 in [1e-12, 1e300], 1 - s in [1e-300, 1], t in [1e-300, 1e300]
 _ROOT_MAXITER = 64
@@ -383,118 +448,13 @@ def _at_point(t: float, w0: np.ndarray, mask: np.ndarray) -> str:
     return f"t={t:g}, w0={w0.ravel()[np.flatnonzero(mask.ravel())[0]]:g}"
 
 
-class CoupledDriftScale(ScaleFunction):
-    """Family with index_drift(y) = decay_rate(y).
-
-    The index relation integrates to the rational form
-    decay_rate(y) = nu*a0*y**nu / (nu + a0*(1 - y**nu)), the rate form
-    (nu*a0, nu, a0); hence sv(x) = nu*a0 / (nu + a0*(1 - x**(-nu))), which
-    decreases from a0 at x = 1 to nu*a0/(nu + a0) at infinity. The class holds
-    the form and the exact R, by the Newton root of ``_solve_w``.
-    """
-
-    def rate_form(self):
-        nu, a0 = self.nu, self.a0
-        return nu * a0, nu, a0
-
-    def _solve_w(self, y0, t):
-        """(w0, e): w0 = 1/decay_rate(y0) = 1/decay_rate(R(0)) and the excess
-        e = w - w0 - nu*t of w = 1/decay_rate(R(t)), for a float or an array y0.
-
-        Every point is solved at once. w obeys dw/dt = nu + 1/w, which
-        integrates to g(w) = t + g(w0) with g(w) = w/nu - log(nu*w + 1)/nu**2.
-        Subtracting g(w0) by hand leaves nu*e = log1p(a*(nu*t + e)) with
-        a = nu/(1 + nu*w0); unlike g(w) - g(w0), this loses no digits when w0
-        is far above t. The root is found for x = e/t, so nothing underflows
-        at subnormal t: with u0 = nu*w0, z = a*t*(nu + x) and
-        L(z) = log1p(z)/z it is the root of
-
-            H(x) = (nu + x)*L(z) - (1 + u0)*x,    H'(x) = -(u0 + z/(1 + z)),
-
-        concave and decreasing from H(0) > 0. Newton's step is formed as
-        x <- ((nu + x)*L(z) - x/(1 + z)) / (u0 + z/(1 + z)), which never
-        subtracts a step from x, and on z <= 1 the numerator is taken as
-        nu*L + x*(z/(1 + z) - M) with M = 1 - L from its series: no form
-        cancels, even where nu*w0 << 1 makes the root near-double. The start
-        min(1/w0, sqrt(nu**2 + 2/t)) lies above the root (log1p(y) <= y gives
-        the first bound; u - log1p(u) >= d**2/(2(1 + d)) with d = u - nu*w0,
-        u = nu*w, the second), so the iterates decrease; a point stops once
-        its iterate no longer does. For tiny t the root is within rounding of
-        1/w0, where the iteration starts. A decay rate that underflows at y0,
-        a non-finite iterate, or no stop within ``_ROOT_MAXITER`` steps is a
-        SolverError naming t and w0.
-        """
-        with np.errstate(divide="ignore", over="ignore"):
-            w0 = 1.0 / np.asarray(self.decay_rate(y0), dtype=float)
-        if not np.all(np.isfinite(w0)):
-            raise SolverError(
-                f"coupled_drift decay rate underflows at {_at_point(t, w0, ~np.isfinite(w0))}"
-            )
-        if t == 0.0:
-            return w0, np.zeros(w0.shape)
-        nu = self.nu
-        u0 = nu * w0
-        at = nu / (1.0 + u0) * t
-        with np.errstate(all="ignore"):  # every iterate is checked for finiteness
-            x = np.minimum(1.0 / w0, math.sqrt(nu * nu * t + 2.0) / math.sqrt(t))
-            for _ in range(_ROOT_MAXITER):
-                z = at * (nu + x)
-                L, M = _log1p_ratio(z)
-                zr = z / (1.0 + z)
-                num = np.where(z <= 1.0, nu * L + x * (zr - M), (nu + x) * L - x / (1.0 + z))
-                x_new = num / (u0 + zr)
-                bad = ~np.isfinite(x_new)
-                if bad.any():
-                    raise SolverError(
-                        f"coupled_drift root is not finite at {_at_point(t, w0, bad)}"
-                    )
-                down = x_new < x
-                if not down.any():
-                    return w0, t * x
-                x = np.where(down, x_new, x)
-        raise SolverError(
-            f"coupled_drift root did not converge in {_ROOT_MAXITER} steps "
-            f"at {_at_point(t, w0, down)}"
-        )
-
-    def exact_R(self, y0, t):
-        w0, e = self._solve_w(y0, t)
-        w = w0 + self.nu * t + e
-        # the inverse of decay_rate at 1/w, formed from w so that nothing
-        # overflows when w is tiny (np.power as in ``ConstantScale.exact_R``);
-        # R <= 1, so a base that rounds above 1 (a subnormal nu*a0 leaves w0
-        # a few digits) is 1 rather than a power past the float range
-        base = np.minimum((1.0 + self.nu / self.a0) / (1.0 + self.nu * w), 1.0)
-        val = np.power(base, 1.0 / self.nu)
-        return float(val) if val.ndim == 0 else val
-
-
-_FAMILY_CLASSES = {
-    Family.CONSTANT: ConstantScale,
-    Family.COUPLED_DRIFT: CoupledDriftScale,
-    Family.BINARY_SPLIT: ConstantScale,
-}
-
-
 def make_scale_function(params: ModelParams) -> ScaleFunction:
     """Build the evaluable scale bundle for one parameter set.
 
     Raises ParameterError for nu outside (0, 1) on the slowly varying
     families or a0 <= 0 (enforced by ModelParams itself).
     """
-    return _FAMILY_CLASSES[Family(params.family)](params)
-
-
-def remainder_rho(sf: ScaleFunction, lam: float, x: float) -> float:
-    """Slow-variation remainder sv(lam*x)/sv(x) - 1 for lam > 0, x >= 1.
-
-    Both arguments of ``sv`` must stay >= 1, so lam*x >= 1 is required too.
-    """
-    if x < 1.0:
-        raise DomainError(f"remainder_rho requires x >= 1, got {x}")
-    if lam <= 0.0 or lam * x < 1.0:
-        raise DomainError(f"remainder_rho requires lam > 0 and lam*x >= 1, got lam={lam}")
-    return float(sf.sv(lam * x) / sf.sv(x) - 1.0)
+    return ScaleFunction(params)
 
 
 def nu_t_power(nu: float, t: float, power: float, quantity: str) -> float:
@@ -530,23 +490,3 @@ def solve_normalizer(sf: ScaleFunction, t: float) -> float:
     except OverflowError:
         pass
     raise SolverError(f"normalizer at t={t:g} overflows")
-
-
-def perturbation_ratio(sf: ScaleFunction, y: float, K: Callable[[float], float]) -> float:
-    """Normalized slow-variation increment under argument perturbation.
-
-    With phi(y) = y - y*K(y) and K(y) -> 0 as y -> 0, returns
-
-        (sv(1/phi(y)) / sv(1/y) - 1) / decay_rate(y),
-
-    which stays bounded as y -> 0 for the coupled-drift family (and is
-    identically 0 whenever sv is constant).
-    """
-    if not (0.0 < y < 1.0):
-        raise DomainError(f"perturbation_ratio requires y in (0, 1), got {y}")
-    k = float(K(y))
-    if not (0.0 <= k < 1.0):
-        raise DomainError(f"perturbation_ratio requires 0 <= K(y) < 1, got K({y}) = {k}")
-    phi = y * (1.0 - k)
-    num = sf.sv(1.0 / phi) / sf.sv(1.0 / y) - 1.0
-    return float(num / sf.decay_rate(y))

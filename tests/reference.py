@@ -5,18 +5,23 @@ numerics, a quantity that ``critlab`` has a production route for: here the
 invariant measure M(s) by quadrature and the time change of the level 1/R
 built on it, a quadrature-and-brentq route to 1/q(t) next to ``exact_R``,
 the scalar ``brentq`` route to the exact R(t;s) next to the array Newton
-root of ``CoupledDriftScale._solve_w``, the exact drift integral that the
+root of ``ScaleFunction._solve_w``, the exact drift integral that the
 closed-form second-order term stands for, an ``mpmath`` route to the same R
 at any (nu, a0), the one-point-at-a-time Laplace inversions, a scalar
 Python node sum with ``cmath``/``math`` next to ``laplace``'s array sums,
 the limit law D(x) by ``mpmath``'s Talbot inversion at 30 digits, and the
-evaluators ``ScaleFunction`` derives from a family's rate form and the
-quotient f(1 - R)/f(1 - y0) behind ``G_of`` and ``p11_exact``, by ``mpmath``
-at 50 digits with ``mpmath.taylor`` in place of series arithmetic and
-``mpmath.findroot`` in place of the closed-form normalizer, the
-transition matrix by the sequential row loop in ``np.longdouble``, and the
-event engine's horizon slots written by a loop over the horizons.
-The functions take valid inputs only.
+evaluators ``ScaleFunction`` derives from a family's rate form, its exact
+R(t;s) and the quotient f(1 - R)/f(1 - y0) behind ``G_of`` and
+``p11_exact``, by ``mpmath`` at 50 digits with ``mpmath.taylor`` in place of
+series arithmetic and ``mpmath.findroot`` in place of the closed-form
+normalizer and of the Newton root, the transition matrix by the sequential
+row loop in ``np.longdouble``, and the event engine's horizon slots written
+by a loop over the horizons. These functions take valid inputs only.
+
+Beside them are the relations of slow variation that only the tests
+evaluate, as functions of a ``ScaleFunction``: f(s) itself, the elasticity
+of sv, the remainder sv(lam*x)/sv(x) - 1 and the increment of sv under a
+perturbed argument. They name an invalid input with a ``DomainError``.
 """
 
 import cmath
@@ -26,7 +31,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from critlab import Family, ScaleFunction, SolverError
+from critlab import DomainError, Family, ScaleFunction, SolverError
 from critlab.laplace import _GS_TERMS, _GS_WEIGHTS, _TALBOT_NODES
 
 
@@ -121,7 +126,7 @@ def drift_integral(sf: ScaleFunction, y0, t: float):
     """Exact int_0^t index_drift(R(u;s)) du from R(0;s) = y0, a float or an array.
 
     0.0 without drift (d1 = 0 in the rate form). Otherwise it is the excess
-    e of ``CoupledDriftScale._solve_w``, by the identity
+    e of ``ScaleFunction._solve_w``, by the identity
     w(t) - w0 = nu*t + int_0^t index_drift(R(u)) du for w = 1/decay_rate(R).
     """
     if sf.rate_form()[2] == 0.0:
@@ -201,9 +206,9 @@ def d_limit_mpmath(nu: float, x: float) -> float:
 
 
 class RateFormMpmath:
-    """sv, rate_of_power, index_drift, the three series and the normalizer of
-    the rate form rate_of_power(p) = c*p / (d0 + d1*(1 - p)), p = y**nu, at
-    50 digits.
+    """sv, rate_of_power, index_drift, the three series, the normalizer and the
+    exact R of the rate form rate_of_power(p) = c*p / (d0 + d1*(1 - p)),
+    p = y**nu, at 50 digits.
 
     Each is written from its formula: sv(x) = c / (d0 + d1*(1 - x**-nu)),
     index_drift(y) = nu*d1*p / (d0 + d1*(1 - p)), f(s) = (1 - s) times the
@@ -211,7 +216,8 @@ class RateFormMpmath:
     series p, and 1/sv(1/(1 - s)) = (d0 + d1*(1 - p))/c.
     The series are the Taylor coefficients at s = 0 that ``mpmath.taylor``
     takes by numerical differentiation, not by any series arithmetic, and
-    N(t) is the root of its defining equation that ``mpmath.findroot`` finds.
+    N(t) and R(t;s) are the roots of their defining equations that
+    ``mpmath.findroot`` finds.
     """
 
     def __init__(self, form, nu: float):
@@ -277,6 +283,30 @@ class RateFormMpmath:
         bracket = (u0 - 1, ls if self.d1 else u0 + 1)
         return float(mp.exp(mp.findroot(h, bracket, solver="anderson")))
 
+    def exact_R(self, y0: float, t: float) -> float:
+        """R(t;s) from R(0;s) = y0 by the time map of p = R**nu: along the flow
+        dp/dt = -nu*p*rate_of_power(p) integrates to
+
+            (d0 + d1)*(1/p - 1/p0) + d1*log(p/p0) = nu*c*t,    p0 = y0**nu.
+
+        ``mpmath.findroot`` solves it for the step d = 1/p - 1/p0, which keeps
+        its relative precision at tiny t, on the bracket
+        [nu*c*t/(d0 + d1), nu*c*t/(d0 + d1*(1 - p0))] that log1p(u) <= u
+        gives; the bracket is one point at d1 = 0 or t = 0.
+        """
+        mp = self.mp
+        q0 = mp.mpf(y0) ** -self.nu
+        rhs = self.nu * self.c * mp.mpf(t)
+        lo, hi = rhs / (self.d0 + self.d1), rhs / self._den(1 / q0)
+        if lo == hi:
+            d = lo
+        else:
+            d = mp.findroot(
+                lambda d: (self.d0 + self.d1) * d - self.d1 * mp.log1p(d / q0) - rhs,
+                (lo, hi), solver="anderson",
+            )
+        return float((q0 + d) ** (-1 / self.nu))
+
     def f_quotient(self, s: float, y0: float, r: float) -> float:
         """s * f(1 - r)/f(1 - y0) with f(1 - y) = y * rate(y**nu): G(t;s) at
         r = R(t;s) and y0 = 1 - s, P_11(t) at s = y0 = 1 and r = q(t)."""
@@ -312,3 +342,50 @@ def record_by_horizons(out, gidx, h_from, h_to, values) -> None:
         for h in range(h_from.min(), np.max(h_to)):
             rows = (h_from <= h) & (h < h_to)
             out[gidx[rows], h] = values[rows]
+
+
+def f(sf: ScaleFunction, s):
+    """Infinitesimal generating function f(s) = (1 - s)*decay_rate(1 - s) on [0, 1)."""
+    s = np.asarray(s, dtype=float)
+    if np.any(s >= 1.0) or np.any(s < 0.0):
+        raise DomainError("f(s) requires 0 <= s < 1; the limit at 1- is 0")
+    y = 1.0 - s
+    val = y * sf.decay_rate(y)
+    return float(val) if np.ndim(val) == 0 else val
+
+
+def sv_elasticity(sf: ScaleFunction, x):
+    """x * sv'(x) / sv(x) = -index_drift(1/x) on x >= 1."""
+    return -sf.index_drift(1.0 / np.asarray(x, dtype=float))
+
+
+def remainder_rho(sf: ScaleFunction, lam: float, x: float) -> float:
+    """Slow-variation remainder sv(lam*x)/sv(x) - 1 for lam > 0, x >= 1.
+
+    Both arguments of ``sv`` must stay >= 1, so lam*x >= 1 is required too.
+    """
+    if x < 1.0:
+        raise DomainError(f"remainder_rho requires x >= 1, got {x}")
+    if lam <= 0.0 or lam * x < 1.0:
+        raise DomainError(f"remainder_rho requires lam > 0 and lam*x >= 1, got lam={lam}")
+    return float(sf.sv(lam * x) / sf.sv(x) - 1.0)
+
+
+def perturbation_ratio(sf: ScaleFunction, y: float, K) -> float:
+    """Normalized slow-variation increment under argument perturbation.
+
+    With phi(y) = y - y*K(y) and K(y) -> 0 as y -> 0, returns
+
+        (sv(1/phi(y)) / sv(1/y) - 1) / decay_rate(y),
+
+    which stays bounded as y -> 0 for the coupled-drift family (and is
+    identically 0 whenever sv is constant).
+    """
+    if not (0.0 < y < 1.0):
+        raise DomainError(f"perturbation_ratio requires y in (0, 1), got {y}")
+    k = float(K(y))
+    if not (0.0 <= k < 1.0):
+        raise DomainError(f"perturbation_ratio requires 0 <= K(y) < 1, got K({y}) = {k}")
+    phi = y * (1.0 - k)
+    num = sf.sv(1.0 / phi) / sf.sv(1.0 / y) - 1.0
+    return float(num / sf.decay_rate(y))

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from critlab import acceptance, cli
 from critlab.cli import CSV_COLUMNS, ExperimentConfig, main, parse_config, read_rows
 from critlab.errors import ConfigError
-from critlab.sv_kernel import CoupledDriftScale
+from critlab.sv_kernel import ScaleFunction
 
 
 def write_cfg(tmp_path: Path, text: str) -> str:
@@ -160,6 +160,27 @@ def test_verify_only_single_criterion(tmp_path, capsys):
 def test_verify_only_accepts_tag_names(tmp_path, capsys):
     assert main(["verify", "--only", "closed-form-q", "--out", str(tmp_path / "r")]) == 0
     assert main(["verify", "--only", "bogus-tag", "--out", str(tmp_path / "r")]) == 2
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "verify"])
+def test_a_positional_file_is_refused_outside_rates_and_report(tmp_path, capsys, command):
+    # `critlab solve exp.cfg` once ran the default config and exited 0; the
+    # file is named, and the message points at --config, before anything runs
+    out = tmp_path / "r"
+    assert main([command, "exp.cfg", "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'exp.cfg'" in err and "--config" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate", "rates", "report"])
+def test_only_is_refused_outside_verify(tmp_path, capsys, command):
+    out = tmp_path / "r"
+    report = [str(tmp_path / "in.csv")] if command in ("rates", "report") else []
+    assert main([command, *report, "--only", "C1", "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"--only selects an acceptance criterion for verify, not {command}" in err
+    assert not out.exists()
 
 
 def test_verify_failing_band_exits_1(tmp_path, capsys, monkeypatch):
@@ -583,10 +604,10 @@ def test_cli_and_simulate_load_no_scipy_or_multiprocessing(tmp_path):
 def test_solve_makes_one_ode_pass_and_one_oracle_call_per_horizon(tmp_path, monkeypatch):
     # the README config has 7 horizons and s_list = 0, 0.5, 0.9: one solve_F
     # call over the 3 values of s, and per horizon one oracle solve over
-    # [0, *s_list], whose R gives q, P11 and every R and G cell. The family's
-    # own exact_R is counted, so a solve made inside any other route counts too.
+    # [0, *s_list], whose R gives q, P11 and every R and G cell. The oracle
+    # itself is counted, so a solve made inside any other route counts too.
     shapes = {"solve_F": [], "exact_R": []}
-    family_exact_R = CoupledDriftScale.exact_R
+    family_exact_R = ScaleFunction.exact_R
 
     def counted_solve_F(sf, s, *args, _fn=cli.solve_F):
         shapes["solve_F"].append(np.shape(s))
@@ -597,7 +618,7 @@ def test_solve_makes_one_ode_pass_and_one_oracle_call_per_horizon(tmp_path, monk
         return family_exact_R(self, y0, t)
 
     monkeypatch.setattr(cli, "solve_F", counted_solve_F)
-    monkeypatch.setattr(CoupledDriftScale, "exact_R", counted_exact_R)
+    monkeypatch.setattr(ScaleFunction, "exact_R", counted_exact_R)
     path = write_cfg(tmp_path, README_CFG)
     assert main(["solve", "--config", path, "--out", str(tmp_path / "r")]) == 0
     assert shapes == {"solve_F": [(3,)], "exact_R": [(4,)] * 7}

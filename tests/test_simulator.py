@@ -33,7 +33,6 @@ from critlab import (
     population_at,
     sample_qprocess_exact,
     simulate_mbp,
-    simulate_qprocess,
 )
 
 from critlab import simulator
@@ -41,6 +40,14 @@ from critlab.acceptance import _c11_verdict, _limit_cdf
 from critlab.simulator import EXACT_POP_CAP
 
 import reference
+
+
+def simulate_qprocess(model, i0, horizon, rng, pop_cap=simulator.DEFAULT_POP_CAP,
+                      max_events=10**8):
+    """A path of the conditioned chain, which never absorbs at 0: the event
+    engine's single-trajectory route with the conditioned flag set."""
+    return simulator._simulate_path(model, True, i0, horizon, rng, pop_cap, max_events)
+
 
 CONST = make_scale_function(ModelParams(0.5, 1.0, Family.CONSTANT))
 COUPLED = make_scale_function(ModelParams(0.5, 0.1, Family.COUPLED_DRIFT))

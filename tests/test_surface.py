@@ -2,6 +2,7 @@
 frozen list of names, so a removal, an addition or a rename is a deliberate
 change."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -30,11 +31,10 @@ EXPORTS = [
     "build_size_biased_distribution", "d_limit", "delta_sup", "dkw_band", "estimate_survival",
     "evolve_series", "exact_R", "expand_coeffs", "first_order_ratio", "fit_rate",
     "identity_residual", "ks_distance", "make_scale_function", "mechanism_series",
-    "normalized_error_p11", "normalized_error_q", "p11_exact", "perturbation_ratio",
-    "pi_coeffs", "pi_of", "population_at", "predict_p11", "predict_q", "psi_finite",
-    "psi_limit", "qproc_gf_ratio", "qproc_gf_second_order", "remainder_rho",
-    "sample_qprocess_exact", "simulate_mbp", "simulate_qprocess", "solve_F",
-    "solve_normalizer", "tauberian_ratio", "transition_matrix",
+    "normalized_error_p11", "normalized_error_q", "p11_exact", "pi_coeffs", "pi_of",
+    "population_at", "predict_p11", "predict_q", "psi_finite", "psi_limit",
+    "qproc_gf_ratio", "qproc_gf_second_order", "sample_qprocess_exact", "simulate_mbp",
+    "solve_F", "solve_normalizer", "tauberian_ratio", "transition_matrix",
 ]
 
 
@@ -43,8 +43,46 @@ def test_package_exports_the_frozen_names():
         n for n, v in vars(critlab).items()
         if not n.startswith("_") and not isinstance(v, types.ModuleType)
     )
-    assert len(EXPORTS) == 60
+    assert len(EXPORTS) == 57
     assert names == EXPORTS
+
+
+def _references_outside_own_definition(tree: ast.Module) -> set[str]:
+    """Names and attribute names a module reads, leaving out its ``__all__`` and
+    what a top-level def or class reads of its own name (recursion, a method
+    annotated with its class)."""
+    found = set()
+
+    def visit(node, own):
+        if isinstance(node, ast.Name) and node.id != own:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr != own:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+        ):
+            continue
+        own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+        visit(stmt, own)
+    return found
+
+
+def test_every_export_is_used_by_the_package_or_the_benchmark():
+    # src holds only what runs: each exported name is read somewhere in
+    # critlab itself (not counting __init__, __all__ or its own definition)
+    # or in the benchmark scripts, so a route that only the tests reach
+    # belongs in tests/reference.py instead
+    bench = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+    assert bench, "perfbench/*.py not found beside tests/"
+    paths = [p for p in sorted(Path(critlab.__file__).parent.glob("*.py")) if p.name != "__init__.py"]
+    used = set()
+    for path in paths + bench:
+        used |= _references_outside_own_definition(ast.parse(path.read_text()))
+    assert [name for name in EXPORTS if name not in used] == []
 
 
 def test_src_uses_no_scipy_root_finder_or_special_function():
