@@ -8,22 +8,17 @@ triangular in the coefficient index.
 
 The product is a direct convolution. The quotient, the fractional power and
 ``square_ratio``, k*p**2/(a - d*p), solve lower-triangular linear systems in
-the coefficients by blocked forward substitution: each block of rows
-subtracts the columns already solved with a compiled convolution, then
-solves its small diagonal block with LAPACK ``trtrs`` (``_solve_block``),
-resolved on the first solve: importing ``scipy.linalg`` takes 0.2-0.3 s and
-about 28 MB of memory on x86_64, and the Monte Carlo commands on a
-closed-form family never solve. The unscaled part of the diagonal block is
-built once per solve, so the per-block Python work stays small next to the
-convolutions.
-``square_ratio`` never forms the product k*p**2 in full: the history of
-a*g = p*(d*g + k*p) carries it, and its part inside each block comes from
-small matrix products made before the loop.
+the coefficients by blocked forward substitution on numpy alone: each block of
+rows subtracts the columns already solved with a compiled convolution, then
+solves its small diagonal block. ``div`` and ``powf`` substitute row by row
+(``_solve_block``), which is far more accurate than the block's condition
+number suggests, as ``div(1, f)`` needs for an f that vanishes at s = 1.
+``square_ratio``, the hot kernel, multiplies each block by the inverse of its
+one diagonal block T(a - d*p), which is well conditioned (|a - d*p| >= d0 on
+the unit disc), and never forms k*p**2 in full.
 """
 
 from __future__ import annotations
-
-from functools import cache
 
 import numpy as np
 
@@ -35,17 +30,9 @@ _DOT_CHUNK = 8192
 # lag i - j of entry (i, j) of a diagonal block
 _LAG = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
 # blocks per matrix product in square_ratio: m*n*k = 32*64*64 = 2**17, half the
-# size at which OpenBLAS (x86_64) splits a GEMM over its threads
+# size at which OpenBLAS (x86_64) splits a GEMM over its threads; its 64x64
+# block solves are GEMVs, m*n = 4096 below OpenBLAS's split at 2304 * 4
 _GEMM_ROWS = 32
-
-
-@cache
-def _trtrs():
-    """LAPACK's triangular solve for float64, resolved once."""
-    from scipy.linalg import get_lapack_funcs
-
-    (trtrs,) = get_lapack_funcs(("trtrs",), (np.empty((1, 1)),))
-    return trtrs
 
 
 def binom_series(alpha: float, order: int) -> np.ndarray:
@@ -141,8 +128,9 @@ def square_ratio(p: np.ndarray, k: float, a: float, d: float, order: int) -> np.
     The part of k*p*p inside each block is a row of p's block times the
     upper-triangular Toeplitz block of p, and all blocks' rows are made
     before the loop by one stacked ``np.matmul`` of ``_GEMM_ROWS`` x
-    ``_BLOCK`` x ``_BLOCK`` GEMMs, too small for OpenBLAS to thread. The
-    diagonal block a - d*T(p) is built once. So the full product k*p*p,
+    ``_BLOCK`` x ``_BLOCK`` GEMMs, too small for OpenBLAS to thread. Each
+    diagonal block T(a - d*p) is solved by one inverse, the Toeplitz matrix of
+    1/(a - d*p)'s head (``_reciprocal_head``). So the full product k*p*p,
     which a ``mul`` would form to order 2*order, is never formed.
     """
     n = order + 1
@@ -164,18 +152,33 @@ def square_ratio(p: np.ndarray, k: float, a: float, d: float, order: int) -> np.
     within = np.matmul(X, k * T.T).reshape(-1)
     v[:B] = -d * pp[:B]
     v[0] = den0
-    A = v[_LAG[:B, :B]]
+    inv = _reciprocal_head(v[:B])[_LAG[:B, :B]]
     h = k * pp
     h[0] += d * g[0]
-    trtrs = _trtrs()
     for s in range(1, n, B):
         e = min(s + B, n)
         m = e - s
         rhs = _history(pp, h, s, e)
         rhs += within[s - 1 : e - 1]
-        g[s:e] = sol = _solve_block(trtrs, A[:m, :m], rhs, s)
+        g[s:e] = sol = np.matmul(inv[:m, :m], rhs)
         h[s:e] += d * sol
     return g
+
+
+def _reciprocal_head(b):
+    """The first len(b) coefficients of 1/b, then len(b) - 1 zeros, by Newton
+    doubling: with r right to L terms, b*r = 1 + e*s**L + ..., and each step
+    forms only the new half r[L:2L] = -(r*e)[:L]."""
+    n = len(b)
+    r = np.zeros(2 * n - 1)
+    r[0] = 1.0 / b[0]
+    L = 1
+    while L < n:
+        M = min(2 * L, n)
+        e = np.convolve(b[1:M], r[:L], "valid")
+        r[L:M] = -np.convolve(r[: M - L], e)[: M - L]
+        L = M
+    return r
 
 
 def _padded(c: np.ndarray, n: int) -> np.ndarray:
@@ -195,12 +198,11 @@ def _lower_triangular_solve(x, r, terms):
     term (the columns already solved) is a 'valid' convolution per term, and
     its diagonal block is the same Toeplitz blocks with rows scaled by d. The
     unscaled blocks are summed once per call, so a full block of the quotient
-    builds nothing, and each diagonal block goes straight to LAPACK ``trtrs``.
+    builds nothing, and each diagonal block is solved by ``_solve_block``.
     Memory is O(n + _BLOCK**2).
     """
     n = len(x)
     B = min(_BLOCK, n)
-    trtrs = _trtrs()
     shared = np.zeros((B, B))
     scaled = []
     for d, p in terms:
@@ -222,24 +224,22 @@ def _lower_triangular_solve(x, r, terms):
         A = shared[:m, :m]
         for d, T in scaled:
             A = d[s:e, None] * T[:m, :m] + A
-        x[s:e] = _solve_block(trtrs, A, rhs, s)
+        x[s:e] = _solve_block(A, rhs, s)
     return x
 
 
-def _solve_block(trtrs, A, rhs, s):
+def _solve_block(A, rhs, s):
     """The solution of A @ x = rhs for a lower-triangular diagonal block A
-    (C-ordered) whose first row is row s of the whole system, by LAPACK
-    ``trtrs`` with its ``info`` checked; rhs is overwritten."""
-    # the arguments solve_triangular(A, rhs, lower=True) passes for a
-    # C-ordered A: the transposed upper-triangular system
-    sol, info = trtrs(A.T, rhs, lower=0, trans=1, overwrite_b=1)
-    if info > 0:
+    whose first row is row s of the whole system, by forward substitution
+    row by row (bit for bit with LAPACK ``trtrs``); rhs is overwritten."""
+    diag = A.diagonal().tolist()
+    if 0.0 in diag:
         raise np.linalg.LinAlgError(
-            f"singular matrix: resolution failed at diagonal {s + info - 1}"
+            f"singular matrix: resolution failed at diagonal {s + diag.index(0.0)}"
         )
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
-    return sol
+    for j, a in enumerate(diag):
+        rhs[j] = (rhs[j] - A[j, :j].dot(rhs[:j])) / a
+    return rhs
 
 
 def _history(p, x, s, e):

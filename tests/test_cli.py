@@ -561,10 +561,6 @@ from critlab.acceptance import run_criterion
 print("C11", run_criterion("C11").passed, scipy_modules())
 code = main(["solve", "--config", sys.argv[3], "--out", sys.argv[2]])
 print("solve", code, scipy_modules())
-from critlab import evolve_series
-evolve_series(sf, 64, 1.0)
-print("series", sorted({m.split(".")[1] for m in scipy_modules()
-                        if "." in m and not m.split(".")[1].startswith("_")} - {"version"}))
 """
 
 
@@ -577,8 +573,7 @@ def test_cli_and_simulate_load_no_scipy_or_multiprocessing(tmp_path):
     # exact_R, G_of and delta_sup on coupled_drift nor tauberian_ratio nor
     # C11 (exact W(t) draws and a numpy interpolant of D) needs scipy at all,
     # and neither does `critlab solve`, whose ODE pass is critlab's own
-    # DOP853 stepper. coupled_drift's evolve_series needs scipy.linalg for
-    # LAPACK trtrs, and no other scipy subpackage.
+    # DOP853 stepper.
     path = write_cfg(tmp_path, SIMULATE_SMALL_CFG)
     readme = tmp_path / "readme.cfg"
     readme.write_text(README_CFG)
@@ -598,7 +593,47 @@ def test_cli_and_simulate_load_no_scipy_or_multiprocessing(tmp_path):
     # the exact oracles (the coupled-drift root included), the Tauberian
     # check, C11 and `critlab solve` run on numpy and math alone
     assert lines[oracles + 1 : oracles + 3] == ["tauberian []", "C11 True []"]
-    assert lines[-2:] == ["solve 0 []", "series ['linalg']"]
+    assert lines[-1] == "solve 0 []"
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None  # every import of scipy or a subpackage now raises ImportError
+from critlab import Family, ModelParams, build_sim_model, evolve_series, make_scale_function
+from critlab.acceptance import run_criterion
+from critlab.cli import main
+print("solve", main(["solve", "--config", sys.argv[1], "--out", sys.argv[3] + "/solve"]))
+print("simulate", main(["simulate", "--config", sys.argv[2], "--out", sys.argv[3] + "/simulate"]))
+for fam in (Family.CONSTANT, Family.COUPLED_DRIFT):
+    sf = make_scale_function(ModelParams(0.5, 1.0, fam))
+    print(fam.value, evolve_series(sf, 256, 1.0).order)
+# coupled_drift's mechanism at the default sampling order is one div of order 2**16
+sf = make_scale_function(ModelParams(0.5, 0.05, Family.COUPLED_DRIFT))
+print("sim model", len(build_sim_model(sf).coeffs.coeffs))
+print("C8", run_criterion("C8").passed)
+"""
+
+
+def test_both_families_run_without_scipy(tmp_path):
+    # numpy is critlab's one runtime dependency: with scipy unimportable,
+    # `critlab solve` on the README config, `critlab simulate` on `constant`,
+    # the series engine on both families, the coupled_drift mechanism (the
+    # series quotient and its blocked triangular solves) and C8 all run
+    simulate = write_cfg(tmp_path, SIMULATE_SMALL_CFG)
+    readme = tmp_path / "readme.cfg"
+    readme.write_text(README_CFG)
+    src = str(Path(acceptance.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(readme), simulate, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [line for line in proc.stdout.splitlines() if not line.startswith("wrote ")] == [
+        "solve 0", "simulate 0", "constant 256", "coupled_drift 256",
+        f"sim model {2**16 + 1}", "C8 True",
+    ]
 
 
 def test_solve_makes_one_ode_pass_and_one_oracle_call_per_horizon(tmp_path, monkeypatch):

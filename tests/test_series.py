@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError
 from scipy.special import binom
 
 from critlab import _series, kolmogorov_engine
@@ -257,17 +256,24 @@ def test_kernels_do_not_depend_on_blas_threads():
 
 
 def test_every_gemm_stays_below_the_threading_size(monkeypatch):
-    # OpenBLAS (x86_64) runs a GEMM on one thread while m*n*k <= 65536 * 4, so
-    # its bits cannot depend on the thread count; a stacked np.matmul runs one
-    # GEMM per matrix of its leading dimensions. The thread test above cannot
-    # see a GEMM that is too large (it hashed the same under one and two
-    # threads with 128 x 256 x 256 tiles), so the shapes are checked here.
+    # OpenBLAS (x86_64) runs a GEMM on one thread while m*n*k <= 65536 * 4 and
+    # a GEMV while m*n < 2304 * 4 (interface/gemm.c and gemv.c, at the default
+    # GEMM_MULTITHREAD_THRESHOLD of 4), so their bits cannot depend on the
+    # thread count; a stacked np.matmul runs one GEMM per matrix of its leading
+    # dimensions, and a matrix times a vector, square_ratio's block solve, is a
+    # GEMV. The thread test above cannot see a GEMM that is too large (it
+    # hashed the same under one and two threads with 128 x 256 x 256 tiles),
+    # so the shapes are checked here.
     matmul, sizes = np.matmul, []
 
     def recording_matmul(x, y, *args, **kwargs):
-        (m, k), n = x.shape[-2:], y.shape[-1]
-        assert y.shape[-2] == k
-        sizes.append(m * n * k)
+        m, k = x.shape[-2:]
+        if y.ndim == 1:
+            assert y.shape == (k,)
+            sizes.append(("gemv", m * k))
+        else:
+            assert y.shape[-2] == k
+            sizes.append(("gemm", m * y.shape[-1] * k))
         return matmul(x, y, *args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", recording_matmul)
@@ -275,14 +281,20 @@ def test_every_gemm_stays_below_the_threading_size(monkeypatch):
     F[0] = 0.0
     n = 2**15
     y = _series.binom_series(0.5, n) + 0.5 ** np.arange(n + 1)
-    for caller, run in [
-        ("transition_matrix", lambda: kolmogorov_engine.transition_matrix(SeriesState(1.0, F))),
-        ("ragged", lambda: kolmogorov_engine.transition_matrix(SeriesState(1.0, F[:1001]), imax=700)),
-        ("square_ratio", lambda: _series.square_ratio(y, -0.25, 4.0, 1.0, n)),
+    for caller, run, kinds in [
+        ("transition_matrix", lambda: kolmogorov_engine.transition_matrix(SeriesState(1.0, F)),
+         {"gemm"}),
+        ("ragged", lambda: kolmogorov_engine.transition_matrix(SeriesState(1.0, F[:1001]), imax=700),
+         {"gemm"}),
+        ("square_ratio", lambda: _series.square_ratio(y, -0.25, 4.0, 1.0, n), {"gemm", "gemv"}),
     ]:
         sizes.clear()
         run()
-        assert sizes and max(sizes) <= 2**17, caller
+        assert {kind for kind, _ in sizes} == kinds, caller
+        assert max(size for kind, size in sizes if kind == "gemm") <= 2**17, caller
+        assert all(size < 2304 * 4 for kind, size in sizes if kind == "gemv"), caller
+    # one GEMV per block of the solve
+    assert sum(kind == "gemv" for kind, _ in sizes) == -(-n // _series._BLOCK)
     # a chunk of transition_matrix's rows is a whole number of row tiles
     assert kolmogorov_engine._CHUNK_ROWS % kolmogorov_engine._TILE_ROWS == 0
 
@@ -301,16 +313,16 @@ def test_div_memory_is_linear_in_order():
     assert peak < 32 * 2**20
 
 
-# sha256 of the kernels' float64 output bytes, recorded with numpy 2.4.6,
-# scipy 1.17.1 and OpenBLAS 0.3.31 on x86_64; a change to the solves that
-# moves any bit moves a digest
+# sha256 of the kernels' float64 output bytes, recorded with numpy 2.4.6 and
+# OpenBLAS 0.3.31 on x86_64; a change to the solves that moves any bit moves a
+# digest
 KERNEL_DIGESTS = {
     ("powf", 1024): "2b4624c1a47a068b86cb3e1f7addae114602f6b822224a62d1171b55434c20a5",
     ("div", 1024): "3d4ee2a906d41db09694041ab1bc6ed21b993bb952a96cdf054071620978d352",
-    ("square_ratio", 1024): "12987644094f485fb7fc9752ebe65589fa266d52176211e292ee169c5dc7b23f",
+    ("square_ratio", 1024): "223219227d5cebc7e51dd0f7fe04edb7a28a91ab6e2b742a5ed953c6975ba1ef",
     ("powf", 4096): "fbe800eb91e7fa8d2db8b7c308e4a5cd267a73440abb71c78218ad220a9cc732",
     ("div", 4096): "0b4dbddfc3397a22ea36f7d0139646fe0727385960ff846a31a619d5305ff7f8",
-    ("square_ratio", 4096): "3183d6f7c2ca1d1d5449d0cbcd7cf8834d6d1fe3f0481d9cd1272b0e6963b024",
+    ("square_ratio", 4096): "f7eeb09f3070b9e07b3b7dd741d3c0b6b0ee3dfda620bfdf77edd6a1fadeafd9",
 }
 
 
@@ -334,9 +346,9 @@ def test_singular_diagonal_block_raises():
     d[100] = 0.0
     x = np.zeros(n)
     x[0] = 1.0
-    with pytest.raises(LinAlgError, match="diagonal 100"):
+    with pytest.raises(np.linalg.LinAlgError, match="diagonal 100"):
         _series._lower_triangular_solve(x, np.ones(n), [(d, 0.5 ** np.arange(n))])
     # an unscaled term with a zero leading coefficient is singular in the
     # first block
-    with pytest.raises(LinAlgError, match="diagonal 1$"):
+    with pytest.raises(np.linalg.LinAlgError, match="diagonal 1$"):
         _series._lower_triangular_solve(x, np.ones(n), [(None, np.arange(n, dtype=float))])

@@ -95,6 +95,20 @@ def test_src_uses_no_scipy_root_finder_or_special_function():
             assert word not in text, f"{path.name} mentions {word}"
 
 
+def test_src_imports_no_scipy():
+    # numpy is critlab's one runtime dependency: no module imports scipy or a
+    # scipy subpackage, at its top or inside a function
+    for path in sorted(Path(critlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(name.split(".")[0] != "scipy" for name in names), path.name
+
+
 def test_src_integrates_through_one_solve_ivp_call():
     # every adaptive integration is one call of the private DOP853 stepper,
     # made by kolmogorov_engine._integrate: src neither imports

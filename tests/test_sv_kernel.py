@@ -456,6 +456,7 @@ def test_derived_evaluators_match_the_rate_form_in_mpmath(fam, nu, a0, J, q, x, 
     J=st.sampled_from([_series._BLOCK - 1, _series._BLOCK, _series._BLOCK + 1,
                        2 * _series._BLOCK, 2 * _series._BLOCK + 1]),
 )
+@example(fam=Family.COUPLED_DRIFT, nu=0.05, a0=5.0, q=1.0, J=2 * _series._BLOCK + 1)
 @settings(max_examples=12, deadline=None)
 def test_flow_series_matches_mpmath_at_the_block_edges(fam, nu, a0, q, J):
     # coupled_drift's flow is a blocked solve, so its first, second and third
@@ -464,7 +465,9 @@ def test_flow_series_matches_mpmath_at_the_block_edges(fam, nu, a0, q, J):
     # the rounding of the j + 1 before it, which the denominator amplifies by
     # at most 1 + d1/d0. Over 300 random draws and the 120 corners of these
     # ranges the worst error was 0.29 of this bound (1.2 eps for constant,
-    # 4.1 eps for coupled_drift, relative to the largest coefficient so far)
+    # 4.1 eps for coupled_drift, relative to the largest coefficient so far);
+    # 1200 more coupled_drift draws and its 40 corners gave at most 0.22, and
+    # the example, where d1/d0 is largest, 0.044
     pytest.importorskip("mpmath")
     sf = make_scale_function(ModelParams(nu, a0, fam))
     _, d0, d1 = sf.rate_form()
