@@ -7,16 +7,13 @@ and infinite offspring variance (0 < nu < 1).
 """
 
 from .asymptotics import (
-    AsymptoticPrediction,
     PiMeasure,
     RateFit,
     d_limit,
     delta_sup,
     first_order_ratio,
     fit_rate,
-    normalized_error_p11,
     normalized_error_q,
-    p11_exact,
     pi_coeffs,
     pi_of,
     predict_p11,

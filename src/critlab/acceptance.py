@@ -34,7 +34,6 @@ from .asymptotics import (
     delta_sup,
     first_order_ratio,
     laplace_sup_profile_max,
-    normalized_error_p11,
     normalized_error_q,
     pi_coeffs,
     qproc_gf_ratio,
@@ -157,7 +156,7 @@ def c4_survival_second_order(res: CriterionResult) -> None:
 def c5_p11_second_order(res: CriterionResult) -> None:
     """Normalized single-survivor error within [0.85, 1.15] at t=1e8."""
     sf = _sf(Family.COUPLED_DRIFT)
-    E = normalized_error_p11(sf, 1e8)
+    E = qproc_gf_second_order(sf, 0.0, 1e8)  # the G statement at s = 0 is P11's
     res.rows.append(("p11", "p11-second-order", 1e8, 1.0, E, E - 1.0, "oracle", ""))
     res.passed = 0.85 <= E <= 1.15
     res.details.append(f"E2(1e8)={E:.4f} (band [0.85,1.15])")

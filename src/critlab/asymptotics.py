@@ -1,6 +1,16 @@
 """Second-order asymptotic predictions and normalized-error measurement.
 
-Each predictor mirrors one limit statement of the theory:
+The three second-order statements, for q(t), P_11(t) and the conditioned
+generating function G(t;s), are one ratio (``_ratio``),
+
+    (nu*t)**(k + 1/nu) * R*decay_rate(R)**k / N(t),    R = R(t;s) from ``exact_R``:
+
+q's at k = 0, s = 0, and at k = 1, where R*decay_rate(R) = f(F(t;s)), P_11's
+at s = 0 (P_11 = f(F(t;0))/a0) and G's on 0 < s < 1 (G = pi(s)*f(F(t;s))).
+The time scale comes from ``sv_kernel.nu_t_power``, which refuses a horizon
+where it overflows, and N(t) from ``solve_normalizer``. Each statement's
+normalized error is (1 - ratio) * den / ((1 + k*nu) * num), num/den the
+family's ``ScaleFunction.second_order`` term from R(0) = 1 - s.
 
 * ``predict_q``: q(t) ~ N(t)/(nu*t)**(1/nu) * (1 + correction), where the
   correction is minus the index drift accumulated along R(u; 0), u <= t,
@@ -18,12 +28,6 @@ Each predictor mirrors one limit statement of the theory:
 * ``d_limit``: the limiting distribution function on [1e-6, 1e14] by fixed
   Talbot inversion, every point checked against Gaver-Stehfest.
 
-Every exact survival probability comes from ``exact_R(sf, 0.0, t)`` (and P_11
-and G from one quotient of its R), every time scale (nu*t)**p from
-``sv_kernel.nu_t_power``, which refuses a horizon where it overflows, and
-every second-order term num/den from the family's ``ScaleFunction.second_order``,
-from R(0) = 1 for q and P_11 and R(0) = 1 - s for G(t;s); the three statements
-share one normalized error, (1 - ratio) * den / (k * num).
 ``first_order_ratio`` is the classical first-order check q(t) / (f(1-q) nu t);
 ``fit_rate`` turns times and residuals into a log-log convergence-rate
 estimate.
@@ -38,19 +42,16 @@ import numpy as np
 
 from . import _series
 from .errors import DomainError, SolverError
-from .kolmogorov_engine import G_of, _f_quotient, exact_R
+from .kolmogorov_engine import G_of, exact_R
 from .laplace import gaver_stehfest, talbot
 from .sv_kernel import ScaleFunction, nu_t_power, solve_normalizer
 
 __all__ = [
-    "AsymptoticPrediction",
     "RateFit",
     "PiMeasure",
     "predict_q",
     "predict_p11",
     "normalized_error_q",
-    "normalized_error_p11",
-    "p11_exact",
     "pi_of",
     "pi_coeffs",
     "tauberian_ratio",
@@ -68,28 +69,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class AsymptoticPrediction:
-    """Leading factor and first correction of one expansion.
-
-    The predicted quantity is leading * (1 + correction).
-    """
-
-    leading: float
-    correction: float
-
-    @property
-    def value(self) -> float:
-        return self.leading * (1.0 + self.correction)
-
-
-@dataclass(frozen=True)
 class RateFit:
     slope: float
     intercept: float
     r_squared: float
 
 
-def predict_q(sf: ScaleFunction, t: float) -> AsymptoticPrediction:
+def predict_q(sf: ScaleFunction, t: float) -> float:
     """Second-order prediction of the survival probability at t >= 1."""
     if t < 1.0:
         raise DomainError(f"predict_q requires t >= 1, got {t}")
@@ -98,54 +84,60 @@ def predict_q(sf: ScaleFunction, t: float) -> AsymptoticPrediction:
     scale = nu_t_power(nu, t, 1.0 / nu, "q prediction")
     if scale == 0.0:
         raise SolverError(f"q prediction at t={t:g}: (nu*t)**{1.0 / nu:g} underflows to 0")
-    leading = N / scale
     num, den = sf.second_order(1.0, t)
-    corr = -num / den
-    return AsymptoticPrediction(leading, corr)
+    return N / scale * (1.0 - num / den)
 
 
-def p11_exact(sf: ScaleFunction, t: float) -> float:
-    """Exact P_11(t) = f(1 - q(t))/f(0), the quotient of ``G_of`` at s = y0 = 1."""
-    return _f_quotient(sf, 1.0, 1.0, exact_R(sf, 0.0, t), t)
-
-
-def predict_p11(sf: ScaleFunction, t: float) -> AsymptoticPrediction:
+def predict_p11(sf: ScaleFunction, t: float) -> float:
     """Second-order prediction of (nu*t)**(1+1/nu) * P_11(t)."""
     if t < 1.0:
         raise DomainError(f"predict_p11 requires t >= 1, got {t}")
-    nu = sf.nu
     N = solve_normalizer(sf, t)
-    leading = N / sf.a0
     num, den = sf.second_order(1.0, t)
-    corr = -(1.0 + nu) * num / den
-    return AsymptoticPrediction(leading, corr)
+    return N / sf.a0 * (1.0 - (1.0 + sf.nu) * num / den)
 
 
-def _normalized_error(sf: ScaleFunction, y0: float, t: float, ratio: float, k: float) -> float:
-    """(1 - ratio) * den / (k * num) with num/den the second-order term from R(0) = y0."""
-    num, den = sf.second_order(y0, t)  # a zero num leaves nothing to normalize by
+def _ratio(sf: ScaleFunction, s: float, t: float, k: int) -> float:
+    """Every statement's ratio, (nu*t)**(k + 1/nu) * R*decay_rate(R)**k / N(t) at R = R(t;s):
+    q's at k = 0, s = 0, and f(F(t;s))'s at k = 1, P11's at s = 0 and G's at 0 < s < 1."""
+    statement = "q" if k == 0 else "G" if s > 0.0 else "P11"
+    if not t >= 1.0:
+        raise DomainError(f"{statement} ratio requires t >= 1, got {t}")
+    p = k + 1.0 / sf.nu
+    scale = nu_t_power(sf.nu, t, p, f"{statement} ratio")
+    if scale == 0.0:
+        raise SolverError(f"{statement} ratio at t={t:g}: (nu*t)**{p:g} underflows to 0")
+    r = exact_R(sf, s, t)
+    return scale * (r * sf.decay_rate(r) ** k) / solve_normalizer(sf, t)
+
+
+def _normalized_error(sf: ScaleFunction, s: float, t: float, k: int) -> float:
+    """(1 - ratio) * den / ((1 + k*nu) * num), with num/den the second-order term from R(0) = 1 - s."""
+    ratio = _ratio(sf, s, t, k)
+    num, den = sf.second_order(1.0 - s, t)  # a zero num leaves nothing to normalize by
     if num == 0.0:
         raise DomainError(f"normalized error at t={t:g}: {sf.family.value} family has no second-order term")
-    return float((1.0 - ratio) * den / (k * num))
+    return float((1.0 - ratio) * den / ((1.0 + k * sf.nu) * num))
 
 
 def normalized_error_q(sf: ScaleFunction, t: float) -> float:
-    """E(t) = (1 - q(t)*(nu*t)**(1/nu)/N(t)) * den / num, with -num/den the
-    family's second-order correction of q(t).
-
-    Converges to 1 for the coupled-drift family; the acceptance band lives
-    on this quantity. A family without a second-order term raises DomainError.
-    """
-    q = exact_R(sf, 0.0, t)
-    pred = predict_q(sf, t)
-    return _normalized_error(sf, 1.0, t, q / pred.leading, 1.0)
+    """E(t) = (1 - q(t)*(nu*t)**(1/nu)/N(t)) * den / num, with -num/den the family's
+    second-order correction of q(t). Tends to 1 for the coupled-drift family, where
+    the acceptance band lives; a family without the term raises DomainError."""
+    return _normalized_error(sf, 0.0, t, 0)
 
 
-def normalized_error_p11(sf: ScaleFunction, t: float) -> float:
-    """Same normalization for P_11 with the (1+nu) coefficient divided out."""
-    val = nu_t_power(sf.nu, t, 1.0 + 1.0 / sf.nu, "scaled P11") * p11_exact(sf, t)
-    pred = predict_p11(sf, t)
-    return _normalized_error(sf, 1.0, t, val / pred.leading, 1.0 + sf.nu)
+def qproc_gf_ratio(sf: ScaleFunction, s: float, t: float) -> float:
+    """(nu*t)**(1+1/nu) * f(F(t;s)) / N(t) on 0 <= s < 1, which tends to 1: G(t;s)
+    over pi(s) * N(t)/(nu*t)**(1+1/nu) at s > 0, and P_11(t) over N(t)/a0 at s = 0."""
+    return _ratio(sf, s, t, 1)
+
+
+def qproc_gf_second_order(sf: ScaleFunction, s: float, t: float) -> float:
+    """Normalized second-order error of ``qproc_gf_ratio``, 0 <= s < 1, P_11's at s = 0:
+    (1 - ratio) * den / ((1+nu) * num), num/den the second-order term from R(0) = 1 - s.
+    Tends to 1 for the coupled-drift family; DomainError for a family without the term."""
+    return _normalized_error(sf, s, t, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -270,29 +262,6 @@ def laplace_sup_profile_max(nu: float) -> float:
     """
     u = nu / (1.0 + nu)
     return float(u / (1.0 + u) ** (2.0 + 1.0 / nu))
-
-
-# ---------------------------------------------------------------------------
-# conditioned-chain generating function ratios
-# ---------------------------------------------------------------------------
-
-
-def qproc_gf_ratio(sf: ScaleFunction, s: float, t: float) -> float:
-    """(nu*t)**(1+1/nu) * G(t;s) / (pi(s) * N(t)): tends to 1."""
-    nu = sf.nu
-    G = G_of(sf, s, t)
-    N = solve_normalizer(sf, t)
-    return float(nu_t_power(nu, t, 1.0 + 1.0 / nu, "G ratio") * G / (pi_of(sf, s) * N))
-
-
-def qproc_gf_second_order(sf: ScaleFunction, s: float, t: float) -> float:
-    """Normalized second-order error of the generating-function expansion.
-
-    (1 - ratio) * den / ((1+nu) * num), num/den the second-order term from
-    R(0) = 1 - s; approaches 1 for the coupled-drift family; DomainError for
-    a family without one.
-    """
-    return _normalized_error(sf, 1.0 - s, t, qproc_gf_ratio(sf, s, t), 1.0 + sf.nu)
 
 
 # ---------------------------------------------------------------------------

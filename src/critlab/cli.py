@@ -210,11 +210,11 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
         r = exact_R(sf, s_all, t)
         q, *r_oracles = r.tolist()
         p11, *gs = _f_quotient(sf, s_map, 1.0 - s_all, r, t).tolist()
-        pred = predict_q(sf, t).value if predicted else None
+        pred = predict_q(sf, t) if predicted else None
         rows.append(("solve", "q", t, q, pred, _rel_err(q, pred), "oracle", ""))
         scale = nu_t_power(sf.nu, t, 1.0 + 1.0 / sf.nu, "scaled P11")
         scaled = scale * p11
-        p_pred = predict_p11(sf, t).value if predicted else None
+        p_pred = predict_p11(sf, t) if predicted else None
         rows.append(("solve", "P11", t, scaled, p_pred, _rel_err(scaled, p_pred), "oracle", ""))
         for j, (s, r_oracle, g) in enumerate(zip(cfg.s_list, r_oracles, gs)):
             if r_odes is None:
@@ -233,6 +233,9 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     if cfg.seed is None:
         raise ConfigError("field 'seed': mandatory for simulate")
+    for name, low in (("threads", 1), ("trajectories", 0)):
+        if getattr(cfg, name) < low:
+            raise ConfigError(f"field {name!r}: must be >= {low}, got {getattr(cfg, name)}")
     sf = cfg.scale_function()
     model = build_sim_model(sf)
     rows = []

@@ -295,8 +295,8 @@ def evolve_series(
     """
     if J < 2:
         raise DomainError(f"evolve_series requires J >= 2, got {J}")
-    if t < 0.0:
-        raise DomainError(f"evolve_series requires t >= 0, got {t}")
+    if not t >= 0.0:
+        raise DomainError(f"evolve_series requires t >= 0, got t={t}")
     if t == 0.0:
         coeffs = np.zeros(J + 1)
         coeffs[1] = 1.0

@@ -347,9 +347,11 @@ def population_at(
         raise DomainError(f"population_at needs n >= 1, got {n}")
     _check_start(model, i0, pop_cap)
     _check_budget(max_events)
+    if threads < 1:
+        raise DomainError(f"population_at needs threads >= 1, got {threads}")
     horizons = np.sort(np.atleast_1d(np.asarray(horizons, dtype=float)))
     if horizons.size == 0 or not np.all(horizons >= 0.0):
-        raise DomainError("horizons must be nonnegative and nonempty")
+        raise DomainError(f"horizons must be nonempty and t >= 0, got t={horizons}")
     batches = min(_BATCHES, n)
     sizes = [n // batches + (1 if b < n % batches else 0) for b in range(batches)]
     seqs = np.random.SeedSequence(seed).spawn(batches)
@@ -396,7 +398,7 @@ def sample_qprocess_exact(sf: ScaleFunction, t: float, n: int, seed: int) -> Pop
         raise DomainError(
             f"sample_qprocess_exact serves the constant family only, got {sf.family.value}"
         )
-    if t < 0.0 or n < 1:
+    if not t >= 0.0 or n < 1:
         raise DomainError(f"sample_qprocess_exact needs t >= 0 and n >= 1, got t={t}, n={n}")
     nu = sf.nu
     c = nu * sf.a0 * t
@@ -419,6 +421,8 @@ def sample_qprocess_exact(sf: ScaleFunction, t: float, n: int, seed: int) -> Pop
 
 
 def _simulate_path(model, conditioned, i0, horizon, rng, pop_cap, max_events) -> Trajectory:
+    if not horizon >= 0.0:
+        raise DomainError(f"simulate_mbp requires a horizon t >= 0, got t={horizon}")
     _check_start(model, i0, pop_cap)
     _check_budget(max_events)
     path = [(0.0, i0)]

@@ -11,10 +11,12 @@ at any (nu, a0), the one-point-at-a-time Laplace inversions, a scalar
 Python node sum with ``cmath``/``math`` next to ``laplace``'s array sums,
 the limit law D(x) by ``mpmath``'s Talbot inversion at 30 digits, and the
 evaluators ``ScaleFunction`` derives from a family's rate form, its exact
-R(t;s) and the quotient f(1 - R)/f(1 - y0) behind ``G_of`` and
-``p11_exact``, by ``mpmath`` at 50 digits with ``mpmath.taylor`` in place of
-series arithmetic and ``mpmath.findroot`` in place of the closed-form
-normalizer and of the Newton root, the transition matrix by the sequential
+R(t;s), the quotient f(1 - R)/f(1 - y0) behind ``G_of`` and ``p11_exact``
+and the second-order statements' ratio, by ``mpmath`` at 50 digits with
+``mpmath.taylor`` in place of series arithmetic and ``mpmath.findroot`` in
+place of the closed-form normalizer and of the Newton root, the exact P_11(t)
+and the statements' ratio by the quotient routes of P_11 and G, dividing by
+N(t)/a0 and by pi(s)*N(t), the transition matrix by the sequential
 row loop in ``np.longdouble``, and the event engine's horizon slots written
 by a loop over the horizons. These functions take valid inputs only.
 
@@ -31,8 +33,10 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from critlab import DomainError, Family, ScaleFunction, SolverError
+from critlab import DomainError, Family, G_of, ScaleFunction, SolverError, exact_R, pi_of
+from critlab.kolmogorov_engine import _f_quotient
 from critlab.laplace import _GS_TERMS, _GS_WEIGHTS, _TALBOT_NODES
+from critlab.sv_kernel import nu_t_power, solve_normalizer
 
 
 def invariant_measure_M(sf: ScaleFunction, s: float) -> float:
@@ -312,6 +316,36 @@ class RateFormMpmath:
         r = R(t;s) and y0 = 1 - s, P_11(t) at s = y0 = 1 and r = q(t)."""
         r, y0 = self.mp.mpf(r), self.mp.mpf(y0)
         return float(s * r * self._rate(r**self.nu) / (y0 * self._rate(y0**self.nu)))
+
+    def statement_ratio(self, k: int, t: float, r: float, N: float) -> float:
+        """(nu*t)**(k + 1/nu) * r*rate(r**nu)**k / N: the second-order statements'
+        ratio at a given R = r and N(t), q's at k = 0 and f(F)'s at k = 1."""
+        r = self.mp.mpf(r)
+        scale = (self.nu * self.mp.mpf(t)) ** (k + 1 / self.nu)
+        return float(scale * r * self._rate(r**self.nu) ** k / self.mp.mpf(N))
+
+
+def p11_exact(sf: ScaleFunction, t: float) -> float:
+    """Exact P_11(t) = f(1 - q(t))/f(0), the quotient of ``G_of`` at s = y0 = 1."""
+    return _f_quotient(sf, 1.0, 1.0, exact_R(sf, 0.0, t), t)
+
+
+def quotient_ratio(sf: ScaleFunction, s: float, t: float) -> float:
+    """The ratio of ``qproc_gf_ratio`` by the quotient routes: (nu*t)**(1+1/nu)
+    * P_11(t) / (N(t)/a0) at s = 0, (nu*t)**(1+1/nu) * G(t;s) / (pi(s)*N(t))
+    on 0 < s < 1."""
+    scale = nu_t_power(sf.nu, t, 1.0 + 1.0 / sf.nu, "quotient ratio")
+    N = solve_normalizer(sf, t)
+    if s == 0.0:
+        return scale * p11_exact(sf, t) / (N / sf.a0)
+    return float(scale * G_of(sf, s, t) / (pi_of(sf, s) * N))
+
+
+def quotient_normalized_error(sf: ScaleFunction, s: float, t: float) -> float:
+    """(1 - ``quotient_ratio``) * den / ((1+nu) * num), num/den the second-order
+    term from R(0) = 1 - s: P_11's statistic at s = 0, G's on 0 < s < 1."""
+    num, den = sf.second_order(1.0 - s, t)
+    return float((1.0 - quotient_ratio(sf, s, t)) * den / ((1.0 + sf.nu) * num))
 
 
 def transition_matrix_longdouble(coeffs, imax=None) -> np.ndarray:

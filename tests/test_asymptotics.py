@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc, gammaln
@@ -29,9 +29,7 @@ from critlab import (
     first_order_ratio,
     fit_rate,
     make_scale_function,
-    normalized_error_p11,
     normalized_error_q,
-    p11_exact,
     pi_coeffs,
     pi_of,
     predict_p11,
@@ -63,11 +61,9 @@ def binom_cumsum(alpha: float, m: int) -> float:
 
 def test_predict_q_constant_family():
     # leading term (nu a0 t)^{-1/nu}; correction vanishes with zero drift
-    p = predict_q(CONST, 100.0)
-    assert p.correction == 0.0
-    assert p.leading == pytest.approx((0.5 * 100.0) ** -2.0, rel=1e-12)
+    assert predict_q(CONST, 100.0) == pytest.approx((0.5 * 100.0) ** -2.0, rel=1e-12)
     # (q/leading - 1) * t stays bounded (the 1/a0 offset drives it to -2/nu)
-    vals = [(exact_R(CONST, 0.0, t) / predict_q(CONST, t).leading - 1.0) * t for t in (1e2, 1e4, 1e6)]
+    vals = [(exact_R(CONST, 0.0, t) / predict_q(CONST, t) - 1.0) * t for t in (1e2, 1e4, 1e6)]
     assert all(abs(v) < 5.0 for v in vals)
     with pytest.raises(DomainError):
         predict_q(CONST, 0.5)
@@ -76,22 +72,20 @@ def test_predict_q_constant_family():
 def test_predicted_value_close_at_large_t():
     # leftover terms are O(1/t) + o(log t / t); at t = 1e6 that is ~1e-5
     t = 1e6
-    p = predict_q(COUPLED, t)
-    assert p.value == pytest.approx(exact_R(COUPLED, 0.0, t), rel=2e-5)
-    p2 = predict_p11(COUPLED, t)
-    scaled = (0.5 * t) ** 3 * p11_exact(COUPLED, t)
-    assert p2.value == pytest.approx(scaled, rel=2e-5)
+    assert predict_q(COUPLED, t) == pytest.approx(exact_R(COUPLED, 0.0, t), rel=2e-5)
+    scaled = (0.5 * t) ** 3 * reference.p11_exact(COUPLED, t)
+    assert predict_p11(COUPLED, t) == pytest.approx(scaled, rel=2e-5)
 
 
 def test_normalized_errors_in_band():
     assert 0.9 <= normalized_error_q(COUPLED, 1e8) <= 1.1
-    assert 0.85 <= normalized_error_p11(COUPLED, 1e8) <= 1.15
+    assert 0.85 <= qproc_gf_second_order(COUPLED, 0.0, 1e8) <= 1.15
 
 
 def test_normalized_errors_refuse_a_family_without_second_order_term():
     # the constant family's second-order term is 0: there is nothing to
     # divide the measured error by
-    for fn in (normalized_error_q, normalized_error_p11):
+    for fn in (normalized_error_q, lambda sf, t: qproc_gf_second_order(sf, 0.0, t)):
         with pytest.raises(DomainError, match="constant family has no second-order term"):
             fn(CONST, 1e4)
 
@@ -102,13 +96,55 @@ def test_gf_second_order_refuses_a_family_without_second_order_term():
 
 
 def test_gf_second_order_tends_to_p11s_as_s_goes_to_zero():
+    # at s = 0 the G statistic is P11's: against the reference route, which
+    # divides (nu*t)**(1+1/nu) * P_11(t) by N(t)/a0, the ratios share the one
+    # (nu*t)**(1+1/nu) and differ by the few roundings after it (at most
+    # 1.5 eps over this grid), which E multiplies by den/((1+nu)*num)
+    eps = np.finfo(float).eps
+    for a0 in (0.3, 3.7, 41.0):
+        for nu in (0.1, 0.5, 0.9):
+            sf = make_scale_function(ModelParams(nu, a0, Family.COUPLED_DRIFT))
+            for t in (1e4, 1e6, 1e8, 1e10):
+                num, den = sf.second_order(1.0, t)
+                want = reference.quotient_normalized_error(sf, 0.0, t)
+                assert abs(qproc_gf_second_order(sf, 0.0, t) - want) <= 8.0 * eps * den / ((1.0 + nu) * num)
     # G(t;s)/s -> P_11(t) and the term from R(0) = 1 - s -> the one from 1, so
-    # the G statistic tends to P11's, about 1.3*s apart at t = 1e6
-    target = normalized_error_p11(COUPLED, 1e6)
+    # the statistic at s tends to the one at 0, about 1.3*s apart at t = 1e6
+    target = qproc_gf_second_order(COUPLED, 0.0, 1e6)
     ss = (1e-2, 1e-4, 1e-6)
     gaps = [abs(qproc_gf_second_order(COUPLED, s, 1e6) - target) for s in ss]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     assert all(g < 2.0 * s for g, s in zip(gaps, ss))
+
+
+@given(fam=st.sampled_from([Family.CONSTANT, Family.COUPLED_DRIFT]), nu=st.floats(0.05, 0.97),
+       log10_a0=st.floats(-3.0, 3.0), s=st.just(0.0) | st.floats(1e-6, 0.999),
+       log10_t=st.floats(0.0, 10.0))
+@settings(max_examples=200, deadline=None)
+@example(fam=Family.COUPLED_DRIFT, nu=0.05, log10_a0=3.0, s=0.0, log10_t=10.0)
+def test_statement_ratio_matches_mpmath(fam, nu, log10_a0, s, log10_t):
+    # (nu*t)**(k + 1/nu) * R*decay_rate(R)**k / N(t) against the rate form at 50
+    # digits, at the same R and N: P11's and G's ratio at k = 1, q's at k = 0.
+    # Rounding 1 + 1/nu moves the power by up to p*eps, which (nu*t)**p turns
+    # into p*|log(nu*t)|*eps; rounding nu*t adds p*eps/2 and the products a few
+    # eps. The bound is p*(|log(nu*t)| + 1) + 8 eps: over 4767 random draws
+    # the ratio came within 0.62 of it at k = 1 and 0.41 at k = 0, while the
+    # quotient routes of reference.quotient_ratio, which cancel in 1 - y**nu
+    # near s = 0, reached 899 eps, 55 times the bound at that draw
+    pytest.importorskip("mpmath")
+    sf = make_scale_function(ModelParams(nu, 10.0**log10_a0, fam))
+    t = 10.0**log10_t
+    assume(sf.normalizer_defined(t))
+    ref = reference.RateFormMpmath(sf.rate_form(), sf.nu)
+    r, N = exact_R(sf, s, t), solve_normalizer(sf, t)
+    cases = [(1, qproc_gf_ratio(sf, s, t))]
+    if s == 0.0:
+        cases.append((0, asymptotics._ratio(sf, 0.0, t, 0)))
+    for k, got in cases:
+        want = ref.statement_ratio(k, t, r, N)
+        p = k + 1.0 / nu
+        bound = p * (abs(math.log(nu * t)) + 1.0) + 8.0
+        assert abs(got - want) <= bound * np.finfo(float).eps * want, k
 
 
 @pytest.mark.parametrize("nu", [0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.97])
@@ -119,7 +155,7 @@ def test_second_order_statements_approach_one_over_the_nu_range(nu):
     # from 1e6 on and end below where it started
     sf = make_scale_function(ModelParams(nu, 1.0, Family.COUPLED_DRIFT))
     statements = [("q", lambda t: normalized_error_q(sf, t)),
-                  ("p11", lambda t: normalized_error_p11(sf, t))]
+                  ("p11", lambda t: qproc_gf_second_order(sf, 0.0, t))]
     statements += [(f"G at s={s}", lambda t, s=s: qproc_gf_second_order(sf, s, t))
                    for s in (0.25, 0.5, 0.75)]
     for name, E in statements:
@@ -154,7 +190,7 @@ def test_p11_exact_matches_series():
     cfg = SolveConfig(rel_tol=1e-11, abs_tol=1e-13)
     for t in (1.0, 10.0, 100.0):
         st = evolve_series(CONST, 256, t, cfg)
-        assert st.coeffs[1] == pytest.approx(p11_exact(CONST, t), abs=1e-8)
+        assert st.coeffs[1] == pytest.approx(reference.p11_exact(CONST, t), abs=1e-8)
 
 
 @given(fam=st.sampled_from([Family.CONSTANT, Family.COUPLED_DRIFT]), nu=st.floats(0.05, 0.95),
@@ -170,7 +206,7 @@ def test_p11_from_the_quotient_matches_mpmath(fam, nu, a0, log10_t):
     t = 10.0**log10_t
     want = reference.RateFormMpmath(sf.rate_form(), sf.nu).f_quotient(1.0, 1.0, exact_R(sf, 0.0, t))
     bound = 3.0 if fam is Family.CONSTANT else 5.0
-    assert abs(p11_exact(sf, t) - want) <= bound * math.ulp(want)
+    assert abs(reference.p11_exact(sf, t) - want) <= bound * math.ulp(want)
 
 
 def test_pi_small_s_limit():
@@ -526,9 +562,9 @@ def test_gaver_stehfest_weights_are_the_exact_rationals_rounded():
 @pytest.mark.parametrize(
     "fn, sf, t, quantity",
     [(predict_q, CONST, 1e160, "q prediction"),
-     (normalized_error_p11, CONST, 1e110, "scaled P11"),
+     (lambda sf, t: qproc_gf_second_order(sf, 0.0, t), CONST, 1e110, "P11 ratio"),
      (lambda sf, t: qproc_gf_ratio(sf, 0.5, t), CONST, 1e110, "G ratio")],
-    ids=["predict_q", "normalized_error_p11", "qproc_gf_ratio"],
+    ids=["predict_q", "qproc_gf_second_order_at_s_0", "qproc_gf_ratio"],
 )
 def test_overflowing_horizon_is_refused_by_name(fn, sf, t, quantity):
     with pytest.raises(SolverError, match=re.escape(f"{quantity} at t={t:g}")):
@@ -548,8 +584,8 @@ def test_predict_p11_coupled_at_huge_horizons(t):
     # (nu*t)**(1+1/nu) * P_11(t) -> N(t)/a0 -> ((nu + a0)/(a0*nu))**(1/nu) = 9;
     # the closed-form normalizer never forms the root y* ~ 1/t**2, which underflows
     p = predict_p11(COUPLED, t)
-    assert math.isfinite(p.value)
-    assert p.value == pytest.approx(9.0, rel=1e-12)
+    assert math.isfinite(p)
+    assert p == pytest.approx(9.0, rel=1e-12)
 
 
 def test_d_limit_tail_matches_tauberian_constant():

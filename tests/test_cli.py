@@ -323,6 +323,10 @@ def test_config_t_grid_validation():
         ("simulate", "seed = 1\nmc_n = 10\npop_cap = 0\n", 2, "pop_cap = 0 and i0 = 1"),
         ("simulate", "seed = 1\nmc_n = 10\ni0 = 5\npop_cap = 5\n", 2, "pop_cap = 5 and i0 = 5"),
         ("simulate", "seed = 1\nmc_n = 10\nt_max = inf\n", 2, "t grid"),
+        ("simulate", "seed = 1\nmc_n = 10\nthreads = -3\n", 2, "field 'threads': must be >= 1, got -3"),
+        ("simulate --threads 0", "seed = 1\nmc_n = 10\n", 2, "field 'threads': must be >= 1, got 0"),
+        ("simulate", "seed = 1\nmc_n = 10\ntrajectories = -2\n", 2,
+         "field 'trajectories': must be >= 0, got -2"),
         ("solve", "t_min = nan\n", 2, "t grid"),
         ("solve", "t_min = 1e300\nt_max = 1e300\nt_points = 1\n", 3,
          "q prediction at t=1e+300: (nu*t)**2 overflows"),
@@ -343,15 +347,18 @@ def test_config_t_grid_validation():
          "at s=0.9, t=0.1: decay_rate(1 - s) underflows to 0"),
     ],
     ids=["mc_n-zero", "mc_n-negative", "seed-negative", "i0-zero", "pop_cap-past-2**62",
-         "pop_cap-zero", "pop_cap-at-i0", "t_max-inf", "t_min-nan", "ode-overflow",
+         "pop_cap-zero", "pop_cap-at-i0", "t_max-inf", "threads-negative", "threads-flag-zero",
+         "trajectories-negative", "t_min-nan", "ode-overflow",
          "huge-horizon", "tiny-a0", "huge-decay-rate", "exact-R-overflow",
          "second-order-overflow", "coupled-rate-underflows", "quotient-rate-underflows"],
 )
 def test_accepted_configs_fail_by_name(tmp_path, capsys, command, extra, code, named):
     # parse_config accepts each of these; the run must end in a named error
-    # with its exit code (2 config, 3 numerical), never in a traceback
+    # with its exit code (2 config, 3 numerical), never in a traceback. The
+    # thread and trajectory counts, also from --threads, are refused before
+    # any worker starts
     path = write_cfg(tmp_path, BASE + extra)
-    assert main([command, "--config", path, "--out", str(tmp_path / "r")]) == code
+    assert main([*command.split(), "--config", path, "--out", str(tmp_path / "r")]) == code
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
     if code == 3:
@@ -664,8 +671,9 @@ def test_solve_cells_are_the_library_routes_bit_for_bit(tmp_path, family):
     # the P11 and G cells come from the one oracle result of their horizon;
     # they must be p11_exact and G_of, which solve R again, to the bit, also
     # at a0 != 1 (every frozen case has a0 = 1)
-    from critlab import G_of, p11_exact
+    from critlab import G_of
     from critlab.sv_kernel import nu_t_power
+    from reference import p11_exact
 
     path = write_cfg(tmp_path, README_CFG + f"family = {family}\na0 = 3.7\n")
     cfg = parse_config(path)

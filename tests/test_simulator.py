@@ -108,6 +108,19 @@ def test_worker_count_is_bounded_by_batches(model, monkeypatch):
     assert np.array_equal(a.sizes, b.sizes)
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_population_at_refuses_fewer_than_one_thread(model, threads):
+    # below 1 the batches ran serially; a count that is no worker count is refused
+    with pytest.raises(DomainError, match=f"threads >= 1, got {threads}"):
+        population_at(model, [1.0], 40, seed=3, threads=threads)
+
+
+def test_simulate_mbp_refuses_a_negative_horizon(model):
+    # horizon -1 returned the one-point path [0.]
+    with pytest.raises(DomainError, match="horizon t >= 0, got t=-1.0"):
+        simulate_mbp(model, 1, -1.0, np.random.default_rng(1))
+
+
 def test_clipped_tail_draw_is_censored_not_wrapped(model):
     # the tail sampler clips draws at 2**62; with pop_cap <= 2**62 a clipped
     # draw ends its trajectory censored at 2**62 + i0 - 1 < 2**63, never

@@ -9,6 +9,9 @@ import pkgutil
 import types
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import critlab
 
 MODULES = [
@@ -23,7 +26,7 @@ def test_module_all_names_resolve():
 
 
 EXPORTS = [
-    "AsymptoticPrediction", "ConfigError", "CritlabError", "DEFAULT_CFG", "DomainError",
+    "ConfigError", "CritlabError", "DEFAULT_CFG", "DomainError",
     "EmpiricalCDF", "Family", "G_of", "MCEstimate", "ModelParams", "OffspringCoeffs",
     "OffspringDistribution", "ParameterError", "PiMeasure", "PopulationSample", "RateFit",
     "ScaleFunction", "SeriesState", "SimModel", "SolveConfig", "SolverError", "Trajectory",
@@ -31,7 +34,7 @@ EXPORTS = [
     "build_size_biased_distribution", "d_limit", "delta_sup", "dkw_band", "estimate_survival",
     "evolve_series", "exact_R", "expand_coeffs", "first_order_ratio", "fit_rate",
     "identity_residual", "ks_distance", "make_scale_function", "mechanism_series",
-    "normalized_error_p11", "normalized_error_q", "p11_exact", "pi_coeffs", "pi_of",
+    "normalized_error_q", "pi_coeffs", "pi_of",
     "population_at", "predict_p11", "predict_q", "psi_finite", "psi_limit",
     "qproc_gf_ratio", "qproc_gf_second_order", "sample_qprocess_exact", "simulate_mbp",
     "solve_F", "solve_normalizer", "tauberian_ratio", "transition_matrix",
@@ -43,7 +46,7 @@ def test_package_exports_the_frozen_names():
         n for n, v in vars(critlab).items()
         if not n.startswith("_") and not isinstance(v, types.ModuleType)
     )
-    assert len(EXPORTS) == 57
+    assert len(EXPORTS) == 54
     assert names == EXPORTS
 
 
@@ -123,3 +126,69 @@ def test_src_integrates_through_one_solve_ivp_call():
             assert word not in text, f"{path.name} mentions {word}"
     integrate = inspect.getsource(critlab.kolmogorov_engine._integrate).splitlines()
     assert len(calls) == 1 and calls[0] in integrate
+
+
+def _calls_by_function(module) -> dict[str, set[str]]:
+    """The names each top-level function of a module calls, as f(...) or x.f(...)."""
+    out = {}
+    for fn in ast.parse(inspect.getsource(module)).body:
+        if isinstance(fn, ast.FunctionDef):
+            out[fn.name] = {
+                node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+            }
+    return out
+
+
+def test_second_order_statements_form_one_ratio():
+    # every second-order statement's ratio is asymptotics._ratio, so only it
+    # and the two predictors take the time scale (nu*t)**p or the normalizer;
+    # G(t;s), pi(s) and the quotient f(F)/f(s) serve only psi_finite, the
+    # transform of G itself, so no statement can divide by pi(s) or a0 again
+    calls = _calls_by_function(critlab.asymptotics)
+
+    def callers(*names):
+        return {fn for fn, called in calls.items() if called & set(names)}
+
+    assert callers("nu_t_power") == {"_ratio", "predict_q"}
+    assert callers("solve_normalizer") == {"_ratio", "predict_q", "predict_p11"}
+    assert callers("G_of", "pi_of", "_f_quotient") == {"psi_finite"}
+
+
+_SF = critlab.make_scale_function(critlab.ModelParams(0.5, 1.0, critlab.Family.CONSTANT))
+_NAN = float("nan")
+_HORIZON_CALLS = {
+    "solve_F": lambda m: critlab.solve_F(_SF, 0.5, _NAN),
+    "exact_R": lambda m: critlab.exact_R(_SF, 0.5, _NAN),
+    "identity_residual": lambda m: critlab.identity_residual(_SF, 0.5, _NAN),
+    "evolve_series": lambda m: critlab.evolve_series(_SF, 16, _NAN),
+    "G_of": lambda m: critlab.G_of(_SF, 0.5, _NAN),
+    "solve_normalizer": lambda m: critlab.solve_normalizer(_SF, _NAN),
+    "predict_q": lambda m: critlab.predict_q(_SF, _NAN),
+    "predict_p11": lambda m: critlab.predict_p11(_SF, _NAN),
+    "normalized_error_q": lambda m: critlab.normalized_error_q(_SF, _NAN),
+    "qproc_gf_ratio": lambda m: critlab.qproc_gf_ratio(_SF, 0.5, _NAN),
+    "qproc_gf_second_order": lambda m: critlab.qproc_gf_second_order(_SF, 0.5, _NAN),
+    "psi_finite": lambda m: critlab.psi_finite(_SF, _NAN, 1.0),
+    "delta_sup": lambda m: critlab.delta_sup(_SF, _NAN),
+    "first_order_ratio": lambda m: critlab.first_order_ratio(_SF, _NAN),
+    "population_at": lambda m: critlab.population_at(m, [_NAN], 10, 1),
+    "estimate_survival": lambda m: critlab.estimate_survival(m, [_NAN], 10, 1),
+    "sample_qprocess_exact": lambda m: critlab.sample_qprocess_exact(_SF, _NAN, 10, 1),
+    "simulate_mbp": lambda m: critlab.simulate_mbp(m, 1, _NAN, np.random.default_rng(1)),
+}
+
+
+@pytest.fixture(scope="module")
+def sim_model():
+    return critlab.build_sim_model(_SF)
+
+
+@pytest.mark.parametrize("name", sorted(_HORIZON_CALLS))
+def test_a_nan_horizon_is_refused_by_name(name, sim_model):
+    # a check written t < 0 lets nan through, to a state at t = nan, an
+    # all-censored sample or a path run to extinction; every public function
+    # that takes a horizon refuses it with a DomainError that shows the nan
+    with pytest.raises(critlab.DomainError, match="nan"):
+        _HORIZON_CALLS[name](sim_model)
