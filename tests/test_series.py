@@ -323,6 +323,10 @@ KERNEL_DIGESTS = {
     ("powf", 4096): "fbe800eb91e7fa8d2db8b7c308e4a5cd267a73440abb71c78218ad220a9cc732",
     ("div", 4096): "0b4dbddfc3397a22ea36f7d0139646fe0727385960ff846a31a619d5305ff7f8",
     ("square_ratio", 4096): "f7eeb09f3070b9e07b3b7dd741d3c0b6b0ee3dfda620bfdf77edd6a1fadeafd9",
+    # at 2**14 the history of the last blocks sums two _DOT_CHUNK chunks
+    ("powf", 16384): "beb2e91e0d02f8a87060e50c43a9b44c6325bed481769ac5a975a8e8461ccd48",
+    ("div", 16384): "c814f1b067a0c0c38e3c7f811162f5e2bc40711e02744ffc8fd5feba9c967c20",
+    ("square_ratio", 16384): "d6420fc987d096c450264120d792b79c753c0c1bae68815e8e8ecefdd9f580af",
 }
 
 
