@@ -8,14 +8,15 @@ triangular in the coefficient index.
 
 The product is a direct convolution. The quotient, the fractional power and
 ``square_ratio``, k*p**2/(a - d*p), solve lower-triangular linear systems in
-the coefficients by blocked forward substitution on numpy alone: each block of
-rows subtracts the columns already solved with a compiled convolution, then
-solves its small diagonal block. ``div`` and ``powf`` substitute row by row
-(``_solve_block``), which is far more accurate than the block's condition
-number suggests, as ``div(1, f)`` needs for an f that vanishes at s = 1.
-``square_ratio``, the hot kernel, multiplies each block by the inverse of its
-one diagonal block T(a - d*p), which is well conditioned (|a - d*p| >= d0 on
-the unit disc), and never forms k*p**2 in full.
+the coefficients by blocked forward substitution on numpy alone, each in its
+own loop over blocks of rows: a block subtracts the columns already solved
+(``_history``, a compiled convolution), then solves its small diagonal block,
+built from the lower-triangular Toeplitz blocks of ``_toeplitz``. ``div`` and
+``powf`` substitute row by row (``_solve_block``), which is far more accurate
+than the block's condition number suggests, as ``div(1, f)`` needs for an f
+that vanishes at s = 1. ``square_ratio``, the hot kernel, multiplies each
+block by the inverse of its one diagonal block T(a - d*p), which is well
+conditioned (|a - d*p| >= d0 on the unit disc), and never forms k*p**2 in full.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def div(a: np.ndarray, b: np.ndarray, order: int | None = None) -> np.ndarray:
 
         b[0] * c[n] = a[n] - sum_{k=1..n} b[k] * c[n-k],
 
-    solved by blocks of rows (``_lower_triangular_solve``).
+    solved by blocks of rows, whose diagonal block is always T(b).
     """
     if b[0] == 0.0:
         raise ZeroDivisionError("series division by a non-unit (b[0] == 0)")
@@ -87,7 +88,12 @@ def div(a: np.ndarray, b: np.ndarray, order: int | None = None) -> np.ndarray:
     bb = _padded(b, n)
     c = np.empty(n)
     c[0] = aa[0] / bb[0]
-    return _lower_triangular_solve(c, aa, [(None, bb)])
+    B = min(_BLOCK, n)
+    T = _toeplitz(bb, B)
+    for s in range(1, n, B):
+        e = min(s + B, n)
+        c[s:e] = _solve_block(T[: e - s, : e - s], aa[s:e] - _history(bb, c, s, e), s)
+    return c
 
 
 def powf(y: np.ndarray, alpha: float, order: int | None = None) -> np.ndarray:
@@ -100,7 +106,8 @@ def powf(y: np.ndarray, alpha: float, order: int | None = None) -> np.ndarray:
 
     With w[0] = y[0]**alpha, rows n >= 1 form the lower-triangular system
     sum_{m<=n} (n * y[n-m] - (alpha + 1) * (n-m) * y[n-m]) * w[m] = 0,
-    solved by blocks of rows (``_lower_triangular_solve``).
+    solved by blocks of rows: with z[j] = -(alpha + 1) * j * y[j], the
+    diagonal block at row s is T(y) with row i scaled by s + i, plus T(z).
     """
     if y[0] <= 0.0:
         raise ZeroDivisionError("fractional power of a series with y[0] <= 0")
@@ -109,10 +116,17 @@ def powf(y: np.ndarray, alpha: float, order: int | None = None) -> np.ndarray:
     n = order + 1
     yy = _padded(y, n)
     k = np.arange(n, dtype=float)
+    z = -(alpha + 1.0) * k * yy
     w = np.empty(n)
     w[0] = y[0] ** alpha
-    terms = [(k, yy), (None, -(alpha + 1.0) * k * yy)]
-    return _lower_triangular_solve(w, np.zeros(n), terms)
+    B = min(_BLOCK, n)
+    Ty, Tz = _toeplitz(yy, B), _toeplitz(z, B)
+    for s in range(1, n, B):
+        e = min(s + B, n)
+        m = e - s
+        rhs = 0.0 - k[s:e] * _history(yy, w, s, e) - _history(z, w, s, e)
+        w[s:e] = _solve_block(k[s:e, None] * Ty[:m, :m] + Tz[:m, :m], rhs, s)
+    return w
 
 
 def square_ratio(p: np.ndarray, k: float, a: float, d: float, order: int) -> np.ndarray:
@@ -122,7 +136,7 @@ def square_ratio(p: np.ndarray, k: float, a: float, d: float, order: int) -> np.
 
         (a - d*p[0]) * g[n] - d * sum_{m<n} p[n-m] * g[m] = k * sum_{m<=n} p[n-m] * p[m],
 
-    solved by blocks of rows in the layout of ``_lower_triangular_solve``.
+    solved by blocks of rows like ``div`` and ``powf``.
     A block's history, the rows already solved, is the one convolution
     ``_history(p, h, s, e)``: it carries both the d*g and the k*p*p columns.
     The part of k*p*p inside each block is a row of p's block times the
@@ -145,14 +159,11 @@ def square_ratio(p: np.ndarray, k: float, a: float, d: float, order: int) -> np.
     nb = -(-(n - 1) // B)
     X = np.zeros((-(-nb // _GEMM_ROWS), _GEMM_ROWS, B))
     X.reshape(-1)[: n - 1] = pp[1:]
-    v = np.zeros(2 * B - 1)
-    v[:B] = pp[:B]
-    T = v[_LAG[:B, :B]]  # T[i, j] = p[i - j], zero above the diagonal
     # within[s - 1 + i] = k * sum_{s<=m<=s+i} p[s+i-m] * p[m] for the block at row s
-    within = np.matmul(X, k * T.T).reshape(-1)
-    v[:B] = -d * pp[:B]
-    v[0] = den0
-    inv = _reciprocal_head(v[:B])[_LAG[:B, :B]]
+    within = np.matmul(X, k * _toeplitz(pp, B).T).reshape(-1)
+    den = -d * pp[:B]
+    den[0] = den0
+    inv = _toeplitz(_reciprocal_head(den), B)
     h = k * pp
     h[0] += d * g[0]
     for s in range(1, n, B):
@@ -166,11 +177,11 @@ def square_ratio(p: np.ndarray, k: float, a: float, d: float, order: int) -> np.
 
 
 def _reciprocal_head(b):
-    """The first len(b) coefficients of 1/b, then len(b) - 1 zeros, by Newton
-    doubling: with r right to L terms, b*r = 1 + e*s**L + ..., and each step
-    forms only the new half r[L:2L] = -(r*e)[:L]."""
+    """The first len(b) coefficients of 1/b by Newton doubling: with r right
+    to L terms, b*r = 1 + e*s**L + ..., and each step forms only the new half
+    r[L:2L] = -(r*e)[:L]."""
     n = len(b)
-    r = np.zeros(2 * n - 1)
+    r = np.zeros(n)
     r[0] = 1.0 / b[0]
     L = 1
     while L < n:
@@ -189,43 +200,13 @@ def _padded(c: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _lower_triangular_solve(x, r, terms):
-    """Fill x[1:] from x[0] so that sum_{m<=i} A[i, m] * x[m] = r[i] for i >= 1.
-
-    A[i, m] = sum over (d, p) in ``terms`` of d[i] * p[i-m] (or p[i-m] when
-    d is None), a sum of row-scaled lower-triangular Toeplitz matrices, and
-    is never formed. Rows are solved ``_BLOCK`` at a time: the block's history
-    term (the columns already solved) is a 'valid' convolution per term, and
-    its diagonal block is the same Toeplitz blocks with rows scaled by d. The
-    unscaled blocks are summed once per call, so a full block of the quotient
-    builds nothing, and each diagonal block is solved by ``_solve_block``.
-    Memory is O(n + _BLOCK**2).
-    """
-    n = len(x)
-    B = min(_BLOCK, n)
-    shared = np.zeros((B, B))
-    scaled = []
-    for d, p in terms:
-        # T[i, j] = p[i-j]; a negative lag i - j reads the zero tail of v
-        v = np.zeros(2 * B - 1)
-        v[:B] = p[:B]
-        T = v[_LAG[:B, :B]]
-        if d is None:
-            shared += T
-        else:
-            scaled.append((d, T))
-    for s in range(1, n, B):
-        e = min(s + B, n)
-        m = e - s
-        rhs = r[s:e].copy()
-        for d, p in terms:
-            h = _history(p, x, s, e)
-            rhs -= h if d is None else d[s:e] * h
-        A = shared[:m, :m]
-        for d, T in scaled:
-            A = d[s:e, None] * T[:m, :m] + A
-        x[s:e] = _solve_block(A, rhs, s)
-    return x
+def _toeplitz(p, B):
+    """The B x B lower-triangular Toeplitz block of p, T[i, j] = p[i - j].
+    A -0.0 in p enters as +0.0 (0.0 + p): numpy's one-term dot keeps a
+    -0.0, whose sign would reach zeros of ``_solve_block``'s result."""
+    v = np.zeros(2 * B - 1)
+    v[:B] += p[:B]
+    return v[_LAG[:B, :B]]  # a negative lag i - j reads the zero tail of v
 
 
 def _solve_block(A, rhs, s):

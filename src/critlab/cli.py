@@ -40,6 +40,15 @@ TAG_CATALOG = frozenset({
 })
 _NUMERIC_COLUMNS = ("t", "exact", "predicted", "normalized_error", "stderr")
 
+# the flags each command reads; main refuses any other by name
+_COMMAND_FLAGS = {
+    "solve": ("config", "out"),
+    "simulate": ("config", "seed", "out", "threads"),
+    "verify": ("config", "out", "only"),
+    "rates": (),
+    "report": (),
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -244,7 +253,10 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                              threads=cfg.threads, pop_cap=cfg.pop_cap)
     for t, est in zip(ts, ests):
         q = exact_R(sf, 0.0, t)
-        exact = q if cfg.i0 == 1 else 1.0 - (1.0 - q) ** cfg.i0
+        # 1 - (1 - q)**i0 without the cancellation of 1 - q; it is q itself
+        # at i0 = 1 and at q = 0 or 1 (where log1p(-q) would raise or -expm1
+        # give -0.0)
+        exact = q if cfg.i0 == 1 or q in (0.0, 1.0) else -math.expm1(cfg.i0 * math.log1p(-q))
         rows.append(("mc", "mc-q", t, exact, est.value, est.value - exact, "mc", est.stderr))
     out = Path(cfg.out) / "simulate.csv"
     write_rows(out, rows)
@@ -287,7 +299,7 @@ def _rows_by_tag(report_path: str) -> list[tuple[str, list]]:
     return sorted(by_tag.items())
 
 
-def cmd_rates(cfg: ExperimentConfig, report_path: str) -> int:
+def cmd_rates(report_path: str) -> int:
     print("tag,slope,intercept,r_squared")
     for tag, grp in _rows_by_tag(report_path):
         ts = np.array([g[2] for g in grp])
@@ -300,7 +312,7 @@ def cmd_rates(cfg: ExperimentConfig, report_path: str) -> int:
     return 0
 
 
-def cmd_report(cfg: ExperimentConfig, report_path: str) -> int:
+def cmd_report(report_path: str) -> int:
     print(f"{'tag':<24}{'rows':>6}{'max|err|':>14}  methods")
     for tag, grp in _rows_by_tag(report_path):
         errs = [abs(g[5]) for g in grp if math.isfinite(g[5])]
@@ -311,7 +323,7 @@ def cmd_report(cfg: ExperimentConfig, report_path: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="critlab", description=__doc__)
-    p.add_argument("command", choices=["solve", "simulate", "verify", "rates", "report"])
+    p.add_argument("command", choices=list(_COMMAND_FLAGS))
     p.add_argument("report_file", nargs="?", help="input CSV for rates/report")
     p.add_argument("--config", type=str, default=None, help="flat key = value config file")
     p.add_argument("--only", type=str, default=None, help="verify: run one acceptance criterion (id or tag)")
@@ -331,6 +343,14 @@ def main(argv=None) -> int:
             )
         if args.only is not None and args.command != "verify":
             raise ConfigError(f"--only selects an acceptance criterion for verify, not {args.command}")
+        for flag in ("config", "only", "seed", "out", "threads"):
+            if getattr(args, flag) is not None and flag not in _COMMAND_FLAGS[args.command]:
+                raise ConfigError(f"--{flag} is not read by {args.command}")
+        if args.command in ("rates", "report"):
+            if not args.report_file:
+                raise ConfigError(f"{args.command} needs a report CSV path")
+            fn = cmd_rates if args.command == "rates" else cmd_report
+            return fn(args.report_file)
         cfg = parse_config(args.config) if args.config else ExperimentConfig()
         if args.seed is not None:
             cfg.seed = args.seed
@@ -342,14 +362,7 @@ def main(argv=None) -> int:
             return cmd_solve(cfg)
         if args.command == "simulate":
             return cmd_simulate(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.only)
-        if args.command in ("rates", "report"):
-            if not args.report_file:
-                raise ConfigError(f"{args.command} needs a report CSV path")
-            fn = cmd_rates if args.command == "rates" else cmd_report
-            return fn(cfg, args.report_file)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_verify(cfg, args.only)
     except (ConfigError, ParameterError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from critlab import acceptance, cli
 from critlab.cli import CSV_COLUMNS, ExperimentConfig, main, parse_config, read_rows
 from critlab.errors import ConfigError
+from critlab.kolmogorov_engine import exact_R
 from critlab.sv_kernel import ScaleFunction
 
 
@@ -149,6 +151,23 @@ def test_trajectory_dump(tmp_path):
     assert float(first[1]) == 0.0 and int(first[2]) == 1
 
 
+@pytest.mark.parametrize("i0", [2, 10, 2**40])
+def test_simulate_exact_survival_from_many_ancestors_keeps_its_digits(tmp_path, i0):
+    # 1 - (1 - q)**i0 cancels once q is near eps: at i0 = 2 and t = 1e8 it
+    # read 8.88e-16 against 8.00e-16
+    path = write_cfg(tmp_path, BASE + f"t_max = 1e8\nt_points = 9\nmc_n = 10\nseed = 1\n"
+                                      f"i0 = {i0}\npop_cap = {i0 + 10}\n")
+    out = tmp_path / "r"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+    sf = parse_config(path).scale_function()
+    rows = read_rows(out / "simulate.csv")
+    assert len(rows) == 9
+    for row in rows:
+        with mpmath.workdps(50):
+            ref = float(1 - (1 - mpmath.mpf(exact_R(sf, 0.0, row[2]))) ** i0)
+        assert abs(row[3] - ref) <= 4 * np.finfo(float).eps * ref, row
+
+
 def test_verify_only_single_criterion(tmp_path, capsys):
     out = tmp_path / "r"
     assert main(["verify", "--only", "C1", "--out", str(out)]) == 0
@@ -180,6 +199,31 @@ def test_only_is_refused_outside_verify(tmp_path, capsys, command):
     assert main([command, *report, "--only", "C1", "--seed", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"--only selects an acceptance criterion for verify, not {command}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("solve", "only"), ("solve", "seed"), ("solve", "threads"), ("simulate", "only"),
+     ("verify", "seed"), ("verify", "threads"),
+     *[(command, flag) for command in ("rates", "report")
+       for flag in ("config", "only", "seed", "out", "threads")]],
+)
+def test_a_flag_the_command_does_not_read_is_refused(tmp_path, capsys, command, flag):
+    # `critlab solve --seed 3` once exited 0 and dropped the seed; a flag the
+    # command does not read is named before any config or report is read
+    out = tmp_path / "r"
+    value = {"config": write_cfg(tmp_path, BASE), "only": "C1", "seed": "3", "out": str(out),
+             "threads": "4"}[flag]
+    if command in ("rates", "report"):
+        report = tmp_path / "in.csv"
+        report.write_text(",".join(CSV_COLUMNS) + "\n")
+        args = [command, str(report)]
+    else:
+        args = [command, "--out", str(out)]
+    assert main([*args, f"--{flag}", value]) == 2
+    err = capsys.readouterr().err
+    assert f"--{flag}" in err and command in err and "Traceback" not in err
     assert not out.exists()
 
 

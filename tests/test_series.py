@@ -1,6 +1,7 @@
 """Power-series utilities checked against direct polynomial arithmetic,
 closed forms and a 50-digit mpmath recurrence."""
 
+import ast
 import hashlib
 import os
 import subprocess
@@ -342,17 +343,47 @@ def test_kernels_match_frozen_digests(kernel, n):
     assert hashlib.sha256(out.tobytes()).hexdigest() == KERNEL_DIGESTS[kernel, n]
 
 
+def test_a_negative_zero_in_the_divisor_keeps_the_quotients_zero_signs():
+    # _toeplitz forms 0.0 + b, so b[1] = -0.0 enters the diagonal block as
+    # +0.0; numpy's one-term dot would otherwise carry its sign into c[2]
+    c = _series.div(np.array([0.0, 0.0, -0.0]), np.array([2.0, -0.0, 1.0]))
+    assert np.signbit(c).tolist() == [False, False, True]
+
+
 def test_singular_diagonal_block_raises():
     # the public kernels check their unit, so a zero pivot only reaches the
-    # solve directly: row 100 (in the second block) has a zero row scale
-    n = 3 * _series._BLOCK
-    d = np.ones(n)
-    d[100] = 0.0
-    x = np.zeros(n)
-    x[0] = 1.0
+    # block solve directly: a row-scaled block (powf's layout) whose row 100,
+    # in the second block, has a zero scale
+    B = _series._BLOCK
+    d = np.ones(B)
+    d[100 - (B + 1)] = 0.0
+    A = d[:, None] * _series._toeplitz(0.5 ** np.arange(B), B)
     with pytest.raises(np.linalg.LinAlgError, match="diagonal 100"):
-        _series._lower_triangular_solve(x, np.ones(n), [(d, 0.5 ** np.arange(n))])
-    # an unscaled term with a zero leading coefficient is singular in the
+        _series._solve_block(A, np.ones(B), B + 1)
+    # an unscaled block with a zero leading coefficient is singular in the
     # first block
+    A = _series._toeplitz(np.arange(B, dtype=float), B)
     with pytest.raises(np.linalg.LinAlgError, match="diagonal 1$"):
-        _series._lower_triangular_solve(x, np.ones(n), [(None, np.arange(n, dtype=float))])
+        _series._solve_block(A, np.ones(B), 1)
+
+
+def test_each_blocked_kernel_builds_its_blocks_with_toeplitz():
+    # one builder of the Toeplitz blocks, and one block loop per kernel over
+    # the shared history and Toeplitz primitives
+    tree = ast.parse(Path(_series.__file__).read_text())
+    # the top-level statement around each read of _LAG, None outside a function
+    readers = {
+        getattr(stmt, "name", None)
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and node.id == "_LAG" and isinstance(node.ctx, ast.Load)
+    }
+    assert readers == {"_toeplitz"}
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    for kernel in ("div", "powf", "square_ratio"):
+        called = {
+            node.func.id
+            for node in ast.walk(functions[kernel])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        assert {"_toeplitz", "_history"} <= called, kernel
