@@ -63,8 +63,15 @@ __all__ = [
 
 DEFAULT_POP_CAP = 10**9
 DEFAULT_SAMPLING_ORDER = 2**16
-_BATCHES = 16  # seed-split batches per population_at call; part of the seed-to-sample map
+# seed-split batches per population_at call; part of the seed-to-sample map.
+# Each batch runs rounds until its slowest lane is done, so fewer batches let
+# the stragglers of more trajectories share a round (at n = 512 conditioned,
+# pop_cap 1e3, 16 batches made about twice the rounds and draws of 4); a
+# round's width, and so its memory, grows with the lanes per batch; and at
+# most 4 workers help
+_BATCHES = 4
 _BLOCK_DRAWS = 4096  # draws per engine round, shared by the live lanes; part of the same map
+_PATH_FIRST_DRAWS = 16  # a recorded path's first round, doubled up to _BLOCK_DRAWS; part of its map
 # a round's row scans loop over its B columns while B * 32 <= m, so at about
 # 4096 draws while B <= 11: numpy's axis-1 scans pay per row, a column pass per
 # column, and the loop measured faster up to B = 12 (cumsum) and B = 5 (first
@@ -195,7 +202,9 @@ def _simulate_population_batch(
     """Advance n trajectories by blocks of exact events; the event engine of the module.
 
     Each round draws, for its m live lanes, B = _BLOCK_DRAWS // m offspring
-    counts, waiting times and (conditioned chain) pick uniforms per lane,
+    counts, waiting times and (conditioned chain) pick uniforms per lane
+    (a recorded path draws B = _PATH_FIRST_DRAWS in its first round and
+    doubles B each round up to _BLOCK_DRAWS, since most paths are short),
     and builds each lane's ordinary path and clock by running sums along
     its row (``_cumsum_rows``). A lane's block is cut at its first
     state-dependent event L: a size-biased pick, a waiting time that
@@ -227,9 +236,11 @@ def _simulate_population_batch(
     rate = model.coeffs.total_rate
     events = 0
     exhausted = False
+    draws = _BLOCK_DRAWS if path is None else _PATH_FIRST_DRAWS
     while gidx.size:
         m = gidx.size
-        B = max(1, _BLOCK_DRAWS // m)
+        B = max(1, draws // m)
+        draws = min(2 * draws, _BLOCK_DRAWS)
         if max_events is not None:
             B = min(B, (max_events - events) // m)
             if B == 0:
@@ -340,7 +351,13 @@ def population_at(
 
     One RNG stream per batch is derived by seed-splitting, and batches are
     merged in index order, so results are identical for any thread count.
-    The same trajectory serves every horizon (common random numbers).
+    There are min(4, n) batches (``_BATCHES``): each runs engine rounds
+    until its slowest trajectory is done, so with few batches the stragglers
+    of many trajectories share each round, while a round's memory grows with
+    the trajectories per batch; at most 4 worker processes help. Each batch
+    gets ``max_events // batches`` events, so a budget below the batch count
+    runs no event. The same trajectory serves every horizon (common random
+    numbers).
     """
     _check_seed(seed)
     if n < 1:

@@ -104,7 +104,7 @@ def test_worker_count_is_bounded_by_batches(model, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     a = population_at(model, [1.0], 40, seed=3, threads=10**6)
     b = population_at(model, [1.0], 40, seed=3, threads=1)
-    assert seen["workers"] == 16
+    assert seen["workers"] == simulator._BATCHES
     assert np.array_equal(a.sizes, b.sizes)
 
 
@@ -265,14 +265,17 @@ def test_event_budget_censors_explicitly(model):
     assert sample.events <= 2000  # block cuts never overrun the budget
 
 
-@pytest.mark.parametrize("k", [-1, 0, 1, 15, 16, 17])
+_NB = simulator._BATCHES
+
+
+@pytest.mark.parametrize("k", [-1, 0, 1, _NB - 1, _NB, _NB + 1])
 def test_event_budget_is_named_and_never_overrun(model, k):
     # a negative budget is refused by name on every entry point; any other
-    # budget, also one below the 16 seed-split batches of one trajectory
-    # each, bounds the events run in total (no trajectory ends in one event)
+    # budget, also one below the seed-split batches of one trajectory each,
+    # bounds the events run in total (no trajectory ends in one event)
     rng = np.random.default_rng(11)
     samples = [
-        functools.partial(population_at, model, [50.0], 16, seed=13, conditioned=c, i0=2,
+        functools.partial(population_at, model, [50.0], _NB, seed=13, conditioned=c, i0=2,
                           max_events=k)
         for c in (False, True)
     ]
@@ -298,6 +301,23 @@ def test_qprocess_cells_match_engine_with_cap_hit(model):
     _assert_cells_match_engine(sample.sizes[:, 0], 10.0)
 
 
+def test_stragglers_share_rounds(model, monkeypatch):
+    # perfbench's mc_conditioned shape: each seed-split batch runs engine
+    # rounds until its slowest lane is done, so the fewer the batches, the
+    # more trajectories' stragglers share each round. With 16 batches this
+    # call made 476 rounds (one _first call each); 4 batches make 237
+    rounds = []
+    first = simulator._first
+
+    def counting(mask):
+        rounds.append(mask.shape)
+        return first(mask)
+
+    monkeypatch.setattr(simulator, "_first", counting)
+    population_at(model, [10.0], 512, seed=2024, conditioned=True, pop_cap=10**3)
+    assert len(rounds) <= 0.6 * 476
+
+
 def test_event_count_grows_with_horizon(model):
     e1 = population_at(model, [0.5], 3000, seed=37, conditioned=True, pop_cap=10**4)
     e2 = population_at(model, [2.0], 3000, seed=37, conditioned=True, pop_cap=10**4)
@@ -308,10 +328,10 @@ def test_event_count_grows_with_horizon(model):
 # budget flag) at horizons [0, 1, 1, 3], i0 = 3, n = 300, seed 2024; the
 # cap of 40 is hit, and max_events = 3000 runs out
 POPULATION_DIGESTS = {
-    (False, 40, None): "35e13f293485af7c3a2a961902c3363fee4e647fde3c65e3d8bdd4ff083c447f",
-    (False, 10**9, 3000): "5ddc2572ccbe6082e5df15b6effd443fb63daec05482633cbf79ebb36bed2c2d",
-    (True, 40, None): "18876b5ca94df7ea00786634bb086134df00b59f994f66a53cde86f4e64b59eb",
-    (True, 10**9, 3000): "62086bf3f856af4c757564ab36f5e61449f6de81ef99f4164c972e0542b83f4a",
+    (False, 40, None): "95ab07c3e9b343095ac1182d06fa696705c52b53759e16b84e9128e746b10916",
+    (False, 10**9, 3000): "495911698c670ffbf9f57e130a812aa7f1ebb6b6357a72458ceddbd05232ceaa",
+    (True, 40, None): "035ab0a756bf0ec5a6877756bad06ff655af66945c6a3281ebedd1275b040743",
+    (True, 10**9, 3000): "9707d58a9752a0d059373e35851fb75f92de9b0fabe235bd9e30a096fae8dfa7",
 }
 
 
@@ -462,8 +482,8 @@ def test_record_matches_the_loop_over_horizons(n, H, seed):
 
 
 @pytest.mark.parametrize("simulate, digest", [
-    (simulate_mbp, "1a3f81b98513c260f812820593e6f3e9e9afe7d4326b3fc261581d64c81e6463"),
-    (simulate_qprocess, "fd979db27428c6ee77c782e01f9d56827a48ae92593f212f551f70bbaa7388e3"),
+    (simulate_mbp, "8aeac360a6bb448799a94c34a5f2b5f8c4e5e7ec9d8348baba9d9be149f08881"),
+    (simulate_qprocess, "236ec8e674bd20fbc7c6c824dc1e9287b3e8574756627732b26fef2f9b054afa"),
 ], ids=["simulate_mbp", "simulate_qprocess"])
 def test_paths_are_frozen(model, simulate, digest):
     # 27 paths from one generator: a cap of 8 from i0 = 3, a budget of 5
